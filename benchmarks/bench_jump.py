@@ -1,9 +1,8 @@
-"""Benchmark the stochastic jump kernel: numba backend vs numpy fallback.
+"""Benchmark the stochastic jump kernel.
 
 Builds a two-level Rabi evolution, converts it to per-step cumulative
-transition matrices, and times ``sample_paths`` on both backends for a few
-trajectory counts.  The numba run is warmed up once so JIT compilation is
-not charged to the measured time.
+transition matrices, and times ``sample_paths`` (best of ``--repeat``) for a
+few trajectory counts.
 
 Usage:
     python benchmarks/bench_jump.py [--steps 2010] [--walkers 20000 100000]
@@ -17,7 +16,7 @@ import time
 
 import numpy as np
 
-from qpt._kernels import HAS_NUMBA, sample_paths
+from qpt._kernels import sample_paths
 from qpt.determinate import ObservableSpec
 from qpt.dynamics import EvolutionSpec, _transition_cumulatives, evolve_possibility
 from qpt.linalg import ComplexVector, Operator
@@ -37,8 +36,7 @@ def build_inputs(steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cum, p0, sample_idx
 
 
-def time_backend(
-    backend: str,
+def time_kernel(
     cum: np.ndarray,
     p0: np.ndarray,
     walkers: int,
@@ -49,7 +47,7 @@ def time_backend(
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        sample_paths(cum, p0, walkers, seed, sample_idx, backend=backend)
+        sample_paths(cum, p0, walkers, seed, sample_idx)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -64,34 +62,10 @@ def main() -> None:
 
     cum, p0, sample_idx = build_inputs(args.steps)
     print(f"steps={args.steps}  labels={cum.shape[1]}  repeat={args.repeat}")
-
-    if HAS_NUMBA:
-        # warm up JIT once outside the timed region
-        sample_paths(cum, p0, 16, args.seed, sample_idx, backend="numba")
-    else:
-        print("numba not importable; only the numpy fallback will run")
-
-    header = f"{'walkers':>10}  {'numpy (s)':>10}"
-    if HAS_NUMBA:
-        header += f"  {'numba (s)':>10}  {'speedup':>8}"
-    print(header)
+    print(f"{'walkers':>10}  {'time (s)':>10}  {'walker-steps/s':>14}")
     for n in args.walkers:
-        t_np = time_backend("numpy", cum, p0, n, args.seed, args.repeat, sample_idx)
-        row = f"{n:>10}  {t_np:>10.4f}"
-        if HAS_NUMBA:
-            t_nb = time_backend(
-                "numba", cum, p0, n, args.seed, args.repeat, sample_idx
-            )
-            row += f"  {t_nb:>10.4f}  {t_np / t_nb:>7.1f}x"
-        print(row)
-
-        a = sample_paths(cum, p0, min(n, 4096), args.seed, sample_idx, backend="numpy")
-        if HAS_NUMBA:
-            b = sample_paths(
-                cum, p0, min(n, 4096), args.seed, sample_idx, backend="numba"
-            )
-            assert np.array_equal(a, b), "backends disagree on identical streams"
-    print("backends emit bit-identical paths on identical streams" if HAS_NUMBA else "")
+        t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx)
+        print(f"{n:>10}  {t:>10.4f}  {n * args.steps / t:>14.3g}")
 
 
 if __name__ == "__main__":

@@ -1,28 +1,10 @@
-"""Trajectory-sampling kernels: a numba-compiled walker and a pure-numpy
-walker with identical semantics (bit-identical output for the same uniforms).
-
-The numpy path is selected when numba is unavailable or when the QPT_NO_NUMBA
-environment variable is set to any nonempty value.
+"""Trajectory-sampling kernel: a vectorised numpy walker that advances a
+chunk of walkers one step at a time through per-step cumulative transition
+rows, with all randomness drawn from one seeded PCG64 stream.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 #: trajectories are processed in fixed-size chunks; the chunk size is part of
 #: the random-stream layout, so changing it changes sampled paths
@@ -30,47 +12,32 @@ CHUNK = 2048
 
 
 def active_backend() -> str:
-    if HAS_NUMBA and not os.environ.get("QPT_NO_NUMBA", "").strip():
-        return "numba"
+    """Name of the sampler in use; always ``"numpy"``.
+
+    Kept only because the benchmark worker (``perfbench/worker.py``) records
+    it in its machine block.
+    """
     return "numpy"
 
 
-@njit(cache=True)
-def _walk_numba(cum, start, uniforms, sample_idx):  # pragma: no cover - jit
-    steps = cum.shape[0]
-    k = cum.shape[1]
-    c = start.shape[0]
-    s = sample_idx.shape[0]
-    out = np.empty((s, c), dtype=np.int64)
-    for j in range(c):
-        lab = start[j]
-        si = 0
-        if si < s and sample_idx[si] == 0:
-            out[si, j] = lab
-            si += 1
-        for t in range(steps):
-            u = uniforms[t, j]
-            nxt = 0
-            while nxt < k - 1 and u >= cum[t, lab, nxt]:
-                nxt += 1
-            lab = nxt
-            if si < s and sample_idx[si] == t + 1:
-                out[si, j] = lab
-                si += 1
-    return out
-
-
-def _walk_numpy(cum, start, uniforms, sample_idx):
-    steps, k, _ = cum.shape
-    s = sample_idx.shape[0]
-    out = np.empty((s, start.shape[0]), dtype=np.int64)
+def _walk_numpy(cols, start, uniforms, sample_idx):
+    """Advance walkers from ``start`` through ``cols`` (steps, k, k), where
+    ``cols[t, j, i]`` is the cumulative probability of jumping from label i
+    to a label <= j.  The next label is the number of thresholds
+    ``cols[t, j, lab]`` (j < k - 1) that the walker's uniform reaches."""
+    steps, k, _ = cols.shape
+    out = np.empty((sample_idx.shape[0], start.shape[0]), dtype=np.int64)
     where = {int(t): i for i, t in enumerate(sample_idx)}
     lab = start.copy()
     if 0 in where:
         out[where[0]] = lab
     for t in range(steps):
-        rows = cum[t][lab]  # (c, k) cumulative rows for each walker
-        lab = np.minimum((uniforms[t][:, None] >= rows).sum(axis=1), k - 1)
+        u = uniforms[t]
+        ct = cols[t]
+        nxt = (u >= ct[0].take(lab)).astype(np.int64)
+        for j in range(1, k - 1):
+            nxt += u >= ct[j].take(lab)
+        lab = nxt
         if (t + 1) in where:
             out[where[t + 1]] = lab
     return out
@@ -82,21 +49,20 @@ def sample_paths(
     n_walkers: int,
     seed: int,
     sample_idx: np.ndarray,
-    backend: "str | None" = None,
 ) -> np.ndarray:
     """Run ``n_walkers`` Markov chains through per-step cumulative transition
     matrices ``cum`` (steps, k, k), starting from the distribution ``p0``.
     Returns labels with shape (len(sample_idx), n_walkers).
 
-    The same seed yields the same paths on either backend: both consume one
-    uniform per walker for the start plus one per (step, walker), drawn
-    chunk by chunk from a single PCG64 stream.
+    Precondition: every row ``cum[t, i]`` is a cumulative distribution whose
+    last entry is exactly 1.0 (``_transition_cumulatives`` sets it so).  The
+    next label is then the first j with ``u < cum[t, i, j]``, and a uniform
+    ``u < 1`` never runs past the last label.
+
+    A seed fixes the paths: walkers are drawn chunk by chunk (``CHUNK`` per
+    chunk) from a single PCG64 stream, each chunk consuming one uniform per
+    walker for the start, then one per (step, walker).
     """
-    which = backend or active_backend()
-    if which not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {which!r}")
-    if which == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
     if n_walkers < 1:
         raise ValueError("n_walkers must be positive")
     steps, k, _ = cum.shape
@@ -105,12 +71,12 @@ def sample_paths(
         raise ValueError("sample indices outside [0, steps]")
     if not np.all(np.diff(sample_idx) > 0):
         raise ValueError("sample indices must be strictly increasing")
-    cum = np.ascontiguousarray(cum, dtype=np.float64)
+    # thresholds as contiguous columns, so each step gathers 1-D arrays
+    cols = np.ascontiguousarray(np.asarray(cum, dtype=np.float64).transpose(0, 2, 1))
     cum_p0 = np.cumsum(np.asarray(p0, dtype=np.float64))
     cum_p0[-1] = 1.0
 
     rng = np.random.default_rng(seed)
-    walk = _walk_numba if which == "numba" else _walk_numpy
     pieces = []
     done = 0
     while done < n_walkers:
@@ -118,6 +84,6 @@ def sample_paths(
         u0 = rng.random(c)
         start = np.minimum((u0[:, None] >= cum_p0[None, :]).sum(axis=1), k - 1)
         uniforms = rng.random((steps, c))
-        pieces.append(walk(cum, start.astype(np.int64), uniforms, sample_idx))
+        pieces.append(_walk_numpy(cols, start.astype(np.int64), uniforms, sample_idx))
         done += c
-    return np.concatenate(pieces, axis=1) if pieces else np.empty((len(sample_idx), 0), np.int64)
+    return np.concatenate(pieces, axis=1)

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import HAS_NUMBA, active_backend
 from .determinate import (
     ObservableSpec,
     born_check,
@@ -125,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2010)
     p.add_argument("--trajectories", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"), default="auto")
     p.add_argument("--trajectory-out", type=Path, default=None, help="write one sampled trajectory as TSV rows")
 
     p = sub.add_parser("determinate", parents=[common], help="build a determinate sublattice for a random state")
@@ -301,8 +299,6 @@ def _dynamics_report(args, tol: Tolerance) -> ScenarioReport:
     steps = args.steps
     if steps < 10:
         raise ValueError("dynamics demo needs at least 10 steps")
-    if args.backend == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is unavailable")
     spec = EvolutionSpec(h, dt=2.0 * np.pi / steps, steps=steps, tol=tol)
     traj = evolve_possibility(basis_vector(2, 0), observable, spec, tol=tol)
 
@@ -312,12 +308,11 @@ def _dynamics_report(args, tol: Tolerance) -> ScenarioReport:
 
     stride = steps // 10
     idx = np.arange(1, 11) * stride
-    backend = None if args.backend == "auto" else args.backend
-    marg = sample_marginals(traj, args.seed, args.trajectories, idx, backend=backend)
+    marg = sample_marginals(traj, args.seed, args.trajectories, idx)
     tv = marg.total_variation()
 
     if args.trajectory_out is not None:
-        path_rows = trajectory_rows(jump_process(traj, args.seed + 1, backend=backend), traj)
+        path_rows = trajectory_rows(jump_process(traj, args.seed + 1), traj)
         args.trajectory_out.write_text("\n".join(path_rows) + "\n")
 
     sigma = 0.5 / np.sqrt(args.trajectories)
@@ -340,7 +335,6 @@ def _dynamics_report(args, tol: Tolerance) -> ScenarioReport:
         ),
     )
     quantities = (
-        Quantity("backend", backend or active_backend()),
         Quantity("dt", spec.dt),
         Quantity("sampled_times", [float(t) for t in marg.times]),
         Quantity(

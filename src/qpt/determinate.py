@@ -384,6 +384,8 @@ def extend_and_check(
     """
     from .nogo import RaySet, NoAssignment, find_assignment  # local: avoid cycle
 
+    if budget < 2:  # the closure always holds the zero and full subspaces
+        raise ValueError(f"closure budget must be >= 2, got {budget}")
     if v.ambient_dim != d.ambient_dim:
         raise DimMismatch(f"subspace dim {v.ambient_dim} vs ambient {d.ambient_dim}")
     if d.ambient_dim < 3:

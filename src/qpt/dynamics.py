@@ -9,7 +9,10 @@ from the probability currents
     J[i, j](t) = 2 * Im <psi_t| P_i H P_j |psi_t>,
 
 so that single-time marginals of the process reproduce the weights
-``w_i(t) = ||P_i psi_t||^2`` in the small-step limit.
+``w_i(t) = ||P_i psi_t||^2`` in the small-step limit.  A walker on label j
+jumps to i at rate ``max(J[i, j], 0) / w_j``: the minimal jump rates of
+J. S. Bell, "Beables for quantum field theory" (1984), and J. C. Vink,
+"Quantum mechanics in terms of discrete beables", Phys. Rev. A 48 (1993).
 """
 from __future__ import annotations
 
@@ -82,11 +85,19 @@ class PossibilityTrajectory:
     observable: ObservableSpec
     times: np.ndarray
     psis: np.ndarray  # (steps + 1, dim) complex
-    sublattices: tuple[DeterminateSublattice, ...]
+    tol: Tolerance = DEFAULT_TOL  # for building the sublattices
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self.observable.labels
+
+    @cached_property
+    def sublattices(self) -> tuple[DeterminateSublattice, ...]:
+        """``D(psis[t], observable)`` for every snapshot, built on first use."""
+        return tuple(
+            build_determinate(ComplexVector(psi), self.observable, tol=self.tol)
+            for psi in self.psis
+        )
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -119,11 +130,7 @@ def evolve_possibility(
         nxt = u @ psis[t]
         psis[t + 1] = nxt / np.linalg.norm(nxt)
     times = spec.dt * np.arange(spec.steps + 1)
-    snaps = tuple(
-        build_determinate(ComplexVector(psis[t]), observable, tol=tol)
-        for t in range(spec.steps + 1)
-    )
-    return PossibilityTrajectory(spec, observable, times, psis, snaps)
+    return PossibilityTrajectory(spec, observable, times, psis, tol)
 
 
 def _currents(traj: PossibilityTrajectory) -> np.ndarray:
@@ -229,16 +236,11 @@ class MarginalSample:
         return 0.5 * np.abs(self.frequencies - self.expected).sum(axis=1)
 
 
-def jump_process(
-    traj: PossibilityTrajectory,
-    seed: int,
-    *,
-    backend: "str | None" = None,
-) -> PropertyTrajectory:
+def jump_process(traj: PossibilityTrajectory, seed: int) -> PropertyTrajectory:
     """Sample a single property-state trajectory over the full time grid."""
     cum, p0 = _transition_cumulatives(traj)
     idx = np.arange(traj.spec.steps + 1, dtype=np.int64)
-    path = sample_paths(cum, p0, 1, seed, idx, backend=backend)[:, 0]
+    path = sample_paths(cum, p0, 1, seed, idx)[:, 0]
     labels = tuple(traj.labels[int(i)] for i in path)
     return PropertyTrajectory(traj.times.copy(), labels, seed)
 
@@ -248,8 +250,6 @@ def sample_marginals(
     seed: int,
     n_trajectories: int,
     sample_indices: "np.ndarray | None" = None,
-    *,
-    backend: "str | None" = None,
 ) -> MarginalSample:
     """Sample an ensemble and tabulate label counts at the given time indices
     (default: every step)."""
@@ -258,7 +258,7 @@ def sample_marginals(
     if sample_indices is None:
         sample_indices = np.arange(traj.spec.steps + 1, dtype=np.int64)
     idx = np.asarray(sample_indices, dtype=np.int64)
-    paths = sample_paths(cum, p0, n_trajectories, seed, idx, backend=backend)
+    paths = sample_paths(cum, p0, n_trajectories, seed, idx)
     counts = np.stack([np.bincount(row, minlength=k) for row in paths])
     return MarginalSample(
         times=traj.times[idx],

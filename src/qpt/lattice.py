@@ -178,12 +178,6 @@ class SublatticeSet:
     def is_closed(self) -> bool:
         return self.closed_under >= {"meet", "join", "complement"}
 
-    def index_of(self, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> "int | None":
-        for i, e in enumerate(self.elements):
-            if e.isclose(s, tol):
-                return i
-        return None
-
 
 def _canonical_key(s: Subspace) -> tuple:
     p = np.round(s.projector(), 9) + 0.0  # normalize -0.0

@@ -100,9 +100,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def is_hermitian(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         scale = max(1.0, float(np.abs(self.entries).max()))
         return bool(np.abs(self.entries - self.entries.conj().T).max() <= tol.eps * scale)

@@ -236,6 +236,8 @@ def teleportation_scenario(
     through a shared entangled pair and a Bell-basis premeasurement whose
     pointer outcome selects one of four local corrections.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     amp = abs(c_plus) ** 2 + abs(c_minus) ** 2
     if abs(amp - 1.0) > 1e-9:
         raise NotNormalized(f"|c_plus|^2 + |c_minus|^2 = {amp:.12g}, expected 1")

@@ -53,7 +53,9 @@ from conftest import maximal_observable, random_subspace, random_vector
 
 from pathlib import Path
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+import qpt
+
+FIXTURES = Path(qpt.__file__).resolve().parent / "fixtures"
 
 
 def _checks(rep) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,8 +26,9 @@ from qpt import (
     sample_marginals,
     tensor,
 )
-from qpt._kernels import HAS_NUMBA
-from qpt.dynamics import trajectory_rows
+from qpt._kernels import CHUNK, sample_paths
+from qpt.dynamics import _transition_cumulatives, trajectory_rows
+from qpt.scenarios import _position_observable
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -34,6 +37,10 @@ def z_observable() -> ObservableSpec:
     return ObservableSpec.from_eigenbasis(
         [np.array([1.0, 0.0]), np.array([0.0, 1.0])], labels=["up", "down"]
     )
+
+
+def paths_sha256(paths: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(paths).tobytes()).hexdigest()
 
 
 def rabi_trajectory(steps: int = 600) -> "PossibilityTrajectory":
@@ -164,45 +171,47 @@ class TestMeshing:
         marg = sample_marginals(traj, seed=2, n_trajectories=500, sample_indices=idx)
         assert np.abs(marg.expected - traj.weights[idx]).max() < 1e-12
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_backends_agree_on_counts(self):
-        traj = rabi_trajectory(120)
-        idx = np.array([40, 120], dtype=np.int64)
-        a = sample_marginals(traj, seed=5, n_trajectories=3000, sample_indices=idx,
-                             backend="numpy")
-        b = sample_marginals(traj, seed=5, n_trajectories=3000, sample_indices=idx,
-                             backend="numba")
-        assert np.array_equal(a.counts, b.counts)
+    def test_sampled_paths_match_golden(self):
+        # a seed fixes the paths, so their digest is pinned
+        traj = rabi_trajectory(600)
+        cum, p0 = _transition_cumulatives(traj)
+        paths = sample_paths(cum, p0, 2 * CHUNK + 5, 0, np.arange(601))
+        assert paths.shape == (601, 2 * CHUNK + 5)
+        assert paths_sha256(paths) == (
+            "a55edefc93146f2430c906c2307cf63dd6e974333ca95e3e4b4634b390227b89"
+        )
+
+
+def entangling_trajectory(steps: int = 200) -> "PossibilityTrajectory":
+    """Continuous entangling evolution: spin-controlled pointer shift, run as
+    a Hamiltonian flow reaching the premeasurement unitary at t=1.  The
+    position observable has k = 9 labels, eight of them absent at t=0."""
+    layout = RegisterLayout((("spin1", 2), ("spin2", 2), ("pos1", 3), ("pos2", 3)))
+    shift_up = np.roll(np.eye(3), 1, axis=0)
+    shift_dn = np.roll(np.eye(3), -1, axis=0)
+    p_up = np.diag([1.0, 0.0])
+    p_dn = np.diag([0.0, 1.0])
+    u_local = np.kron(p_up, shift_up) + np.kron(p_dn, shift_dn)
+    u_pre = embed(Operator(u_local.astype(complex)), layout, ("spin1", "pos1"))
+
+    logu = scipy.linalg.logm(u_pre.entries)
+    h = Operator(1j / 2 * (logu - logu.conj().T) / 1.0)
+
+    singlet = np.zeros((2, 2), dtype=complex)
+    singlet[0, 1], singlet[1, 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    r0 = np.array([0.0, 1.0, 0.0], dtype=complex)
+    psi0 = np.einsum("ab,p,q->abpq", singlet, r0, r0).reshape(-1)
+
+    sym = ["-", "0", "+"]
+    obs = _position_observable(layout, ("pos1", "pos2"), [sym, sym])
+    spec = EvolutionSpec(hamiltonian=h, dt=1.0 / steps, steps=steps)
+    return evolve_possibility(ComplexVector(psi0), obs, spec)
 
 
 class TestEntanglingPremeasurement:
     def test_endpoint_labels_split_half_half(self):
-        # continuous entangling evolution: spin-controlled pointer shift,
-        # run as a Hamiltonian flow reaching the premeasurement unitary at t=1
-        layout = RegisterLayout((("spin1", 2), ("spin2", 2), ("pos1", 3), ("pos2", 3)))
-        shift_up = np.roll(np.eye(3), 1, axis=0)
-        shift_dn = np.roll(np.eye(3), -1, axis=0)
-        p_up = np.diag([1.0, 0.0])
-        p_dn = np.diag([0.0, 1.0])
-        u_local = np.kron(p_up, shift_up) + np.kron(p_dn, shift_dn)
-        u_pre = embed(Operator(u_local.astype(complex)), layout, ("spin1", "pos1"))
-
-        logu = scipy.linalg.logm(u_pre.entries)
-        h = Operator(1j / 2 * (logu - logu.conj().T) / 1.0)
-
-        singlet = np.zeros((2, 2), dtype=complex)
-        singlet[0, 1], singlet[1, 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        r0 = np.array([0.0, 1.0, 0.0], dtype=complex)
-        psi0 = np.einsum("ab,p,q->abpq", singlet, r0, r0).reshape(-1)
-
-        from qpt.scenarios import _position_observable
-
-        sym = ["-", "0", "+"]
-        obs = _position_observable(layout, ("pos1", "pos2"), [sym, sym])
         steps = 200
-        spec = EvolutionSpec(hamiltonian=h, dt=1.0 / steps, steps=steps)
-        traj = evolve_possibility(ComplexVector(psi0), obs, spec)
-
+        traj = entangling_trajectory(steps)
         w_end = traj.weights[-1]
         lab = list(traj.labels)
         i_minus = lab.index("(-,0)")
@@ -217,3 +226,14 @@ class TestEntanglingPremeasurement:
         assert freq[i_plus] == pytest.approx(0.5, abs=0.05)
         others = [f for k, f in enumerate(freq) if k not in (i_minus, i_plus)]
         assert max(others) < 0.02
+
+    def test_sampled_paths_match_golden(self):
+        # absent labels get placeholder rows that no walker may enter
+        traj = entangling_trajectory(200)
+        cum, p0 = _transition_cumulatives(traj)
+        assert cum.shape == (200, 9, 9)
+        assert np.count_nonzero(p0) == 1
+        paths = sample_paths(cum, p0, 4000, 1, np.arange(201))
+        assert paths_sha256(paths) == (
+            "2a9dc4edf8caecaca7f7b553d5fe2f34f222f95fbc3fec56586ca5c3fdd87f87"
+        )

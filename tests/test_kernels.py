@@ -1,15 +1,14 @@
-"""Stochastic path kernel: backend agreement, determinism, and validation."""
+"""Stochastic path kernel: agreement with a plain-Python reference walker,
+determinism, and validation."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from qpt._kernels import CHUNK, HAS_NUMBA, active_backend, sample_paths
+from qpt import ComplexVector, EvolutionSpec, ObservableSpec, Operator, evolve_possibility
+from qpt._kernels import CHUNK, sample_paths
+from qpt.dynamics import _transition_cumulatives
 
 
 def random_cumulatives(steps: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -27,25 +26,77 @@ def full_grid(steps: int) -> np.ndarray:
     return np.arange(steps + 1, dtype=np.int64)
 
 
-class TestBackendAgreement:
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
+def _first_unreached(u: float, row, k: int) -> int:
+    """The selection rule: the first label j < k - 1 whose cumulative
+    threshold ``u`` does not reach, else the last label."""
+    j = 0
+    while j < k - 1 and u >= row[j]:
+        j += 1
+    return j
+
+
+def reference_walk(cum, start, uniforms, sample_idx) -> np.ndarray:
+    """One walker at a time, one step at a time, in plain Python."""
+    steps, k, _ = cum.shape
+    cum, uniforms, sample_idx = cum.tolist(), uniforms.tolist(), list(sample_idx)
+    out = np.empty((len(sample_idx), len(start)), dtype=np.int64)
+    for w, lab in enumerate(start):
+        labels = [lab]
+        for t in range(steps):
+            lab = _first_unreached(uniforms[t][w], cum[t][lab], k)
+            labels.append(lab)
+        out[:, w] = [labels[t] for t in sample_idx]
+    return out
+
+
+def reference_paths(cum, p0, n_walkers: int, seed: int, sample_idx) -> np.ndarray:
+    """``reference_walk`` fed in ``sample_paths``' draw order: chunks of
+    ``CHUNK`` walkers from one PCG64 stream, each chunk drawing one start
+    uniform per walker, then a (steps, c) block of step uniforms."""
+    steps, k, _ = cum.shape
+    cum_p0 = np.cumsum(p0).tolist()
+    cum_p0[-1] = 1.0
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for done in range(0, n_walkers, CHUNK):
+        c = min(CHUNK, n_walkers - done)
+        start = [_first_unreached(u, cum_p0, k) for u in rng.random(c).tolist()]
+        uniforms = rng.random((steps, c))
+        pieces.append(reference_walk(cum, start, uniforms, sample_idx))
+    return np.concatenate(pieces, axis=1)
+
+
+class TestReferenceAgreement:
     @pytest.mark.parametrize("n_walkers", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
     def test_bit_identical_paths_across_chunk_boundaries(self, n_walkers):
         rng = np.random.default_rng(42)
         cum, p0 = random_cumulatives(25, 3, rng)
         idx = full_grid(25)
-        a = sample_paths(cum, p0, n_walkers, seed=9, sample_idx=idx, backend="numpy")
-        b = sample_paths(cum, p0, n_walkers, seed=9, sample_idx=idx, backend="numba")
+        a = sample_paths(cum, p0, n_walkers, seed=9, sample_idx=idx)
+        b = reference_paths(cum, p0, n_walkers, seed=9, sample_idx=idx)
         assert np.array_equal(a, b)
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
     @pytest.mark.parametrize("k", [2, 5, 9])
     def test_bit_identical_across_label_counts(self, k):
         rng = np.random.default_rng(k)
         cum, p0 = random_cumulatives(40, k, rng)
         idx = np.array([0, 13, 40], dtype=np.int64)
-        a = sample_paths(cum, p0, 500, seed=1, sample_idx=idx, backend="numpy")
-        b = sample_paths(cum, p0, 500, seed=1, sample_idx=idx, backend="numba")
+        a = sample_paths(cum, p0, 500, seed=1, sample_idx=idx)
+        b = reference_paths(cum, p0, 500, seed=1, sample_idx=idx)
+        assert np.array_equal(a, b)
+
+    def test_rabi_marginal_counts_match_reference(self):
+        steps = 120
+        h = Operator(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex))
+        spec = EvolutionSpec(hamiltonian=h, dt=2 * np.pi / steps, steps=steps)
+        obs = ObservableSpec.from_eigenbasis(
+            [np.array([1.0, 0.0]), np.array([0.0, 1.0])], labels=["up", "down"]
+        )
+        traj = evolve_possibility(ComplexVector(np.array([1.0 + 0j, 0.0])), obs, spec)
+        cum, p0 = _transition_cumulatives(traj)
+        idx = np.array([40, 120], dtype=np.int64)
+        a = sample_paths(cum, p0, 3000, seed=5, sample_idx=idx)
+        b = reference_paths(cum, p0, 3000, seed=5, sample_idx=idx)
         assert np.array_equal(a, b)
 
 
@@ -109,12 +160,6 @@ class TestDeterminismAndShape:
 
 
 class TestValidation:
-    def test_unknown_backend_rejected(self):
-        rng = np.random.default_rng(0)
-        cum, p0 = random_cumulatives(5, 2, rng)
-        with pytest.raises(ValueError):
-            sample_paths(cum, p0, 10, seed=0, sample_idx=full_grid(5), backend="cuda")
-
     def test_out_of_range_sample_index_rejected(self):
         rng = np.random.default_rng(0)
         cum, p0 = random_cumulatives(5, 2, rng)
@@ -128,21 +173,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample_paths(cum, p0, 0, seed=0, sample_idx=full_grid(5))
 
-
-class TestEnvSwitch:
-    def test_env_flag_selects_numpy_backend(self):
-        code = (
-            "import qpt._kernels as k; print(k.active_backend())"
-        )
-        env = dict(os.environ, QPT_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_default_backend_prefers_numba_when_present(self):
-        if HAS_NUMBA and not os.environ.get("QPT_NO_NUMBA"):
-            assert active_backend() == "numba"
-        else:
-            assert active_backend() == "numpy"

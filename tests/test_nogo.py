@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpt
 from qpt import (
     Assignment,
     ChshSetting,
@@ -33,7 +34,7 @@ from qpt import (
     spin_observable,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURES = Path(qpt.__file__).resolve().parent / "fixtures"
 
 angles = st.floats(0, np.pi, allow_nan=False, exclude_max=True)
 
@@ -101,13 +102,6 @@ class TestRayFiles:
 
 
 class TestBundledFixtures:
-    def test_package_data_matches_repo_fixtures(self):
-        import qpt
-
-        pkg_dir = Path(qpt.__file__).parent / "fixtures"
-        for name in ("ks18-d4.rays", "ks33-d3.rays"):
-            assert (pkg_dir / name).read_bytes() == (FIXTURES / name).read_bytes()
-
     def test_18_ray_dim4_structure(self):
         rs = RaySet.from_file(FIXTURES / "ks18-d4.rays")
         assert rs.dim == 4
