@@ -261,14 +261,12 @@ class ExtensionReport:
         return self.verdict == "contradiction"
 
 
-def _relations_satisfiable(n_elems: int, relations, zero_idx: int, full_idx: int,
-                           node_cap: int = 100000) -> "bool | None":
+def _relations_satisfiable(n_elems: int, relations, node_cap: int = 100000) -> "bool | None":
     """Search for a {0,1} assignment on elements satisfying every recorded
-    relation as a logic gate. None means the node cap was hit."""
+    relation as a logic gate, with element 0 (the zero subspace) false and
+    element 1 (the full space) true. None means the node cap was hit."""
     val = [-1] * n_elems
-    val[zero_idx], val[full_idx] = 0, 1
-    if zero_idx == full_idx:
-        return False
+    val[0], val[1] = 0, 1
     nodes = 0
 
     def propagate() -> bool:
@@ -397,23 +395,20 @@ def extend_and_check(
     run = _ClosureRun(gens, budget, tol)
 
     def emitted() -> list[ComplexVector]:
-        # drop near-duplicates: the closure dedup threshold is looser than the
-        # ray-set distinctness requirement
-        rays: list[ComplexVector] = []
-        for e in run.elements:
-            if e.rank != 1:
-                continue
-            cand = ComplexVector(e.basis[:, 0])
-            if all(abs(cand.inner(r)) < 1.0 - 1e-6 for r in rays):
-                rays.append(cand)
-        return rays
+        # drop near-duplicates, keeping the first of each: the closure dedup
+        # threshold is looser than the ray-set distinctness requirement
+        cols = np.array([e.basis[:, 0] for e in run.elements if e.rank == 1])
+        dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
+        kept: list[int] = []
+        for i in range(len(cols)):
+            if not dup[i, kept].any():
+                kept.append(i)
+        return [ComplexVector(cols[i]) for i in kept]
 
     while True:
         grew = run.step()
-        zero_idx = next(i for i, e in enumerate(run.elements) if e.rank == 0)
-        full_idx = next(i for i, e in enumerate(run.elements) if e.rank == d.ambient_dim)
-        rel_sat = _relations_satisfiable(len(run.elements), run.relations,
-                                         zero_idx, full_idx)
+        # the closure inserts the zero and full subspaces first, as elements 0 and 1
+        rel_sat = _relations_satisfiable(len(run.elements), run.relations)
         rays = emitted()
         coloring_unsat = False
         if len(rays) >= d.ambient_dim:

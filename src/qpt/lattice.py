@@ -137,21 +137,47 @@ def orthocomplement(a: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     return Subspace(n, np.column_stack(cols))
 
 
+def _padded(s: Subspace) -> np.ndarray:
+    """The basis of ``s`` zero-padded to a square (n, n) array."""
+    out = np.zeros((s.ambient_dim, s.ambient_dim), dtype=np.complex128)
+    out[:, :s.rank] = s.basis
+    return out
+
+
+def _spans(left: np.ndarray, right: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Batched span of pairs of (c, n, n) zero-padded bases.
+
+    Returns the left singular vectors ``u`` (c, n, n) of each ``[L_k | R_k]``
+    and the count ``r`` (c,) of singular values above ``eps``: ``u[k, :, :r]``
+    is an orthonormal basis of span(L_k) + span(R_k) and ``u[k, :, r:]`` of its
+    orthocomplement. Singular values resolve principal angles directly
+    (Bjorck & Golub, Math. Comp. 27, 1973), where eigenvalues of P_a + P_b
+    resolve only their squares."""
+    u, sv, _ = np.linalg.svd(np.concatenate((left, right), axis=2), full_matrices=False)
+    return u, np.count_nonzero(sv > eps, axis=1)
+
+
+def _from_columns(cols: np.ndarray) -> Subspace:
+    """Subspace spanned by orthonormal columns, each rotated to canonical phase."""
+    n = cols.shape[0]
+    if not cols.shape[1]:
+        return Subspace.zero(n)
+    return Subspace(n, np.column_stack([canonical_phase(c) for c in cols.T]))
+
+
 def join(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Closed span of the union."""
     _check_dims(a, b)
-    if a.rank == 0:
-        return b
-    if b.rank == 0:
-        return a
-    cols = orthonormalize(list(a.basis.T) + list(b.basis.T), tol)
-    return Subspace(a.ambient_dim, np.column_stack([c.amplitudes for c in cols]))
+    u, r = _spans(_padded(a)[None], _padded(b)[None], tol.eps)
+    return _from_columns(u[0, :, :r[0]])
 
 
 def meet(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Intersection, via the common-nullspace construction (a^ v b^)^."""
     _check_dims(a, b)
-    return orthocomplement(join(orthocomplement(a, tol), orthocomplement(b, tol), tol), tol)
+    ca, cb = orthocomplement(a, tol), orthocomplement(b, tol)
+    u, r = _spans(_padded(ca)[None], _padded(cb)[None], tol.eps)
+    return _from_columns(u[0, :, r[0]:])
 
 
 def commutes(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -184,8 +210,26 @@ def _canonical_key(s: Subspace) -> tuple:
     return (s.rank,) + tuple(float(x) for x in p.view(np.float64).ravel())
 
 
+#: pairs per batched SVD in a closure round; bounds a round's scratch memory
+_CHUNK = 256
+
+
 class _ClosureRun:
-    """Incremental bounded closure with deduplication and op recording."""
+    """Incremental bounded closure with deduplication and op recording.
+
+    Every element's basis, its orthocomplement's basis (computed once, on
+    insertion) and its projector are kept zero-padded in (capacity, n, n)
+    stacks, so a round's meets and joins are batched SVDs over gathered pairs.
+
+    Dedup: an element is filed under the cell ``floor(<W, P> / width)`` of its
+    projector P's projection on a fixed weight matrix W, with width =
+    2*n*|W|_F*max(eps, 1e-12). Two projectors within the ``Subspace.isclose``
+    distance eps*n have projections at most eps*n*|W|_F apart, half a cell, so
+    a lookup probes cells k-1, k, k+1 and confirms with that distance; it
+    returns the smallest matching index. The 1e-12 floor keeps a cell wider
+    than the rounding error of <W, P> (and the cell index within int64) for
+    any eps; it only coarsens the filter.
+    """
 
     def __init__(self, generators, max_new: int, tol: Tolerance):
         gens = list(generators)
@@ -199,53 +243,109 @@ class _ClosureRun:
         self.tol = tol
         self.budget = int(max_new)
         self.elements: list[Subspace] = []
+        self._complements: list[Subspace] = []  # orthocomplement of each element
         self.relations: list[tuple[str, int, int, int]] = []
-        self._buckets: dict[tuple, list[int]] = {}
         self.depth = 0
         self._processed = 0  # elements whose pair/complement ops have been emitted
         self.saturated = False  # budget refused an element
-        self._add(Subspace.zero(n))
-        self._add(Subspace.full(n))
-        for g in gens:
-            self._add(g)
+        # stacks grow geometrically: the budget may be far above what a run reaches
+        self._bases = np.zeros((0, n, n), dtype=np.complex128)
+        self._comps = np.zeros_like(self._bases)
+        self._projs = np.zeros_like(self._bases)
+        # any fixed weights do; generic ones put distinct projectors in distinct cells
+        w = np.random.default_rng(0).standard_normal((2, n, n))
+        self._weights = (w[0] - 1j * w[1]).ravel()  # conjugated W
+        self._width = 2.0 * n * float(np.linalg.norm(w)) * max(tol.eps, 1e-12)
+        self._cells: dict[int, list[int]] = {}
+        for s in [Subspace.zero(n), Subspace.full(n)] + gens:
+            proj = s.projector()
+            self._place(proj, self._cells_of(proj[None])[0], lambda: s)
 
-    def _bucket_key(self, s: Subspace) -> tuple:
-        diag = np.round(s.projector().diagonal().real, 5) + 0.0
-        return (s.rank,) + tuple(float(x) for x in diag)
+    def _cells_of(self, projs: np.ndarray) -> list[int]:
+        keys = (projs.reshape(len(projs), self.n ** 2) @ self._weights).real / self._width
+        return np.floor(keys).astype(np.int64).tolist()
 
-    def _find(self, s: Subspace) -> "int | None":
-        for i in self._buckets.get(self._bucket_key(s), []):
-            if self.elements[i].isclose(s, self.tol):
+    def _first(self, cell: int) -> int:
+        """Smallest element index filed in cells cell-1..cell+1, or -1."""
+        firsts = [b[0] for b in map(self._cells.get, (cell - 1, cell, cell + 1)) if b]
+        return min(firsts, default=-1)
+
+    def _find(self, proj: np.ndarray, cell: int) -> "int | None":
+        hits = sorted(i for c in (cell - 1, cell, cell + 1) for i in self._cells.get(c, ()))
+        for i in hits:
+            if np.linalg.norm(self._projs[i] - proj) <= self.tol.eps * self.n:
                 return i
         return None
 
-    def _add(self, s: Subspace) -> "int | None":
-        found = self._find(s)
+    def _place(self, proj: np.ndarray, cell: int, make) -> "int | None":
+        """Index of the element within isclose distance of ``proj``, else of a
+        new element ``make()``, or None when the budget refuses it."""
+        found = self._find(proj, cell)
         if found is not None:
             return found
-        if len(self.elements) >= self.budget:
+        k = len(self.elements)
+        if k >= self.budget:
             self.saturated = True
             return None
-        self._buckets.setdefault(self._bucket_key(s), []).append(len(self.elements))
+        s = make()
+        comp = orthocomplement(s, self.tol)
+        if k == len(self._bases):
+            grow = np.zeros((max(8, k), self.n, self.n), dtype=np.complex128)
+            self._bases, self._comps, self._projs = (
+                np.concatenate((a, grow)) for a in (self._bases, self._comps, self._projs))
+        self._bases[k, :, :s.rank] = s.basis
+        self._comps[k, :, :comp.rank] = comp.basis
+        self._projs[k] = proj
+        self._cells.setdefault(cell, []).append(k)
         self.elements.append(s)
-        return len(self.elements) - 1
+        self._complements.append(comp)
+        return k
 
-    def _record(self, op: str, i: int, j: int, s: Subspace) -> None:
-        k = self._add(s)
-        if k is not None:
-            self.relations.append((op, i, j, k))
+    def _emit(self, ops, lhs, rhs, projs: np.ndarray, make) -> None:
+        """Record results in emission order; ``make(t)`` builds result t's
+        Subspace and is called only for results that become elements."""
+        cells = self._cells_of(projs)
+        # a result that matches the smallest index filed near it needs no
+        # further lookup; every other one goes through _place in order
+        first = np.array([self._first(c) for c in cells], dtype=np.int64)
+        known = first >= 0
+        near = np.linalg.norm(self._projs[first[known]] - projs[known], axis=(1, 2))
+        match = np.full(len(cells), -1, dtype=np.int64)
+        match[known] = np.where(near <= self.tol.eps * self.n, first[known], -1)
+        for t, k in enumerate(match.tolist()):
+            if k < 0:
+                k = self._place(projs[t], cells[t], lambda: make(t))
+                if k is None:
+                    continue
+            self.relations.append((ops[t], lhs[t], rhs[t], k))
 
     def step(self) -> bool:
-        """Run one closure round. Returns True if new elements appeared."""
-        base = len(self.elements)
-        for i in range(self._processed, base):
-            self._record("complement", i, i, orthocomplement(self.elements[i], self.tol))
-        for i in range(base):
-            jstart = max(i + 1, self._processed)
-            for j in range(jstart, base):
-                a, b = self.elements[i], self.elements[j]
-                self._record("meet", i, j, meet(a, b, self.tol))
-                self._record("join", i, j, join(a, b, self.tol))
+        """Run one closure round. Returns True if new elements appeared.
+
+        Emission order: complements of the elements new since the last round,
+        then every pair i < j with j new, meet before join."""
+        base, done, n = len(self.elements), self._processed, self.n
+        fresh = list(range(done, base))
+        comps = self._comps[done:base]
+        self._emit(["complement"] * len(fresh), fresh, fresh,
+                   comps @ comps.conj().transpose(0, 2, 1),
+                   lambda t: self._complements[fresh[t]])
+        left, right = np.triu_indices(base, 1)
+        keep = right >= done
+        left, right = left[keep], right[keep]
+        cols = np.arange(n)
+        for lo in range(0, len(left), _CHUNK):
+            i, j = left[lo:lo + _CHUNK], right[lo:lo + _CHUNK]
+            um, rm = _spans(self._comps[i], self._comps[j], self.tol.eps)
+            uj, rj = _spans(self._bases[i], self._bases[j], self.tol.eps)
+            # result 2p is meet(pair p), the null space of the complements'
+            # stack; result 2p + 1 is join(pair p), the range of the bases' stack
+            us = np.stack((um, uj), axis=1).reshape(-1, n, n)
+            live = np.stack((cols >= rm[:, None], cols < rj[:, None]), axis=1).reshape(-1, n)
+            us *= live[:, None, :]
+            self._emit(["meet", "join"] * len(i), np.repeat(i, 2).tolist(),
+                       np.repeat(j, 2).tolist(), us @ us.conj().transpose(0, 2, 1),
+                       lambda t: _from_columns(us[t][:, live[t]]))
         self._processed = base
         self.depth += 1
         return len(self.elements) > base

@@ -42,14 +42,14 @@ class RaySet:
             rays[k] = ComplexVector(r.amplitudes / n)
         rays = tuple(rays)
         object.__setattr__(self, "rays", rays)
-        m = len(rays)
-        orth = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            for j in range(i + 1, m):
-                ov = abs(rays[i].inner(rays[j]))
-                if ov >= 1.0 - tol.eps * dim:
-                    raise ValueError(f"rays {i} and {j} coincide up to phase")
-                orth[i, j] = orth[j, i] = ov <= tol.eps * dim
+        amps = np.array([r.amplitudes for r in rays])
+        ov = np.abs(amps.conj() @ amps.T)
+        coincide = np.argwhere(np.triu(ov >= 1.0 - tol.eps * dim, 1))
+        if len(coincide):
+            i, j = coincide[0]
+            raise ValueError(f"rays {i} and {j} coincide up to phase")
+        orth = np.triu(ov <= tol.eps * dim, 1)
+        orth |= orth.T
         object.__setattr__(self, "_orth", orth)
         object.__setattr__(self, "contexts", _dim_cliques(orth, dim))
 

@@ -173,12 +173,38 @@ def test_criterion_07_chsh_lhv_bound_and_tsirelson_point():
     assert isinstance(out, Unsatisfiable)
 
 
+#: (verdict, n_elements, n_relations, n_rays, closure_depth) of the 20
+#: criterion-08 cases, as the per-pair closure produced them
+CRITERION_08_SHAPES = [
+    ("contradiction", 19, 121, 9, 1),
+    ("contradiction", 25, 121, 8, 1),
+    ("contradiction", 25, 121, 8, 1),
+    ("contradiction", 19, 121, 9, 1),
+    ("contradiction", 25, 121, 8, 1),
+    ("contradiction", 19, 121, 9, 1),
+    ("contradiction", 19, 121, 9, 1),
+    ("contradiction", 19, 121, 9, 1),
+    ("contradiction", 25, 121, 8, 1),
+    ("contradiction", 19, 121, 9, 1),
+    ("contradiction", 512, 9566, 337, 2),
+    ("contradiction", 512, 9566, 337, 2),
+    ("contradiction", 512, 9097, 151, 2),
+    ("contradiction", 512, 9566, 337, 2),
+    ("contradiction", 512, 9097, 151, 2),
+    ("contradiction", 512, 9097, 151, 2),
+    ("contradiction", 352, 6889, 175, 2),
+    ("contradiction", 512, 9097, 151, 2),
+    ("contradiction", 512, 9566, 337, 2),
+    ("contradiction", 352, 6889, 175, 2),
+]
+
+
 def test_criterion_08_extension_contradictions():
     """Extending the orthodox sublattice D(psi, identity) by a random
     non-member subspace in dims 3-4 yields a contradiction in at least 19 of
     20 cases within the search budget; inconclusive cases are surfaced."""
     rng = np.random.default_rng(808)
-    outcomes = []
+    outcomes, shapes = [], []
     for case in range(20):
         dim = 3 if case < 10 else 4
         psi = random_vector(dim, rng)
@@ -190,9 +216,12 @@ def test_criterion_08_extension_contradictions():
                 break
         rep = extend_and_check(d, v, budget=512)
         outcomes.append((case, dim, rank, rep.verdict))
+        shapes.append((rep.verdict, rep.n_elements, rep.n_relations, rep.n_rays,
+                       rep.closure_depth))
     n_contradictions = sum(1 for *_, v in outcomes if v == "contradiction")
     inconclusive = [o for o in outcomes if o[3] != "contradiction"]
     assert n_contradictions >= 19, f"non-contradictions: {inconclusive}"
+    assert shapes == CRITERION_08_SHAPES
 
 
 def test_criterion_09_dynamics_meshing_rabi():

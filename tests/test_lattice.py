@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpt import (
+    DEFAULT_TOL,
     BudgetExceeded,
     ComplexVector,
     Subspace,
@@ -19,6 +20,8 @@ from qpt import (
     meet,
     orthocomplement,
 )
+from qpt.lattice import _canonical_key, _ClosureRun
+from qpt.linalg import orthonormalize
 from conftest import random_subspace, random_unitary, random_vector
 
 seeds = st.integers(0, 2**32 - 1)
@@ -164,3 +167,127 @@ class TestClosure:
         for op, i, j, k in out.relations:
             assert op in {"meet", "join", "complement"}
             assert 0 <= i < n and 0 <= j < n and 0 <= k < n
+
+
+def reference_join(a: Subspace, b: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    """Gram-Schmidt span of the union, one pair at a time."""
+    if a.rank == 0:
+        return b
+    if b.rank == 0:
+        return a
+    cols = orthonormalize(list(a.basis.T) + list(b.basis.T), tol)
+    return Subspace(a.ambient_dim, np.column_stack([c.amplitudes for c in cols]))
+
+
+def reference_meet(a: Subspace, b: Subspace, tol=DEFAULT_TOL) -> Subspace:
+    return orthocomplement(
+        reference_join(orthocomplement(a, tol), orthocomplement(b, tol), tol), tol)
+
+
+def reference_closure(generators, budget: int, tol=DEFAULT_TOL):
+    """The per-pair closure loop: rounds of complements of the new elements,
+    then meet and join of every pair i < j with j new, until a round adds
+    nothing or the budget refuses an element. A result joins the first
+    element within ``Subspace.isclose`` distance, found by a linear scan.
+    Returns (elements, relations) in emission order."""
+    n = generators[0].ambient_dim
+    elements: list[Subspace] = []
+    projs = np.zeros((budget, n, n), dtype=np.complex128)
+    relations = []
+    saturated = False
+
+    def add(s: Subspace):
+        nonlocal saturated
+        m = len(elements)
+        hits = np.flatnonzero(
+            np.linalg.norm(projs[:m] - s.projector(), axis=(1, 2)) <= tol.eps * n)
+        if len(hits):
+            return int(hits[0])
+        if m >= budget:
+            saturated = True
+            return None
+        projs[m] = s.projector()
+        elements.append(s)
+        return m
+
+    def record(op, i, j, s):
+        k = add(s)
+        if k is not None:
+            relations.append((op, i, j, k))
+
+    for s in [Subspace.zero(n), Subspace.full(n), *generators]:
+        add(s)
+    processed = 0
+    while True:
+        base = len(elements)
+        for i in range(processed, base):
+            record("complement", i, i, orthocomplement(elements[i], tol))
+        for i in range(base):
+            for j in range(max(i + 1, processed), base):
+                record("meet", i, j, reference_meet(elements[i], elements[j], tol))
+                record("join", i, j, reference_join(elements[i], elements[j], tol))
+        processed = base
+        if saturated or len(elements) == base:
+            return elements, relations
+
+
+class TestReferenceAgreement:
+    """The batched closure against the per-pair loop it replaced."""
+
+    @given(seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_closure_matches_per_pair_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(3, 5))
+        gens = [random_subspace(dim, int(rng.integers(1, dim)), rng)
+                for _ in range(int(rng.integers(2, 5)))]
+        budget = int(rng.integers(8, 65))
+        try:
+            got = closure(gens, max_new=budget)
+        except BudgetExceeded as exc:
+            got = exc.partial
+        elems, rels = reference_closure(gens, budget)
+        order = sorted(range(len(elems)), key=lambda i: _canonical_key(elems[i]))
+        remap = {old: new for new, old in enumerate(order)}
+        assert len(got.elements) == len(elems)
+        assert got.relations == tuple(sorted(
+            (op, remap[i], remap[j], remap[k]) for op, i, j, k in rels))
+        for mine, ref in zip(got.elements, (elems[i] for i in order)):
+            assert _proj_close(mine, ref, 1e-9)
+
+
+class TestDedup:
+    @given(st.integers(1000, 99000))
+    @settings(max_examples=30, deadline=None)
+    def test_rays_straddling_a_rounding_boundary_are_one_element(self, k):
+        # |v0|^2 = b -/+ 1e-10 with b on a 5-decimal rounding boundary: the
+        # two rays' projectors are well within the isclose distance eps * n
+        b = (k + 0.5) / 1e5
+        rays = [Subspace.ray(ComplexVector(np.array([np.sqrt(b + d), np.sqrt(1 - b - d), 0.0])))
+                for d in (-1e-10, 1e-10)]
+        assert rays[0].isclose(rays[1])
+        out = closure(rays)
+        # zero, full, the ray and its complement
+        assert len(out.elements) == 4
+
+    def test_rays_straddling_a_dedup_cell_boundary_are_one_element(self):
+        # bisect along a great circle until two rays 1e-11 apart file under
+        # adjacent dedup cells: the lookup must probe the neighbouring cell
+        def ray(t: float) -> Subspace:
+            return Subspace.ray(ComplexVector(np.array([np.cos(t), np.sin(t), 0.0])))
+
+        run = _ClosureRun([ray(0.0)], 4, DEFAULT_TOL)
+
+        def cell(t: float) -> int:
+            return run._cells_of(ray(t).projector()[None])[0]
+
+        lo, hi = 0.3, 0.3 + 1e-6
+        assert cell(lo) != cell(hi)
+        while hi - lo > 1e-11:
+            mid = 0.5 * (lo + hi)
+            if cell(mid) == cell(lo):
+                lo = mid
+            else:
+                hi = mid
+        assert cell(hi) - cell(lo) in (-1, 1)
+        assert len(closure([ray(lo), ray(hi)]).elements) == 4
