@@ -26,7 +26,7 @@ from .dynamics import (
     sample_marginals,
     trajectory_rows,
 )
-from .errors import MalformedContext, NotNormalized, RayFileError
+from .errors import QptError, RayFileError
 from .lattice import Subspace
 from .linalg import ComplexVector, Operator, Tolerance, basis_vector, random_state
 from .nogo import (
@@ -444,19 +444,20 @@ def main(argv: "list[str] | None" = None) -> int:
             report = _dynamics_report(args, tol)
         else:
             report = _determinate_report(args, tol)
-    except NotNormalized as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RayFileError, MalformedContext, OSError) as exc:
+    except (RayFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
+    except (ValueError, QptError) as exc:  # bad arguments, or input they produced
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     payload = report.to_json() if args.format == "json" else report.render_text()
     if args.output is not None:
-        args.output.write_text(payload)
+        try:
+            args.output.write_text(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FILE
     else:
         sys.stdout.write(payload)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED

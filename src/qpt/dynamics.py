@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ._kernels import sample_paths
 from .determinate import DeterminateSublattice, ObservableSpec, build_determinate
@@ -70,6 +69,11 @@ class EvolutionSpec:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     def step_unitary(self) -> Operator:
+        # imported here so that `import qpt` does not load scipy. expm stays:
+        # an eigh-based V·diag(e^{-i·dt·λ})·V† moves the last bits of the
+        # evolved states and with them the seeded report bytes.
+        import scipy.linalg
+
         return Operator(scipy.linalg.expm(-1j * self.dt * self.hamiltonian.entries))
 
 

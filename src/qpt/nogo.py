@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimMismatch,
@@ -325,6 +324,10 @@ def local_map_search(
     """Decide whether the correlation table (settings x settings x outcomes x
     outcomes) is a convex mixture of deterministic local assignment pairs.
     Linear feasibility over the enumerated strategy vertices."""
+    # imported here, not at module level: loading scipy.optimize would
+    # dominate `import qpt`, and only this function needs it
+    from scipy.optimize import linprog
+
     na, nb = len(rs_a.contexts), len(rs_b.contexts)
     if na == 0 or nb == 0:
         raise ValueError("each side needs at least one complete context")

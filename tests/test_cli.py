@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -53,6 +54,8 @@ class TestExitCodes:
             ("teleport", "--samples", "0"),
             ("decohere", "--budget", "0"),
             ("decohere", "--budget", "1"),
+            # MalformedContext on the closure's own rays: no file is read
+            ("decohere", "--eps", "1e-300"),
         ):
             out = run(*args)
             assert out.returncode == 2, (args, out.stderr)
@@ -72,6 +75,11 @@ class TestExitCodes:
         out = run("ks", "--rays", str(bad))
         assert out.returncode == 3
         assert "2" in out.stderr  # offending line number
+
+        out = run("epr", "--output", str(tmp_path / "missing" / "report.json"))
+        assert out.returncode == 3
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
     def test_unknown_subcommand_exits_two(self):
         assert run("frobnicate").returncode == 2
@@ -159,3 +167,46 @@ class TestOutputs:
 
     def test_chsh_coincident_angles_rejected(self):
         assert run("chsh", "--angles", "0,0,0,0").returncode == 2
+
+
+class TestColdStart:
+    def test_scipy_free_commands_never_load_scipy(self):
+        # a fresh interpreter: this session has scipy loaded already
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import qpt\n"
+            "seen = {'import qpt': scipy_modules()}\n"
+            "import qpt.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qpt.cli.main(argv) == 0, argv\n"
+            "    seen[argv[0]] = scipy_modules()\n"
+            "print(json.dumps(seen))\n"
+        )
+        commands = [
+            ["epr"],
+            ["teleport", "--samples", "500"],
+            ["correspond", "--n-max", "30"],
+            ["ks", "--rays", "src/qpt/fixtures/ks18-d4.rays"],
+            ["determinate", "--dim", "3"],
+        ]
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert out.returncode == 0, out.stderr
+        expected = {name: [] for name in ["import qpt"] + [argv[0] for argv in commands]}
+        assert json.loads(out.stdout) == expected
+
+    def test_dynamics_report_bytes_pinned(self):
+        # captured with the step unitary from scipy.linalg.expm; an eigh-based
+        # unitary moves the evolved states in their last bits and changes these bytes
+        out = run("dynamics", "--steps", "200", "--trajectories", "2000", "--format", "json")
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+            "b7f9468544d9d462de5840d4cec69e309eaa0e1d7f30fcc632ca1242ad912b42"
+        )
