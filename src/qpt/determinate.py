@@ -240,11 +240,13 @@ def complement_probe_rays(d: DeterminateSublattice) -> list[Subspace]:
 class ExtensionReport:
     """Outcome of extending the sublattice by a non-member subspace.
 
-    verdict "contradiction": the bounded closure of the generators plus the
-    new subspace admits no 2-valued map (checked two ways: noncontextual
-    coloring of the emitted rays, and satisfiability of the recorded
-    meet/join/complement relations). verdict "inconclusive": a map was found
-    on the bounded fragment, which decides nothing about the full lattice.
+    verdict "contradiction": the meet/join/complement relations recorded by
+    the bounded closure of the generators plus the new subspace admit no
+    2-valued homomorphism (zero false, full space true, every relation kept).
+    verdict "inconclusive": such a map exists on the bounded fragment, or the
+    search hit its node cap; either way nothing is decided about the full
+    lattice. ``n_rays`` counts the closure's rank-1 elements that are pairwise
+    distinct at |<a, b>| < 1 - 1e-6.
     """
 
     verdict: str
@@ -253,8 +255,6 @@ class ExtensionReport:
     n_elements: int
     n_relations: int
     n_rays: int
-    ray_coloring_unsat: bool
-    relations_unsat: bool
 
     @property
     def is_contradiction(self) -> bool:
@@ -375,13 +375,11 @@ def extend_and_check(
     """Close the sublattice generators plus v under bounded lattice closure,
     then test whether any 2-valued map survives on the result.
 
-    The closure runs round by round; after each round both checks run on what
-    has been emitted so far, so a contradiction exits early. K-interior probe
-    rays are included among the generators (they are members) to give the
-    closure enough raw material.
+    The closure runs round by round; after each round the recorded relations
+    are searched for a 2-valued map, so a contradiction exits early.
+    K-interior probe rays are included among the generators (they are
+    members) to give the closure enough raw material.
     """
-    from .nogo import RaySet, NoAssignment, find_assignment  # local: avoid cycle
-
     if budget < 2:  # the closure always holds the zero and full subspaces
         raise ValueError(f"closure budget must be >= 2, got {budget}")
     if v.ambient_dim != d.ambient_dim:
@@ -391,48 +389,31 @@ def extend_and_check(
     if contains(d, v, tol):
         raise AlreadyMember("subspace already belongs to the sublattice")
 
-    gens = d.generators() + complement_probe_rays(d) + [v]
-    run = _ClosureRun(gens, budget, tol)
-
-    def emitted() -> list[ComplexVector]:
-        # drop near-duplicates, keeping the first of each: the closure dedup
-        # threshold is looser than the ray-set distinctness requirement
-        cols = np.array([e.basis[:, 0] for e in run.elements if e.rank == 1])
-        dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
-        kept: list[int] = []
-        for i in range(len(cols)):
-            if not dup[i, kept].any():
-                kept.append(i)
-        return [ComplexVector(cols[i]) for i in kept]
-
+    run = _ClosureRun(d.generators() + complement_probe_rays(d) + [v], budget, tol)
     while True:
         grew = run.step()
         # the closure inserts the zero and full subspaces first, as elements 0 and 1
-        rel_sat = _relations_satisfiable(len(run.elements), run.relations)
-        rays = emitted()
-        coloring_unsat = False
-        if len(rays) >= d.ambient_dim:
-            outcome = find_assignment(RaySet(tuple(rays)), tol)
-            coloring_unsat = isinstance(outcome, NoAssignment)
-        if rel_sat is False or coloring_unsat:
-            return ExtensionReport(
-                verdict="contradiction",
-                closure_depth=run.depth,
-                reached_fixpoint=False,
-                n_elements=len(run.elements),
-                n_relations=len(run.relations),
-                n_rays=len(rays),
-                ray_coloring_unsat=coloring_unsat,
-                relations_unsat=rel_sat is False,
-            )
-        if run.saturated or not grew:
-            return ExtensionReport(
-                verdict="inconclusive",
-                closure_depth=run.depth,
-                reached_fixpoint=not run.saturated and not grew,
-                n_elements=len(run.elements),
-                n_relations=len(run.relations),
-                n_rays=len(rays),
-                ray_coloring_unsat=False,
-                relations_unsat=False,
-            )
+        unsat = _relations_satisfiable(len(run.elements), run.relations) is False
+        if unsat or run.saturated or not grew:
+            break
+    return ExtensionReport(
+        verdict="contradiction" if unsat else "inconclusive",
+        closure_depth=run.depth,
+        reached_fixpoint=not (unsat or run.saturated or grew),
+        n_elements=len(run.elements),
+        n_relations=len(run.relations),
+        n_rays=_distinct_rays(run.elements),
+    )
+
+
+def _distinct_rays(elements) -> int:
+    """Number of rank-1 elements left by a greedy first-kept pass that drops
+    any ray with |<a, b>| >= 1 - 1e-6 to an earlier kept one (a fixed
+    threshold, stricter than the closure's own dedup)."""
+    cols = np.array([e.basis[:, 0] for e in elements if e.rank == 1])
+    dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
+    kept: list[int] = []
+    for i in range(len(cols)):
+        if not dup[i, kept].any():
+            kept.append(i)
+    return len(kept)

@@ -2,6 +2,7 @@
 meet (intersection), join (span), and orthocomplement, with bounded closure."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,22 +385,10 @@ def closure(generators, max_new: int = 512, tol: Tolerance = DEFAULT_TOL) -> Sub
 
 
 def is_boolean(s: SublatticeSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff all pairs commute and distributivity holds on all triples."""
+    """True iff all pairs of elements commute. In an orthomodular lattice,
+    such as the subspaces of a Hilbert space, pairwise-commuting elements
+    generate a Boolean subalgebra (Foulis-Holland theorem; Kalmbach,
+    *Orthomodular Lattices*, 1983), so distributivity follows."""
     if not s.is_closed:
         raise NotClosed("is_boolean requires a set closed under meet/join/complement")
-    elems = s.elements
-    m = len(elems)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not commutes(elems[i], elems[j], tol):
-                return False
-    meets = [[meet(elems[i], elems[j], tol) for j in range(m)] for i in range(m)]
-    joins = [[join(elems[i], elems[j], tol) for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                lhs = meet(elems[i], joins[j][k], tol)
-                rhs = join(meets[i][j], meets[i][k], tol)
-                if not lhs.isclose(rhs, tol):
-                    return False
-    return True
+    return all(commutes(a, b, tol) for a, b in itertools.combinations(s.elements, 2))

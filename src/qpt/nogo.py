@@ -90,6 +90,8 @@ class RaySet:
             vectors.append(np.asarray(comps, dtype=complex))
         if not vectors:
             raise RayFileError(f"{path}: no rays found")
+        if dim < 2:
+            raise RayFileError(f"{path}: rays need at least 2 components, got {dim}")
         try:
             return cls.from_vectors(vectors, tol)
         except (ValueError, ZeroVector, DimMismatch) as exc:
@@ -287,32 +289,19 @@ class Unsatisfiable:
 
 def _local_strategies(rs: RaySet, cap: int = 4096) -> list[tuple[int, ...]]:
     """All noncontextual assignments of the ray set, each mapped to its
-    per-context outcome (index of the ray valued 1 within each context)."""
-    m = len(rs.rays)
-    out: list[tuple[int, ...]] = []
+    per-context outcome (index of the ray valued 1 within each context).
 
-    def rec(vals: list) -> None:
+    Rays of one context are mutually orthogonal, so one ray per context,
+    pairwise non-orthogonal, is exactly one 1 per context; rays in no context
+    can be 0, so these choices are all the outcomes."""
+    out: set[tuple[int, ...]] = set()
+    for choice in itertools.product(*rs.contexts):
+        if any(rs.orthogonal(i, j) for i, j in itertools.combinations(choice, 2)):
+            continue
+        out.add(tuple(ctx.index(r) for ctx, r in zip(rs.contexts, choice)))
         if len(out) > cap:
             raise ValueError("too many deterministic strategies to enumerate")
-        i = next((k for k, v in enumerate(vals) if v == -1), None)
-        if i is None:
-            outcome = []
-            for ctx in rs.contexts:
-                ones = [k for k, ray in enumerate(ctx) if vals[ray] == 1]
-                if len(ones) != 1:
-                    return
-                outcome.append(ones[0])
-            out.append(tuple(outcome))
-            return
-        for v in (0, 1):
-            if v == 1 and any(vals[j] == 1 and rs.orthogonal(i, j) for j in range(m)):
-                continue
-            vals[i] = v
-            rec(vals)
-            vals[i] = -1
-
-    rec([-1] * m)
-    return sorted(set(out))
+    return sorted(out)
 
 
 def local_map_search(

@@ -54,13 +54,21 @@ class TestExitCodes:
             ("teleport", "--samples", "0"),
             ("decohere", "--budget", "0"),
             ("decohere", "--budget", "1"),
-            # MalformedContext on the closure's own rays: no file is read
-            ("decohere", "--eps", "1e-300"),
+            # MalformedContext from the assignment search's Gram check on a
+            # well-formed file: the tolerance is at fault, not the file
+            ("ks", "--rays", "src/qpt/fixtures/ks18-d4.rays", "--eps", "1e-300"),
         ):
             out = run(*args)
             assert out.returncode == 2, (args, out.stderr)
             lines = out.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (args, out.stderr)
+
+    def test_tiny_eps_still_decides_the_extension(self):
+        # the extension verdict reads only the relation table, which no
+        # tolerance check can reject
+        out = run("decohere", "--eps", "1e-300")
+        assert out.returncode == 0, out.stderr
+        assert "[PASS] pointer_branch_not_addable" in out.stdout
 
     def test_file_problems_exit_three(self, tmp_path):
         missing = run("ks", "--rays", str(tmp_path / "nope.rays"))
@@ -75,6 +83,13 @@ class TestExitCodes:
         out = run("ks", "--rays", str(bad))
         assert out.returncode == 3
         assert "2" in out.stderr  # offending line number
+
+        one = tmp_path / "one.rays"
+        one.write_text("1\n")
+        out = run("ks", "--rays", str(one))
+        assert out.returncode == 3
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
         out = run("epr", "--output", str(tmp_path / "missing" / "report.json"))
         assert out.returncode == 3

@@ -152,6 +152,18 @@ class TestClosure:
         assert len(out.elements) == 6
         assert not is_boolean(out)
 
+    @given(seeds, st.integers(2, 4), st.floats(0.1, np.pi / 2 - 0.1))
+    @settings(max_examples=20, deadline=None)
+    def test_basis_closure_is_boolean_until_a_skew_ray_joins(self, seed, dim, angle):
+        q = random_unitary(dim, np.random.default_rng(seed))
+        rays = [Subspace.ray(ComplexVector(q[:, i])) for i in range(dim)]
+        out = closure(rays)
+        assert len(out.elements) == 2 ** dim
+        assert is_boolean(out)
+        # a ray in the plane of the first two basis rays commutes with neither
+        skew = np.cos(angle) * q[:, 0] + np.exp(1j * seed) * np.sin(angle) * q[:, 1]
+        assert not is_boolean(closure(rays + [Subspace.ray(ComplexVector(skew))]))
+
     def test_budget_exhaustion_carries_partial_result(self, rng):
         gens = [Subspace.ray(random_vector(3, rng)) for _ in range(3)]
         with pytest.raises(BudgetExceeded) as exc:

@@ -33,6 +33,8 @@ from qpt import (
     singlet,
     spin_observable,
 )
+from qpt.nogo import _local_strategies
+from conftest import random_unitary
 
 FIXTURES = Path(qpt.__file__).resolve().parent / "fixtures"
 
@@ -92,6 +94,12 @@ class TestRayFiles:
         f = tmp_path / "empty.rays"
         f.write_text("# nothing here\n")
         with pytest.raises(RayFileError):
+            RaySet.from_file(f)
+
+    def test_one_component_rays_rejected(self, tmp_path):
+        f = tmp_path / "one.rays"
+        f.write_text("1\n")
+        with pytest.raises(RayFileError, match="at least 2 components"):
             RaySet.from_file(f)
 
     def test_zero_ray_rejected(self, tmp_path):
@@ -207,6 +215,51 @@ class TestFindAssignment:
         rs = RaySet.from_file(FIXTURES / "ks18-d4.rays")
         out = find_assignment(rs, restrict_to=(0,))
         assert isinstance(out, Assignment)
+
+
+def brute_force_strategies(rs: RaySet) -> list[tuple[int, ...]]:
+    """Per-context outcomes of every {0,1} assignment of the rays with exactly
+    one 1 per context and no two orthogonal rays both 1."""
+    m = len(rs.rays)
+    out = set()
+    for vals in itertools.product((0, 1), repeat=m):
+        if any(vals[i] == vals[j] == 1 and rs.orthogonal(i, j)
+               for i, j in itertools.combinations(range(m), 2)):
+            continue
+        ones = [[k for k, ray in enumerate(ctx) if vals[ray] == 1] for ctx in rs.contexts]
+        if all(len(o) == 1 for o in ones):
+            out.add(tuple(o[0] for o in ones))
+    return sorted(out)
+
+
+class TestLocalStrategies:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, seed, dim, n_bases, stray):
+        # bases after the first share its first ray when dim > 2, so
+        # contexts overlap; a stray ray lies in no context
+        rng = np.random.default_rng(seed)
+        q = random_unitary(dim, rng)
+        vecs = [q[:, i] for i in range(dim)]
+        for _ in range(n_bases - 1):
+            if dim > 2:
+                rest = q[:, 1:] @ random_unitary(dim - 1, rng)
+                vecs += [rest[:, i] for i in range(dim - 1)]
+            else:
+                u = random_unitary(dim, rng)
+                vecs += [u[:, i] for i in range(dim)]
+        if stray:
+            vecs.append(random_unitary(dim, rng)[:, 0])
+        try:
+            rs = RaySet.from_vectors(vecs)
+        except ValueError:
+            return  # nearly coincident draws
+        assert _local_strategies(rs) == brute_force_strategies(rs)
+
+    def test_chsh_sides_have_four_strategies(self):
+        for rs in setting_ray_sets(ChshSetting.optimal()):
+            assert _local_strategies(rs) == brute_force_strategies(rs)
+            assert len(_local_strategies(rs)) == 4
 
 
 class TestChsh:
