@@ -256,11 +256,6 @@ class TestLocalStrategies:
             return  # nearly coincident draws
         assert _local_strategies(rs) == brute_force_strategies(rs)
 
-    def test_chsh_sides_have_four_strategies(self):
-        for rs in setting_ray_sets(ChshSetting.optimal()):
-            assert _local_strategies(rs) == brute_force_strategies(rs)
-            assert len(_local_strategies(rs)) == 4
-
 
 class TestChsh:
     def test_lhv_bound_is_exactly_two(self):
