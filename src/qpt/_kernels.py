@@ -1,6 +1,6 @@
-"""Trajectory-sampling kernel: a vectorised numpy walker that advances a
-chunk of walkers one step at a time through per-step cumulative transition
-rows, with all randomness drawn from one seeded PCG64 stream.
+"""Trajectory-sampling kernel: a vectorised numpy walker that advances all
+walkers one step at a time through per-step cumulative transition rows, with
+all randomness drawn from one seeded PCG64 stream.
 """
 from __future__ import annotations
 
@@ -9,6 +9,11 @@ import numpy as np
 #: trajectories are processed in fixed-size chunks; the chunk size is part of
 #: the random-stream layout, so changing it changes sampled paths
 CHUNK = 2048
+
+#: step uniforms are drawn a block of steps at a time into one reused buffer
+#: of about this many doubles (1 MB), small enough to stay in a core's cache
+#: between the draw and the steps that read it
+BLOCK_DOUBLES = 1 << 17
 
 
 def active_backend() -> str:
@@ -20,26 +25,64 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _walk_numpy(cols, start, uniforms, sample_idx):
-    """Advance walkers from ``start`` through ``cols`` (steps, k, k), where
+def _chunk_streams(seed, steps: int, n_chunks: int) -> list:
+    """One generator per chunk, positioned at the chunk's first draw.  Every
+    chunk but the last consumes ``CHUNK * (steps + 1)`` doubles, and
+    ``random()`` takes one 64-bit PCG64 output per double, so chunk m starts
+    ``m * CHUNK * (steps + 1)`` outputs into the stream of ``PCG64(seed)``."""
+    state = np.random.PCG64(seed).state
+    gens = []
+    for m in range(n_chunks):
+        bitgen = np.random.PCG64()
+        bitgen.state = state
+        gens.append(np.random.Generator(bitgen.advance(m * CHUNK * (steps + 1))))
+    return gens
+
+
+def _fill(gen, slab, c):
+    """Draw ``slab[..., :c]`` from ``gen`` in row-major order."""
+    if c == slab.shape[-1]:
+        gen.random(out=slab)
+    else:  # the short last chunk: its rows are not contiguous in the slab
+        for row in slab.reshape(-1, slab.shape[-1]):
+            gen.random(out=row[:c])
+
+
+def _walk(cols, cum_p0, n_walkers, gens, sample_idx):
+    """Walk all chunks side by side through ``cols`` (steps, k, k), where
     ``cols[t, j, i]`` is the cumulative probability of jumping from label i
-    to a label <= j.  The next label is the number of thresholds
-    ``cols[t, j, lab]`` (j < k - 1) that the walker's uniform reaches."""
+    to a label <= j.  Walkers sit in a (chunks, width) grid; the short last
+    chunk is padded, and its padding walks on zeros and is dropped.  Each
+    chunk draws its start uniforms, then its step uniforms a block of steps
+    at a time into its own slab of one reused buffer.  The next label is the
+    number of thresholds ``cols[t, j, lab]`` (j < k - 1) that the walker's
+    uniform reaches."""
     steps, k, _ = cols.shape
-    out = np.empty((sample_idx.shape[0], start.shape[0]), dtype=np.int64)
+    width = min(n_walkers, CHUNK)
+    sizes = [width] * (len(gens) - 1) + [n_walkers - (len(gens) - 1) * width]
+    out = np.empty((sample_idx.shape[0], n_walkers), dtype=np.int64)
     where = {int(t): i for i, t in enumerate(sample_idx)}
-    lab = start.copy()
+    u0 = np.zeros((len(gens), width))
+    for g, slab, c in zip(gens, u0, sizes):
+        _fill(g, slab, c)
+    lab = np.minimum((u0[..., None] >= cum_p0).sum(axis=-1), k - 1)
     if 0 in where:
-        out[where[0]] = lab
-    for t in range(steps):
-        u = uniforms[t]
-        ct = cols[t]
-        nxt = (u >= ct[0].take(lab)).astype(np.int64)
-        for j in range(1, k - 1):
-            nxt += u >= ct[j].take(lab)
-        lab = nxt
-        if (t + 1) in where:
-            out[where[t + 1]] = lab
+        out[where[0]] = lab.reshape(-1)[:n_walkers]
+    block = max(1, min(steps, BLOCK_DOUBLES // lab.size))
+    buf = np.zeros((len(gens), block, width))
+    for t0 in range(0, steps, block):
+        b = min(block, steps - t0)
+        for g, slab, c in zip(gens, buf, sizes):
+            _fill(g, slab[:b], c)
+        for s in range(b):
+            u = buf[:, s]
+            ct = cols[t0 + s]
+            nxt = (u >= ct[0].take(lab)).astype(np.int64)
+            for j in range(1, k - 1):
+                nxt += u >= ct[j].take(lab)
+            lab = nxt
+            if (t0 + s + 1) in where:
+                out[where[t0 + s + 1]] = lab.reshape(-1)[:n_walkers]
     return out
 
 
@@ -59,13 +102,17 @@ def sample_paths(
     next label is then the first j with ``u < cum[t, i, j]``, and a uniform
     ``u < 1`` never runs past the last label.
 
-    A seed fixes the paths: walkers are drawn chunk by chunk (``CHUNK`` per
-    chunk) from a single PCG64 stream, each chunk consuming one uniform per
-    walker for the start, then one per (step, walker).
+    A seed fixes the paths.  The stream layout: walkers fall into chunks of
+    ``CHUNK`` (the last one may be shorter), and chunk m consumes, from the
+    one stream of ``PCG64(seed)``, one start uniform per walker and then one
+    per (step, walker), step-major, starting at raw output
+    ``m * CHUNK * (steps + 1)``.  Each chunk's generator is a copy of that
+    state advanced to its offset.  ``CHUNK`` fixes only this layout: all
+    chunks are walked side by side in one pass.
     """
     if n_walkers < 1:
         raise ValueError("n_walkers must be positive")
-    steps, k, _ = cum.shape
+    steps = cum.shape[0]
     sample_idx = np.asarray(sample_idx, dtype=np.int64)
     if sample_idx.size and (sample_idx.min() < 0 or sample_idx.max() > steps):
         raise ValueError("sample indices outside [0, steps]")
@@ -76,14 +123,5 @@ def sample_paths(
     cum_p0 = np.cumsum(np.asarray(p0, dtype=np.float64))
     cum_p0[-1] = 1.0
 
-    rng = np.random.default_rng(seed)
-    pieces = []
-    done = 0
-    while done < n_walkers:
-        c = min(CHUNK, n_walkers - done)
-        u0 = rng.random(c)
-        start = np.minimum((u0[:, None] >= cum_p0[None, :]).sum(axis=1), k - 1)
-        uniforms = rng.random((steps, c))
-        pieces.append(_walk_numpy(cols, start.astype(np.int64), uniforms, sample_idx))
-        done += c
-    return np.concatenate(pieces, axis=1)
+    gens = _chunk_streams(seed, steps, -(-n_walkers // CHUNK))
+    return _walk(cols, cum_p0, n_walkers, gens, sample_idx)

@@ -38,6 +38,12 @@ __all__ = [
     "trajectory_rows",
 ]
 
+# PRESENCE_CUTOFF and MIN_RAY_OVERLAP_SQ are fixed structural constants of the
+# jump chain, not comparison tolerances: ``--eps`` (``Tolerance``) governs
+# neither.  They decide which labels get placeholder rows and which
+# trajectories are rejected, so changing one changes the sampled paths that a
+# seed fixes.
+
 #: a label counts as present at an instant when its weight reaches this value
 PRESENCE_CUTOFF = 1e-9
 
@@ -137,16 +143,17 @@ def evolve_possibility(
     return PossibilityTrajectory(spec, observable, times, psis, tol)
 
 
-def _currents(traj: PossibilityTrajectory) -> np.ndarray:
-    """(steps, k, k) antisymmetric currents J[t, i, j] at the left endpoint."""
+def _projected(traj: PossibilityTrajectory) -> np.ndarray:
+    """(steps + 1, k, dim) projected states x[t, i] = P_i psi_t."""
     projs = [s.projector() for s in traj.observable.eigenprojectors]
-    h = traj.spec.hamiltonian.entries
-    k = len(projs)
-    steps = traj.spec.steps
-    psis = traj.psis[:steps]
-    # x[t, i, :] = P_i psi_t; left endpoint of each step
-    x = np.stack([psis @ p.T for p in projs], axis=1)
-    hx = x @ h.T  # hx[t, j] = H @ x[t, j]
+    return np.stack([traj.psis @ p.T for p in projs], axis=1)
+
+
+def _currents(traj: PossibilityTrajectory, x: np.ndarray) -> np.ndarray:
+    """(steps, k, k) antisymmetric currents J[t, i, j] at the left endpoint of
+    each step, from the projected states ``x`` of ``_projected``."""
+    x = x[: traj.spec.steps]
+    hx = x @ traj.spec.hamiltonian.entries.T  # hx[t, j] = H @ x[t, j]
     inner = np.einsum("tid,tjd->tij", x.conj(), hx)
     return 2.0 * inner.imag
 
@@ -156,59 +163,68 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
 
     Raises LabelDiscontinuity when a label's projected ray turns over too
     fast between steps (squared overlap below MIN_RAY_OVERLAP_SQ), or when a
-    populated label vanishes with no outgoing current to carry its weight.
+    populated label vanishes with no outgoing current to carry its weight;
+    each at the first offending (step, label) in row-major order, the
+    turn-over check taking precedence over the whole trajectory.
     Labels may appear (weight rising from zero) or vanish through a positive
     outflow; absent labels get frozen placeholder rows, which no walker can
     occupy.
     """
     w = traj.weights
-    j = _currents(traj)
-    steps, k = traj.spec.steps, w.shape[1]
-    dt = traj.spec.dt
+    x = _projected(traj)
+    j = _currents(traj, x)
+    k = w.shape[1]
     present = w >= PRESENCE_CUTOFF
+    now, nxt = present[:-1], present[1:]
+    both = now & nxt
 
-    projs = [s.projector() for s in traj.observable.eigenprojectors]
-    for t in range(steps):
-        both = present[t] & present[t + 1]
-        for i in np.nonzero(both)[0]:
-            a = projs[i] @ traj.psis[t]
-            b = projs[i] @ traj.psis[t + 1]
-            ovl = abs(np.vdot(a, b)) ** 2 / (w[t, i] * w[t + 1, i])
-            if ovl < MIN_RAY_OVERLAP_SQ:
-                raise LabelDiscontinuity(
-                    f"projected ray for label {traj.labels[i]!r} turned over "
-                    f"between steps (squared overlap {ovl:.3g})",
-                    step=t + 1,
-                )
+    ovl = np.abs(np.einsum("tid,tid->ti", x[:-1].conj(), x[1:])) ** 2
+    ovl /= np.where(both, w[:-1] * w[1:], 1.0)
+    turned = both & (ovl < MIN_RAY_OVERLAP_SQ)
+    if turned.any():
+        t, i = np.argwhere(turned)[0]
+        raise LabelDiscontinuity(
+            f"projected ray for label {traj.labels[i]!r} turned over "
+            f"between steps (squared overlap {ovl[t, i]:.3g})",
+            step=int(t) + 1,
+        )
 
-    cum = np.zeros((steps, k, k))
-    for t in range(steps):
-        m = np.zeros((k, k))
-        for col in range(k):
-            if not present[t, col]:
-                m[col, col] = 1.0  # placeholder row; unreachable
-                continue
-            move = dt * np.clip(j[t, :, col], 0.0, None) / w[t, col]
-            move[col] = 0.0
-            total = move.sum()
-            if not present[t + 1, col]:
-                if total <= 0.0:
-                    raise LabelDiscontinuity(
-                        f"label {traj.labels[col]!r} vanishes with no "
-                        "outgoing current",
-                        step=t + 1,
-                    )
-                m[col] = move / total  # all weight must leave this step
-                continue
-            if total > 1.0:
-                move /= total  # forced-jump regime: step too coarse to stay
-                total = 1.0
-            m[col] = move
-            m[col, col] = 1.0 - total
-        cum[t] = np.cumsum(m, axis=1)
-        cum[t, :, -1] = 1.0
+    # move[t, col, i]: probability of jumping col -> i within step t.  Rows
+    # are contiguous, so each row total sums in the order of a 1-D sum.
+    move = np.ascontiguousarray(j.transpose(0, 2, 1))
+    move = traj.spec.dt * np.clip(move, 0.0, None) / np.where(now, w[:-1], 1.0)[:, :, None]
+    diag = np.arange(k)
+    move[:, diag, diag] = 0.0
+    total = move.sum(axis=-1)
+    stuck = now & ~nxt & (total <= 0.0)
+    if stuck.any():
+        t, col = np.argwhere(stuck)[0]
+        raise LabelDiscontinuity(
+            f"label {traj.labels[col]!r} vanishes with no outgoing current",
+            step=int(t) + 1,
+        )
+    # a vanishing label sends all its weight away; a step too coarse to stay
+    # (total > 1) is the forced-jump regime; both rescale the row to sum 1
+    scaled = now & (~nxt | (total > 1.0))
+    np.divide(move, total[:, :, None], out=move, where=scaled[:, :, None])
+    move[~now] = 0.0  # absent labels: identity placeholder rows, unreachable
+    move[:, diag, diag] = np.where(now, np.where(scaled, 0.0, 1.0 - total), 1.0)
+    cum = np.cumsum(move, axis=-1)
+    cum[..., -1] = 1.0
     p0 = np.where(present[0], w[0], 0.0)
     return cum, p0 / p0.sum()
+
+
+def _forward_marginals(cum: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """(steps + 1, k) exact label marginals of the chain that ``sample_paths``
+    walks, with no sampling: ``p[t + 1] = p[t] @ M_t``, where
+    ``M_t = diff(cum[t])`` holds the transition probabilities of step t."""
+    trans = np.diff(cum, axis=-1, prepend=0.0)
+    p = np.empty((cum.shape[0] + 1, cum.shape[1]))
+    p[0] = p0
+    for t, m in enumerate(trans):
+        p[t + 1] = p[t] @ m
+    return p
 
 
 @dataclass(frozen=True)

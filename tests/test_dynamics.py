@@ -7,6 +7,8 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpt import (
     ComplexVector,
@@ -16,6 +18,7 @@ from qpt import (
     NotHermitian,
     ObservableSpec,
     Operator,
+    PossibilityTrajectory,
     RegisterLayout,
     Subspace,
     basis_vector,
@@ -27,8 +30,15 @@ from qpt import (
     tensor,
 )
 from qpt._kernels import CHUNK, sample_paths
-from qpt.dynamics import _transition_cumulatives, trajectory_rows
+from qpt.dynamics import (
+    PRESENCE_CUTOFF,
+    _forward_marginals,
+    _transition_cumulatives,
+    trajectory_rows,
+)
 from qpt.scenarios import _position_observable
+
+from conftest import maximal_observable, random_vector
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -154,6 +164,95 @@ class TestJumpProcess:
         assert first[0] == "0"
         assert first[1] in ("up", "down")
         assert len(first[2].split(",")) == 2
+
+
+def frozen_trajectory(rows, obs=None) -> PossibilityTrajectory:
+    """Snapshots given by hand (unnormalised amplitudes in the computational
+    basis) under H = 0, so that no probability current flows.  The observable
+    defaults to the computational basis, labelled a, b, c, ..."""
+    psis = np.array(rows, dtype=complex)
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    steps, dim = psis.shape[0] - 1, psis.shape[1]
+    if obs is None:
+        obs = ObservableSpec.from_eigenbasis(
+            [basis_vector(dim, i) for i in range(dim)], labels="abcd"[:dim]
+        )
+    spec = EvolutionSpec(hamiltonian=Operator(np.zeros((dim, dim), dtype=complex)),
+                         dt=0.1, steps=steps)
+    return PossibilityTrajectory(spec, obs, spec.dt * np.arange(steps + 1), psis)
+
+
+class TestLabelDiscontinuity:
+    def test_label_vanishing_without_outflow_raises(self):
+        tiny = np.sqrt(PRESENCE_CUTOFF / 2)  # weight below the presence cutoff
+        traj = frozen_trajectory([[1, 1], [1, 1], [1, tiny], [1, 0]])
+        assert traj.weights[2, 1] < PRESENCE_CUTOFF <= traj.weights[1, 1]
+        with pytest.raises(LabelDiscontinuity) as exc:
+            _transition_cumulatives(traj)
+        assert exc.value.step == 2
+        assert str(exc.value) == "label 'b' vanishes with no outgoing current"
+
+    @pytest.mark.parametrize(
+        "rows, step, label",
+        [
+            # c vanishes at step 1, a (a lower index) only at step 2
+            ([[1, 1, 1], [1, 1, 0], [0, 1, 0]], 1, "c"),
+            # b and c vanish together at step 2
+            ([[1, 1, 1], [1, 1, 1], [1, 0, 0]], 2, "b"),
+        ],
+    )
+    def test_first_offender_in_step_then_label_order(self, rows, step, label):
+        with pytest.raises(LabelDiscontinuity) as exc:
+            _transition_cumulatives(frozen_trajectory(rows))
+        assert exc.value.step == step
+        assert str(exc.value) == f"label {label!r} vanishes with no outgoing current"
+
+    def test_turned_over_ray_outranks_an_earlier_vanishing_label(self):
+        # label a's projected ray rotates by 90 degrees within its rank-2
+        # eigenspace at step 2; label b vanishes at step 1
+        obs = ObservableSpec(
+            ("a", "b"),
+            (
+                Subspace.from_vectors([basis_vector(3, 0), basis_vector(3, 1)], ambient_dim=3),
+                Subspace.ray(basis_vector(3, 2)),
+            ),
+        )
+        traj = frozen_trajectory([[1, 0, 1], [1, 0, 0], [0, 1, 0]], obs)
+        with pytest.raises(LabelDiscontinuity) as exc:
+            _transition_cumulatives(traj)
+        assert exc.value.step == 2
+        assert str(exc.value) == (
+            "projected ray for label 'a' turned over between steps (squared overlap 0)"
+        )
+
+
+class TestForwardMarginals:
+    def test_marginals_stay_distributions(self):
+        traj = entangling_trajectory(200)
+        p = _forward_marginals(*_transition_cumulatives(traj))
+        assert p.shape == traj.weights.shape
+        assert (p >= 0).all()
+        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_defect_halves_with_the_step(self, seed, dim):
+        # Bell's minimal rates carry the Born weights exactly in the
+        # continuum limit: the chain's marginals miss them at first order in dt
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = Operator((m + m.conj().T) / 2)
+        obs = maximal_observable(dim, rng)
+        psi0 = random_vector(dim, rng)
+        base = default_timestep(h)
+        defects = []
+        for scale in (4, 2, 1):  # a fixed span of 400 default steps
+            steps = 400 // scale
+            traj = evolve_possibility(psi0, obs, EvolutionSpec(h, dt=scale * base, steps=steps))
+            p = _forward_marginals(*_transition_cumulatives(traj))
+            defects.append(np.abs(p - traj.weights).max())
+        ratios = [defects[1] / defects[0], defects[2] / defects[1]]
+        assert all(0.45 <= r <= 0.55 for r in ratios), (defects, ratios)
 
 
 class TestMeshing:

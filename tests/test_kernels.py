@@ -3,12 +3,21 @@ determinism, and validation."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpt import ComplexVector, EvolutionSpec, ObservableSpec, Operator, evolve_possibility
 from qpt._kernels import CHUNK, sample_paths
 from qpt.dynamics import _transition_cumulatives
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def random_cumulatives(steps: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -99,6 +108,25 @@ class TestReferenceAgreement:
         b = reference_paths(cum, p0, 3000, seed=5, sample_idx=idx)
         assert np.array_equal(a, b)
 
+    @given(
+        st.integers(1, 3 * CHUNK + 7),
+        st.integers(1, 40),
+        st.integers(2, 9),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_bit_identical_to_reference_for_any_shape(self, n_walkers, steps, k, seed, subset):
+        rng = np.random.default_rng(seed)
+        cum, p0 = random_cumulatives(steps, k, rng)
+        idx = full_grid(steps)
+        if subset:
+            idx = idx[rng.random(steps + 1) < 0.3]
+        a = sample_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        b = reference_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        assert a.shape == (idx.size, n_walkers)
+        assert np.array_equal(a, b)
+
 
 class TestDeterminismAndShape:
     def test_same_seed_same_paths(self):
@@ -173,3 +201,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample_paths(cum, p0, 0, seed=0, sample_idx=full_grid(5))
 
+
+class TestBenchmarkScript:
+    def test_bench_jump_runs(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "benchmarks/bench_jump.py",
+             "--steps", "50", "--walkers", "100", "--repeat", "1"],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            env=env,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "walker-steps/s" in out.stdout
