@@ -28,7 +28,7 @@ from .dynamics import (
 )
 from .errors import QptError, RayFileError
 from .lattice import Subspace
-from .linalg import ComplexVector, Operator, Tolerance, basis_vector, random_state
+from .linalg import DEFAULT_TOL, ComplexVector, Operator, Tolerance, basis_vector, random_state
 from .nogo import (
     ChshSetting,
     NoAssignment,
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--eps",
         type=float,
         default=None,
-        help="tolerance override in (0, 1e-3]; defaults to QPT_EPS or 1e-9",
+        help="comparison tolerance in (0, 1e-3]; default 1e-9",
     )
     common.add_argument(
         "--format",
@@ -412,7 +412,7 @@ def _determinate_report(args, tol: Tolerance) -> ScenarioReport:
 
 def _resolve_tol(args, parser: argparse.ArgumentParser) -> Tolerance:
     if args.eps is None:
-        return Tolerance.from_env()
+        return DEFAULT_TOL
     if not (0.0 < args.eps <= 1e-3):
         parser.error(f"--eps must lie in (0, 1e-3], got {args.eps}")
     return Tolerance(eps=args.eps)

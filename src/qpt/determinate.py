@@ -393,24 +393,23 @@ def extend_and_check(
     while True:
         grew = run.step()
         # the closure inserts the zero and full subspaces first, as elements 0 and 1
-        unsat = _relations_satisfiable(len(run.elements), run.relations) is False
+        unsat = _relations_satisfiable(len(run), run.relations) is False
         if unsat or run.saturated or not grew:
             break
     return ExtensionReport(
         verdict="contradiction" if unsat else "inconclusive",
         closure_depth=run.depth,
         reached_fixpoint=not (unsat or run.saturated or grew),
-        n_elements=len(run.elements),
+        n_elements=len(run),
         n_relations=len(run.relations),
-        n_rays=_distinct_rays(run.elements),
+        n_rays=_distinct_rays(run.ray_columns()),
     )
 
 
-def _distinct_rays(elements) -> int:
-    """Number of rank-1 elements left by a greedy first-kept pass that drops
-    any ray with |<a, b>| >= 1 - 1e-6 to an earlier kept one (a fixed
-    threshold, stricter than the closure's own dedup)."""
-    cols = np.array([e.basis[:, 0] for e in elements if e.rank == 1])
+def _distinct_rays(cols: np.ndarray) -> int:
+    """Number of rays, given as the rows of ``cols``, left by a greedy
+    first-kept pass that drops any ray with |<a, b>| >= 1 - 1e-6 to an earlier
+    kept one (a fixed threshold, stricter than the closure's own dedup)."""
     dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
     kept: list[int] = []
     for i in range(len(cols)):

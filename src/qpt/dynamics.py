@@ -164,8 +164,8 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
     Raises LabelDiscontinuity when a label's projected ray turns over too
     fast between steps (squared overlap below MIN_RAY_OVERLAP_SQ), or when a
     populated label vanishes with no outgoing current to carry its weight;
-    each at the first offending (step, label) in row-major order, the
-    turn-over check taking precedence over the whole trajectory.
+    at the first step where either happens, and there at the first offending
+    label, a turn-over going before a vanishing label.
     Labels may appear (weight rising from zero) or vanish through a positive
     outflow; absent labels get frozen placeholder rows, which no walker can
     occupy.
@@ -181,13 +181,6 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
     ovl = np.abs(np.einsum("tid,tid->ti", x[:-1].conj(), x[1:])) ** 2
     ovl /= np.where(both, w[:-1] * w[1:], 1.0)
     turned = both & (ovl < MIN_RAY_OVERLAP_SQ)
-    if turned.any():
-        t, i = np.argwhere(turned)[0]
-        raise LabelDiscontinuity(
-            f"projected ray for label {traj.labels[i]!r} turned over "
-            f"between steps (squared overlap {ovl[t, i]:.3g})",
-            step=int(t) + 1,
-        )
 
     # move[t, col, i]: probability of jumping col -> i within step t.  Rows
     # are contiguous, so each row total sums in the order of a 1-D sum.
@@ -197,11 +190,20 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
     move[:, diag, diag] = 0.0
     total = move.sum(axis=-1)
     stuck = now & ~nxt & (total <= 0.0)
-    if stuck.any():
-        t, col = np.argwhere(stuck)[0]
+    broken = turned.any(axis=1) | stuck.any(axis=1)
+    if broken.any():
+        t = int(np.argmax(broken))
+        if turned[t].any():
+            i = int(np.argmax(turned[t]))
+            raise LabelDiscontinuity(
+                f"projected ray for label {traj.labels[i]!r} turned over "
+                f"between steps (squared overlap {ovl[t, i]:.3g})",
+                step=t + 1,
+            )
+        col = int(np.argmax(stuck[t]))
         raise LabelDiscontinuity(
             f"label {traj.labels[col]!r} vanishes with no outgoing current",
-            step=int(t) + 1,
+            step=t + 1,
         )
     # a vanishing label sends all its weight away; a step too coarse to stay
     # (total > 1) is the forced-jump regime; both rescale the row to sum 1

@@ -158,19 +158,18 @@ def _spans(left: np.ndarray, right: np.ndarray, eps: float) -> tuple[np.ndarray,
     return u, np.count_nonzero(sv > eps, axis=1)
 
 
-def _from_columns(cols: np.ndarray) -> Subspace:
-    """Subspace spanned by orthonormal columns, each rotated to canonical phase."""
-    n = cols.shape[0]
+def _phased(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal columns, each rotated to canonical phase."""
     if not cols.shape[1]:
-        return Subspace.zero(n)
-    return Subspace(n, np.column_stack([canonical_phase(c) for c in cols.T]))
+        return cols
+    return np.column_stack([canonical_phase(c) for c in cols.T])
 
 
 def join(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Closed span of the union."""
     _check_dims(a, b)
     u, r = _spans(_padded(a)[None], _padded(b)[None], tol.eps)
-    return _from_columns(u[0, :, :r[0]])
+    return Subspace(a.ambient_dim, _phased(u[0, :, :r[0]]))
 
 
 def meet(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -178,7 +177,7 @@ def meet(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     _check_dims(a, b)
     ca, cb = orthocomplement(a, tol), orthocomplement(b, tol)
     u, r = _spans(_padded(ca)[None], _padded(cb)[None], tol.eps)
-    return _from_columns(u[0, :, r[0]:])
+    return Subspace(a.ambient_dim, _phased(u[0, :, r[0]:]))
 
 
 def commutes(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -218,9 +217,13 @@ _CHUNK = 256
 class _ClosureRun:
     """Incremental bounded closure with deduplication and op recording.
 
-    Every element's basis, its orthocomplement's basis (computed once, on
-    insertion) and its projector are kept zero-padded in (capacity, n, n)
-    stacks, so a round's meets and joins are batched SVDs over gathered pairs.
+    Elements live only in arrays: each one's rank, its basis and the basis of
+    its orthocomplement (both zero-padded to n columns, the basis in canonical
+    phase) and its projector, in (capacity, n, n) stacks, so a round's meets
+    and joins are batched SVDs over gathered pairs. The SVD that makes an
+    element also spans its orthocomplement, and that is the basis stored: a
+    join's u[:, r:], a meet's u[:, :r]; a complement swaps its source's two
+    bases. ``result()`` is the only place that builds ``Subspace`` objects.
 
     Dedup: an element is filed under the cell ``floor(<W, P> / width)`` of its
     projector P's projection on a fixed weight matrix W, with width =
@@ -243,12 +246,11 @@ class _ClosureRun:
         self.n = n
         self.tol = tol
         self.budget = int(max_new)
-        self.elements: list[Subspace] = []
-        self._complements: list[Subspace] = []  # orthocomplement of each element
         self.relations: list[tuple[str, int, int, int]] = []
         self.depth = 0
         self._processed = 0  # elements whose pair/complement ops have been emitted
         self.saturated = False  # budget refused an element
+        self._ranks: list[int] = []
         # stacks grow geometrically: the budget may be far above what a run reaches
         self._bases = np.zeros((0, n, n), dtype=np.complex128)
         self._comps = np.zeros_like(self._bases)
@@ -258,9 +260,23 @@ class _ClosureRun:
         self._weights = (w[0] - 1j * w[1]).ravel()  # conjugated W
         self._width = 2.0 * n * float(np.linalg.norm(w)) * max(tol.eps, 1e-12)
         self._cells: dict[int, list[int]] = {}
-        for s in [Subspace.zero(n), Subspace.full(n)] + gens:
-            proj = s.projector()
-            self._place(proj, self._cells_of(proj[None])[0], lambda: s)
+        # the zero and full subspaces, then the generators; the null space of
+        # each padded basis is its orthocomplement
+        seeds = np.zeros((len(gens) + 2, n, n), dtype=np.complex128)
+        seeds[1] = np.eye(n)
+        for seed, g in zip(seeds[2:], gens):
+            seed[:, :g.rank] = g.basis
+        u, r = _spans(seeds, np.zeros_like(seeds), tol.eps)
+        projs = [seeds[0], seeds[1]] + [g.projector() for g in gens]
+        for seed, uk, rk, proj in zip(seeds, u, r.tolist(), projs):
+            self._place(proj, self._cells_of(proj[None])[0], seed[:, :rk], uk[:, rk:])
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def ray_columns(self) -> np.ndarray:
+        """(m, n) basis columns of the rank-1 elements, in insertion order."""
+        return self._bases[:len(self)][np.array(self._ranks) == 1, :, 0]
 
     def _cells_of(self, projs: np.ndarray) -> list[int]:
         keys = (projs.reshape(len(projs), self.n ** 2) @ self._weights).real / self._width
@@ -278,33 +294,36 @@ class _ClosureRun:
                 return i
         return None
 
-    def _place(self, proj: np.ndarray, cell: int, make) -> "int | None":
+    def _place(self, proj: np.ndarray, cell: int, basis: np.ndarray,
+               comp: np.ndarray) -> "int | None":
         """Index of the element within isclose distance of ``proj``, else of a
-        new element ``make()``, or None when the budget refuses it."""
+        new element spanned by the columns ``basis`` whose orthocomplement is
+        spanned by ``comp``, or None when the budget refuses it."""
         found = self._find(proj, cell)
         if found is not None:
             return found
-        k = len(self.elements)
+        k = len(self)
         if k >= self.budget:
             self.saturated = True
             return None
-        s = make()
-        comp = orthocomplement(s, self.tol)
         if k == len(self._bases):
             grow = np.zeros((max(8, k), self.n, self.n), dtype=np.complex128)
             self._bases, self._comps, self._projs = (
                 np.concatenate((a, grow)) for a in (self._bases, self._comps, self._projs))
-        self._bases[k, :, :s.rank] = s.basis
-        self._comps[k, :, :comp.rank] = comp.basis
+        r = basis.shape[1]
+        self._bases[k, :, :r] = _phased(basis)
+        self._comps[k, :, :self.n - r] = comp
         self._projs[k] = proj
         self._cells.setdefault(cell, []).append(k)
-        self.elements.append(s)
-        self._complements.append(comp)
+        self._ranks.append(r)
         return k
 
-    def _emit(self, ops, lhs, rhs, projs: np.ndarray, make) -> None:
-        """Record results in emission order; ``make(t)`` builds result t's
-        Subspace and is called only for results that become elements."""
+    def _emit(self, ops, lhs, rhs, us: np.ndarray, live: np.ndarray) -> None:
+        """Record results in emission order. Result t is spanned by the
+        columns of ``us[t]`` that ``live[t]`` keeps; the other columns span
+        its orthocomplement."""
+        spans = us * live[:, None, :]
+        projs = spans @ spans.conj().transpose(0, 2, 1)
         cells = self._cells_of(projs)
         # a result that matches the smallest index filed near it needs no
         # further lookup; every other one goes through _place in order
@@ -315,7 +334,7 @@ class _ClosureRun:
         match[known] = np.where(near <= self.tol.eps * self.n, first[known], -1)
         for t, k in enumerate(match.tolist()):
             if k < 0:
-                k = self._place(projs[t], cells[t], lambda: make(t))
+                k = self._place(projs[t], cells[t], us[t][:, live[t]], us[t][:, ~live[t]])
                 if k is None:
                     continue
             self.relations.append((ops[t], lhs[t], rhs[t], k))
@@ -325,16 +344,19 @@ class _ClosureRun:
 
         Emission order: complements of the elements new since the last round,
         then every pair i < j with j new, meet before join."""
-        base, done, n = len(self.elements), self._processed, self.n
+        base, done, n = len(self), self._processed, self.n
         fresh = list(range(done, base))
-        comps = self._comps[done:base]
-        self._emit(["complement"] * len(fresh), fresh, fresh,
-                   comps @ comps.conj().transpose(0, 2, 1),
-                   lambda t: self._complements[fresh[t]])
+        cols = np.arange(n)
+        # a complement's columns are its source's complement columns, then
+        # its source's basis columns
+        rest = n - np.array(self._ranks[done:base], dtype=np.int64)[:, None]
+        both = np.concatenate((self._comps[done:base], self._bases[done:base]), axis=2)
+        swapped = np.take_along_axis(both, np.where(cols < rest, cols, cols + n - rest)[:, None],
+                                     axis=2)
+        self._emit(["complement"] * len(fresh), fresh, fresh, swapped, cols < rest)
         left, right = np.triu_indices(base, 1)
         keep = right >= done
         left, right = left[keep], right[keep]
-        cols = np.arange(n)
         for lo in range(0, len(left), _CHUNK):
             i, j = left[lo:lo + _CHUNK], right[lo:lo + _CHUNK]
             um, rm = _spans(self._comps[i], self._comps[j], self.tol.eps)
@@ -343,27 +365,25 @@ class _ClosureRun:
             # stack; result 2p + 1 is join(pair p), the range of the bases' stack
             us = np.stack((um, uj), axis=1).reshape(-1, n, n)
             live = np.stack((cols >= rm[:, None], cols < rj[:, None]), axis=1).reshape(-1, n)
-            us *= live[:, None, :]
             self._emit(["meet", "join"] * len(i), np.repeat(i, 2).tolist(),
-                       np.repeat(j, 2).tolist(), us @ us.conj().transpose(0, 2, 1),
-                       lambda t: _from_columns(us[t][:, live[t]]))
+                       np.repeat(j, 2).tolist(), us, live)
         self._processed = base
         self.depth += 1
-        return len(self.elements) > base
+        return len(self) > base
 
     def finished(self) -> bool:
-        return self._processed == len(self.elements)
+        return self._processed == len(self)
 
     def result(self) -> SublatticeSet:
-        order = sorted(range(len(self.elements)),
-                       key=lambda i: _canonical_key(self.elements[i]))
+        elements = [Subspace(self.n, self._bases[k, :, :r]) for k, r in enumerate(self._ranks)]
+        order = sorted(range(len(elements)), key=lambda i: _canonical_key(elements[i]))
         remap = {old: new for new, old in enumerate(order)}
         rels = tuple(sorted((op, remap[i], remap[j], remap[k])
                             for op, i, j, k in self.relations))
         flags = frozenset() if self.saturated or not self.finished() else frozenset(
             {"meet", "join", "complement"})
         return SublatticeSet(
-            elements=tuple(self.elements[i] for i in order),
+            elements=tuple(elements[i] for i in order),
             closed_under=flags,
             closure_depth=self.depth,
             relations=rels,

@@ -2,7 +2,6 @@
 labeled tensor-product registers with partial traces."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,6 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0) or not np.isfinite(self.eps):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-    @classmethod
-    def from_env(cls, default: float = 1e-9) -> "Tolerance":
-        """Tolerance from the QPT_EPS environment variable, if set."""
-        raw = os.environ.get("QPT_EPS", "").strip()
-        return cls(float(raw)) if raw else cls(default)
 
 
 DEFAULT_TOL = Tolerance()

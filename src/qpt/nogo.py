@@ -219,6 +219,22 @@ def _solve_coloring(
     return tuple(val) if search(0) else None
 
 
+def _solve_contexts(rs: RaySet, chosen) -> "tuple[int, ...] | None":
+    """``_solve_coloring`` under the contexts ``chosen`` (indices into
+    ``rs.contexts``) and the orthogonality among their rays. Rays outside
+    those contexts carry no constraint and are reported 0."""
+    contexts = tuple(rs.contexts[ci] for ci in chosen)
+    live = {i for ctx in contexts for i in ctx}
+
+    def orthogonal(i: int, j: int) -> bool:
+        return i in live and j in live and rs.orthogonal(i, j)
+
+    sol = _solve_coloring(len(rs.rays), contexts, orthogonal)
+    if sol is None:
+        return None
+    return tuple(v if i in live else 0 for i, v in enumerate(sol))
+
+
 def find_assignment(
     rs: RaySet,
     tol: Tolerance = DEFAULT_TOL,
@@ -234,27 +250,9 @@ def find_assignment(
         if np.abs(g - np.eye(len(ctx))).max() > tol.eps * rs.dim:
             raise MalformedContext(f"context {ctx} is not orthonormal within eps")
 
-    if restrict_to is None:
-        contexts = rs.contexts
-        active = range(len(rs.rays))
-        orthogonal = rs.orthogonal
-    else:
-        contexts = tuple(rs.contexts[ci] for ci in restrict_to)
-        live = sorted({i for ctx in contexts for i in ctx})
-        active = live
-        live_set = set(live)
-
-        def orthogonal(i: int, j: int) -> bool:
-            return i in live_set and j in live_set and rs.orthogonal(i, j)
-
-    m = len(rs.rays)
-    sol = _solve_coloring(m, contexts, orthogonal)
+    sol = _solve_contexts(rs, range(len(rs.contexts)) if restrict_to is None else restrict_to)
     if sol is not None:
-        if restrict_to is not None:
-            # rays outside the restriction carry no constraints; report 0
-            sol = tuple(v if i in set(active) else 0 for i, v in enumerate(sol))
-        return Assignment(values=tuple(max(v, 0) for v in sol))
-
+        return Assignment(values=sol)
     if restrict_to is not None:
         return NoAssignment(witness=tuple(restrict_to))
 
@@ -262,13 +260,7 @@ def find_assignment(
     core = list(range(len(rs.contexts)))
     for ci in list(core):
         trial = [c for c in core if c != ci]
-        sub = tuple(rs.contexts[c] for c in trial)
-        live = {i for ctx in sub for i in ctx}
-
-        def orth(i: int, j: int, _live=live) -> bool:
-            return i in _live and j in _live and rs.orthogonal(i, j)
-
-        if _solve_coloring(m, sub, orth) is None:
+        if _solve_contexts(rs, trial) is None:
             core = trial
     return NoAssignment(witness=tuple(core))
 

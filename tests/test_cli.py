@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,13 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run(*args: str, cwd: Path = REPO):
+def run(*args: str, cwd: Path = REPO, env: "dict[str, str] | None" = None):
     return subprocess.run(
         [sys.executable, "-m", "qpt", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -116,6 +118,14 @@ class TestDeterminism:
         b = run(*args, "--format", "json")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_environment_sets_no_tolerance(self):
+        # --eps is the only tolerance route: a stray QPT_EPS changes nothing
+        plain = run("epr", "--format", "json")
+        stray = run("epr", "--format", "json", env={**os.environ, "QPT_EPS": "abc"})
+        assert plain.returncode == stray.returncode == 0
+        assert stray.stdout == plain.stdout
+        assert stray.stderr == ""
 
     def test_different_seeds_change_sampled_output(self):
         a = run("teleport", "--seed", "1", "--samples", "400", "--format", "json")

@@ -207,23 +207,37 @@ class TestLabelDiscontinuity:
         assert exc.value.step == step
         assert str(exc.value) == f"label {label!r} vanishes with no outgoing current"
 
-    def test_turned_over_ray_outranks_an_earlier_vanishing_label(self):
-        # label a's projected ray rotates by 90 degrees within its rank-2
-        # eigenspace at step 2; label b vanishes at step 1
-        obs = ObservableSpec(
-            ("a", "b"),
-            (
-                Subspace.from_vectors([basis_vector(3, 0), basis_vector(3, 1)], ambient_dim=3),
-                Subspace.ray(basis_vector(3, 2)),
-            ),
-        )
-        traj = frozen_trajectory([[1, 0, 1], [1, 0, 0], [0, 1, 0]], obs)
+    @staticmethod
+    def plane_and_ray(order) -> ObservableSpec:
+        """Label p is the (e0, e1) plane, in which a projected ray can turn
+        over; label r is the ray e2. ``order`` gives the label order."""
+        spaces = {
+            "p": Subspace.from_vectors([basis_vector(3, 0), basis_vector(3, 1)], ambient_dim=3),
+            "r": Subspace.ray(basis_vector(3, 2)),
+        }
+        return ObservableSpec(order, tuple(spaces[label] for label in order))
+
+    @pytest.mark.parametrize(
+        "rows, order, message",
+        [
+            # r vanishes at step 1; p's ray rotates by 90 degrees at step 2
+            ([[1, 0, 1], [1, 0, 0], [0, 1, 0]], ("p", "r"),
+             "label 'r' vanishes with no outgoing current"),
+            # the mirror case: p turns over at step 1, r vanishes at step 2
+            ([[1, 0, 1], [0, 1, 1], [0, 1, 0]], ("p", "r"),
+             "projected ray for label 'p' turned over between steps (squared overlap 0)"),
+            # both at step 1: the turn-over goes first, although the
+            # vanishing label comes first in label order
+            ([[1, 0, 1], [0, 1, 0]], ("r", "p"),
+             "projected ray for label 'p' turned over between steps (squared overlap 0)"),
+        ],
+        ids=["vanishing_first", "turn_over_first", "same_step"],
+    )
+    def test_first_broken_step_across_both_routes(self, rows, order, message):
         with pytest.raises(LabelDiscontinuity) as exc:
-            _transition_cumulatives(traj)
-        assert exc.value.step == 2
-        assert str(exc.value) == (
-            "projected ray for label 'a' turned over between steps (squared overlap 0)"
-        )
+            _transition_cumulatives(frozen_trajectory(rows, self.plane_and_ray(order)))
+        assert exc.value.step == 1
+        assert str(exc.value) == message
 
 
 class TestForwardMarginals:

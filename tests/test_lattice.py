@@ -268,6 +268,34 @@ class TestReferenceAgreement:
             assert _proj_close(mine, ref, 1e-9)
 
 
+class TestClosureRunState:
+    """The arrays a closure run keeps, checked after every round."""
+
+    @given(seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_basis_and_complement_split_the_space(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        gens = [random_subspace(dim, int(rng.integers(1, dim)), rng)
+                for _ in range(int(rng.integers(1, 4)))]
+        run = _ClosureRun(gens, int(rng.integers(2, 129)), DEFAULT_TOL)
+        eye = np.eye(dim)
+        while True:
+            grew = run.step()
+            assert len(run) == len(run._ranks)
+            for k, r in enumerate(run._ranks):
+                b, c = run._bases[k, :, :r], run._comps[k, :, :dim - r]
+                # orthonormal columns, the basis orthogonal to the complement
+                both = np.concatenate((b, c), axis=1)
+                assert np.abs(both.conj().T @ both - eye).max() < 1e-12
+                assert np.abs(b @ b.conj().T + c @ c.conj().T - eye).max() < 1e-12
+                assert np.abs(b @ b.conj().T - run._projs[k]).max() < 1e-12
+                # padding columns stay zero
+                assert not run._bases[k, :, r:].any() and not run._comps[k, :, dim - r:].any()
+            if run.saturated or not grew:
+                break
+
+
 class TestDedup:
     @given(st.integers(1000, 99000))
     @settings(max_examples=30, deadline=None)
