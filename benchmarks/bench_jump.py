@@ -1,8 +1,15 @@
 """Benchmark the stochastic jump kernel.
 
-Builds a two-level Rabi evolution, converts it to per-step cumulative
-transition matrices, and times ``sample_paths`` (best of ``--repeat``) for a
-few trajectory counts.
+Builds two evolutions, converts each to per-step cumulative transition
+matrices, and times ``sample_paths`` (best of ``--repeat``) for a few
+trajectory counts:
+
+- ``rabi``: a two-level Rabi period (k = 2), where every walker runs the
+  threshold sweep;
+- ``dim6``: a random Hermitian H in dimension 6 with a random maximal
+  observable (k = 6) and start state, drawn from ``--seed``, stepped at
+  ``default_timestep``.  Most walkers stay on their label each step, so the
+  stay test carries most of the walk.
 
 Usage:
     python benchmarks/bench_jump.py [--steps 2010] [--walkers 20000 100000]
@@ -18,21 +25,42 @@ import numpy as np
 
 from qpt._kernels import sample_paths
 from qpt.determinate import ObservableSpec
-from qpt.dynamics import EvolutionSpec, _transition_cumulatives, evolve_possibility
+from qpt.dynamics import (
+    EvolutionSpec,
+    _transition_cumulatives,
+    default_timestep,
+    evolve_possibility,
+)
 from qpt.linalg import ComplexVector, Operator
 
 
-def build_inputs(steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rabi problem: H = sigma_x / 2, observable = z-basis projectors."""
+def rabi_spec(steps: int):
+    """H = sigma_x / 2 over one period, observable = z-basis projectors."""
     h = Operator(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex))
     psi0 = ComplexVector(np.array([1.0, 0.0], dtype=complex))
     obs = ObservableSpec.from_eigenbasis(
         [np.array([1.0, 0.0]), np.array([0.0, 1.0])], labels=["up", "down"]
     )
-    spec = EvolutionSpec(hamiltonian=h, dt=2.0 * np.pi / steps, steps=steps)
+    return psi0, obs, EvolutionSpec(hamiltonian=h, dt=2.0 * np.pi / steps, steps=steps)
+
+
+def dim6_spec(steps: int, seed: int):
+    """Random Hermitian H, maximal observable and start state in dimension 6."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = Operator((m + m.conj().T) / 2)
+    q, r = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    obs = ObservableSpec.from_eigenbasis([q[:, i] for i in range(6)])
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi0 = ComplexVector(v / np.linalg.norm(v))
+    return psi0, obs, EvolutionSpec(hamiltonian=h, dt=default_timestep(h), steps=steps)
+
+
+def build_inputs(psi0, obs, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     traj = evolve_possibility(psi0, obs, spec)
     cum, p0 = _transition_cumulatives(traj)
-    sample_idx = np.arange(0, steps + 1, max(1, steps // 10), dtype=np.int64)
+    sample_idx = np.arange(0, spec.steps + 1, max(1, spec.steps // 10), dtype=np.int64)
     return cum, p0, sample_idx
 
 
@@ -60,12 +88,15 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cum, p0, sample_idx = build_inputs(args.steps)
-    print(f"steps={args.steps}  labels={cum.shape[1]}  repeat={args.repeat}")
-    print(f"{'walkers':>10}  {'time (s)':>10}  {'walker-steps/s':>14}")
-    for n in args.walkers:
-        t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx)
-        print(f"{n:>10}  {t:>10.4f}  {n * args.steps / t:>14.3g}")
+    print(f"steps={args.steps}  repeat={args.repeat}  seed={args.seed}")
+    print(f"{'chain':>6}  {'labels':>6}  {'walkers':>10}  {'time (s)':>10}  {'walker-steps/s':>14}")
+    chains = (("rabi", rabi_spec(args.steps)), ("dim6", dim6_spec(args.steps, args.seed)))
+    for name, chain in chains:
+        cum, p0, sample_idx = build_inputs(*chain)
+        k = cum.shape[1]
+        for n in args.walkers:
+            t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx)
+            print(f"{name:>6}  {k:>6}  {n:>10}  {t:>10.4f}  {n * args.steps / t:>14.3g}")
 
 
 if __name__ == "__main__":

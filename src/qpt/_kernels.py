@@ -48,15 +48,29 @@ def _fill(gen, slab, c):
             gen.random(out=row[:c])
 
 
+def _sweep(u, ct, lab):
+    """The next label of walkers on ``lab`` with uniforms ``u``: the number
+    of thresholds ``ct[j, lab]`` (j < k - 1) that ``u`` reaches."""
+    nxt = (u >= ct[0].take(lab)).astype(np.int64)
+    for j in range(1, ct.shape[0] - 1):
+        nxt += u >= ct[j].take(lab)
+    return nxt
+
+
 def _walk(cols, cum_p0, n_walkers, gens, sample_idx):
     """Walk all chunks side by side through ``cols`` (steps, k, k), where
     ``cols[t, j, i]`` is the cumulative probability of jumping from label i
     to a label <= j.  Walkers sit in a (chunks, width) grid; the short last
     chunk is padded, and its padding walks on zeros and is dropped.  Each
     chunk draws its start uniforms, then its step uniforms a block of steps
-    at a time into its own slab of one reused buffer.  The next label is the
-    number of thresholds ``cols[t, j, lab]`` (j < k - 1) that the walker's
-    uniform reaches."""
+    at a time into its own slab of one reused buffer.
+
+    A walker on label i stays iff its uniform lies in that label's own slot
+    ``[cols[t, i - 1, i], cols[t, i, i])`` (open below for i = 0 and above
+    for i = k - 1); since the thresholds are nondecreasing, that is exactly
+    when ``_sweep`` would count i.  For k > 3 each step tests the slot and
+    sweeps the thresholds only for the walkers that leave it; for k <= 3
+    the test costs as much as the sweep, so every walker is swept."""
     steps, k, _ = cols.shape
     width = min(n_walkers, CHUNK)
     sizes = [width] * (len(gens) - 1) + [n_walkers - (len(gens) - 1) * width]
@@ -68,6 +82,11 @@ def _walk(cols, cum_p0, n_walkers, gens, sample_idx):
     lab = np.minimum((u0[..., None] >= cum_p0).sum(axis=-1), k - 1)
     if 0 in where:
         out[where[0]] = lab.reshape(-1)[:n_walkers]
+    if k > 3:
+        hi = np.diagonal(cols, axis1=1, axis2=2).copy()
+        hi[:, -1] = np.inf
+        lo = np.full_like(hi, -np.inf)
+        lo[:, 1:] = np.diagonal(cols, offset=1, axis1=1, axis2=2)
     block = max(1, min(steps, BLOCK_DOUBLES // lab.size))
     buf = np.zeros((len(gens), block, width))
     for t0 in range(0, steps, block):
@@ -75,14 +94,15 @@ def _walk(cols, cum_p0, n_walkers, gens, sample_idx):
         for g, slab, c in zip(gens, buf, sizes):
             _fill(g, slab[:b], c)
         for s in range(b):
-            u = buf[:, s]
-            ct = cols[t0 + s]
-            nxt = (u >= ct[0].take(lab)).astype(np.int64)
-            for j in range(1, k - 1):
-                nxt += u >= ct[j].take(lab)
-            lab = nxt
-            if (t0 + s + 1) in where:
-                out[where[t0 + s + 1]] = lab.reshape(-1)[:n_walkers]
+            t, u = t0 + s, buf[:, s]
+            if k <= 3:
+                lab = _sweep(u, cols[t], lab)
+            else:
+                leave = u < lo[t].take(lab)
+                leave |= u >= hi[t].take(lab)
+                lab[leave] = _sweep(u[leave], cols[t], lab[leave])
+            if t + 1 in where:
+                out[where[t + 1]] = lab.reshape(-1)[:n_walkers]
     return out
 
 
@@ -98,9 +118,12 @@ def sample_paths(
     Returns labels with shape (len(sample_idx), n_walkers).
 
     Precondition: every row ``cum[t, i]`` is a cumulative distribution whose
-    last entry is exactly 1.0 (``_transition_cumulatives`` sets it so).  The
-    next label is then the first j with ``u < cum[t, i, j]``, and a uniform
-    ``u < 1`` never runs past the last label.
+    last entry is exactly 1.0 and whose thresholds ``cum[t, i, :k - 1]`` are
+    nondecreasing (``_transition_cumulatives`` sets the one and its cumsum of
+    non-negative entries gives the other; the pinned last entry may sit one
+    rounding below its predecessor, and is never read).  The next label is
+    then the first j with ``u < cum[t, i, j]``, a uniform ``u < 1`` never
+    runs past the last label, and the stay test of ``_walk`` is exact.
 
     A seed fixes the paths.  The stream layout: walkers fall into chunks of
     ``CHUNK`` (the last one may be shorter), and chunk m consumes, from the

@@ -282,10 +282,17 @@ class _ClosureRun:
         keys = (projs.reshape(len(projs), self.n ** 2) @ self._weights).real / self._width
         return np.floor(keys).astype(np.int64).tolist()
 
-    def _first(self, cell: int) -> int:
-        """Smallest element index filed in cells cell-1..cell+1, or -1."""
-        firsts = [b[0] for b in map(self._cells.get, (cell - 1, cell, cell + 1)) if b]
-        return min(firsts, default=-1)
+    def _first(self, cells: np.ndarray) -> np.ndarray:
+        """For each of ``cells``, the smallest element index filed in cells
+        cell-1..cell+1, or -1."""
+        opened = np.array([(c, b[0]) for c, b in self._cells.items()], dtype=np.int64)
+        opened = opened[np.argsort(opened[:, 0])]
+        keys, firsts = opened[:, 0], opened[:, 1]
+        best = np.full(len(cells), len(self), dtype=np.int64)
+        for near in (cells - 1, cells, cells + 1):
+            at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
+            np.minimum(best, firsts[at], out=best, where=keys[at] == near)
+        return np.where(best < len(self), best, -1)
 
     def _find(self, proj: np.ndarray, cell: int) -> "int | None":
         hits = sorted(i for c in (cell - 1, cell, cell + 1) for i in self._cells.get(c, ()))
@@ -327,7 +334,7 @@ class _ClosureRun:
         cells = self._cells_of(projs)
         # a result that matches the smallest index filed near it needs no
         # further lookup; every other one goes through _place in order
-        first = np.array([self._first(c) for c in cells], dtype=np.int64)
+        first = self._first(np.array(cells, dtype=np.int64))
         known = first >= 0
         near = np.linalg.norm(self._projs[first[known]] - projs[known], axis=(1, 2))
         match = np.full(len(cells), -1, dtype=np.int64)

@@ -240,6 +240,44 @@ class TestLabelDiscontinuity:
         assert str(exc.value) == message
 
 
+def multilevel_trajectory(seed: int, steps: int = 3000, dt_scale: float = 1.0):
+    """A random dim-6 Hamiltonian, maximal observable (k = 6) and start
+    state, drawn in the order of the ``multilevel`` benchmark workload."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = Operator((m + m.conj().T) / 2)
+    obs = maximal_observable(6, rng)
+    psi0 = random_vector(6, rng)
+    return evolve_possibility(psi0, obs, EvolutionSpec(h, dt_scale * default_timestep(h), steps))
+
+
+class TestCumulativeRows:
+    """``sample_paths`` tests a walker's stay slot before it sweeps the
+    thresholds, which is exact only if the thresholds ``cum[t, i, :k - 1]``
+    never decrease.  (The pinned last entry may sit one rounding below its
+    predecessor; no walker reads it.)"""
+
+    @staticmethod
+    def assert_thresholds_nondecreasing(traj):
+        cum, _ = _transition_cumulatives(traj)
+        assert (np.diff(cum[..., :-1], axis=-1) >= 0.0).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multilevel(self, seed):
+        self.assert_thresholds_nondecreasing(multilevel_trajectory(seed))
+
+    def test_entangling(self):
+        self.assert_thresholds_nondecreasing(entangling_trajectory(200))
+
+    def test_forced_jumps(self):
+        # at ten times the default step many rows must jump: their diagonal is 0
+        traj = multilevel_trajectory(0, steps=200, dt_scale=10.0)
+        cum, _ = _transition_cumulatives(traj)
+        stay = np.diagonal(np.diff(cum, axis=-1, prepend=0.0), axis1=1, axis2=2)
+        assert ((stay == 0.0) & (traj.weights[:-1] >= PRESENCE_CUTOFF)).any()
+        self.assert_thresholds_nondecreasing(traj)
+
+
 class TestForwardMarginals:
     def test_marginals_stay_distributions(self):
         traj = entangling_trajectory(200)

@@ -31,6 +31,39 @@ def random_cumulatives(steps: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]
     return np.ascontiguousarray(cum), p0
 
 
+def stay_heavy_cumulatives(steps: int, k: int, rng, ties) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonally dominant cumulative rows, where most walkers stay on their
+    label, mixed with the rows ``_transition_cumulatives`` also makes:
+    identity placeholder rows, forced-jump rows (diagonal 0, the rest
+    rescaled to sum 1), zero-width stay slots (the diagonal's weight moved to
+    a neighbour), and rows whose threshold k - 2 rounds above 1.0.  In about
+    a third of the stay-heavy rows an edge of the label's own slot is set to
+    one of ``ties[t]``, uniforms the walkers draw at step t, so that walkers
+    land exactly on a threshold."""
+    diag = np.arange(k)
+    move = rng.random((steps, k, k)) ** 2 / k
+    move *= rng.choice([1e-3, 1e-2, 1e-1], size=(steps, k, 1))
+    move[:, diag, diag] = 0.0
+    kind = rng.choice(5, size=(steps, k), p=[0.8, 0.05, 0.05, 0.05, 0.05])
+    move[kind == 1] = 0.0
+    forced = kind == 2
+    move[forced] /= move[forced].sum(axis=-1, keepdims=True)
+    move[:, diag, diag] = np.where(forced, 0.0, 1.0 - move.sum(axis=-1))
+    t, i = np.nonzero(kind == 3)
+    move[t, i, (i + 1) % k] += move[t, i, i]
+    move[t, i, i] = 0.0
+    cum = np.cumsum(move, axis=-1)
+    cum[kind == 4, k - 2] = np.nextafter(1.0, 2.0)
+    cum[..., -1] = 1.0
+    for t, i in zip(*np.nonzero((kind == 0) & (rng.random((steps, k)) < 0.3))):
+        j = min(max(i - rng.integers(2), 0), k - 2)
+        u = rng.choice(ties[t])
+        cum[t, i, :j] = np.minimum(cum[t, i, :j], u)
+        cum[t, i, j] = u
+        cum[t, i, j + 1:k - 1] = np.maximum(cum[t, i, j + 1:k - 1], u)
+    return cum, rng.dirichlet(np.ones(k))
+
+
 def full_grid(steps: int) -> np.ndarray:
     return np.arange(steps + 1, dtype=np.int64)
 
@@ -125,6 +158,25 @@ class TestReferenceAgreement:
         a = sample_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
         b = reference_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
         assert a.shape == (idx.size, n_walkers)
+        assert np.array_equal(a, b)
+
+    @given(
+        st.integers(1, CHUNK + 40),
+        st.integers(1, 30),
+        st.integers(2, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_bit_identical_to_reference_when_walkers_stay(self, n_walkers, steps, k, seed):
+        # the uniforms of the first chunk, in the order sample_paths draws them
+        rng = np.random.default_rng(seed)
+        c = min(n_walkers, CHUNK)
+        rng.random(c)
+        ties = rng.random((steps, c))
+        cum, p0 = stay_heavy_cumulatives(steps, k, np.random.default_rng(seed + 1), ties)
+        idx = full_grid(steps)
+        a = sample_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        b = reference_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
         assert np.array_equal(a, b)
 
 
