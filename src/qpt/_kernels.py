@@ -119,9 +119,8 @@ def sample_paths(
 
     Precondition: every row ``cum[t, i]`` is a cumulative distribution whose
     last entry is exactly 1.0 and whose thresholds ``cum[t, i, :k - 1]`` are
-    nondecreasing (``_transition_cumulatives`` sets the one and its cumsum of
-    non-negative entries gives the other; the pinned last entry may sit one
-    rounding below its predecessor, and is never read).  The next label is
+    nondecreasing (``_transition_cumulatives`` sets the one, and its cumsum
+    of non-negative entries, clipped at 1, gives the other).  The next label is
     then the first j with ``u < cum[t, i, j]``, a uniform ``u < 1`` never
     runs past the last label, and the stay test of ``_walk`` is exact.
 

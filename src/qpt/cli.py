@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--eps",
         type=float,
         default=None,
-        help="comparison tolerance in (0, 1e-3]; default 1e-9",
+        help="comparison tolerance in [1e-13, 1e-3]; default 1e-9 (below the "
+        "floor 1e-13, rounding noise would count as subspace rank)",
     )
     common.add_argument(
         "--format",
@@ -410,20 +411,20 @@ def _determinate_report(args, tol: Tolerance) -> ScenarioReport:
     return ScenarioReport("determinate", params, quantities, checks)
 
 
-def _resolve_tol(args, parser: argparse.ArgumentParser) -> Tolerance:
+def _resolve_tol(args) -> Tolerance:
     if args.eps is None:
         return DEFAULT_TOL
-    if not (0.0 < args.eps <= 1e-3):
-        parser.error(f"--eps must lie in (0, 1e-3], got {args.eps}")
-    return Tolerance(eps=args.eps)
+    if args.eps > 1e-3:
+        raise ValueError(f"--eps must lie in [1e-13, 1e-3], got {args.eps}")
+    return Tolerance(eps=args.eps)  # raises below the floor
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    tol = _resolve_tol(args, parser)
 
     try:
+        tol = _resolve_tol(args)
         if args.command == "epr":
             report = epr_scenario(tol=tol)
         elif args.command == "teleport":

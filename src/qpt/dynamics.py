@@ -211,7 +211,10 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
     np.divide(move, total[:, :, None], out=move, where=scaled[:, :, None])
     move[~now] = 0.0  # absent labels: identity placeholder rows, unreachable
     move[:, diag, diag] = np.where(now, np.where(scaled, 0.0, 1.0 - total), 1.0)
-    cum = np.cumsum(move, axis=-1)
+    # a row total may round one ulp above 1: clip so that the row is a
+    # cumulative distribution, every transition diff(cum) >= 0.  A walker's
+    # uniform is below 1, so the clip moves no sampled path
+    cum = np.minimum(np.cumsum(move, axis=-1), 1.0)
     cum[..., -1] = 1.0
     p0 = np.where(present[0], w[0], 0.0)
     return cum, p0 / p0.sum()

@@ -112,13 +112,6 @@ class Subspace:
         d = float(np.linalg.norm(self.projector() - other.projector()))
         return d <= tol.eps * self.ambient_dim
 
-    def leq(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Subspace inclusion self <= other."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimMismatch(f"ambient dims {self.ambient_dim} vs {other.ambient_dim}")
-        p, q = self.projector(), other.projector()
-        return float(np.linalg.norm(q @ p - p)) <= tol.eps * self.ambient_dim
-
 
 def _check_dims(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
@@ -138,26 +131,6 @@ def orthocomplement(a: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     return Subspace(n, np.column_stack(cols))
 
 
-def _padded(s: Subspace) -> np.ndarray:
-    """The basis of ``s`` zero-padded to a square (n, n) array."""
-    out = np.zeros((s.ambient_dim, s.ambient_dim), dtype=np.complex128)
-    out[:, :s.rank] = s.basis
-    return out
-
-
-def _spans(left: np.ndarray, right: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batched span of pairs of (c, n, n) zero-padded bases.
-
-    Returns the left singular vectors ``u`` (c, n, n) of each ``[L_k | R_k]``
-    and the count ``r`` (c,) of singular values above ``eps``: ``u[k, :, :r]``
-    is an orthonormal basis of span(L_k) + span(R_k) and ``u[k, :, r:]`` of its
-    orthocomplement. Singular values resolve principal angles directly
-    (Bjorck & Golub, Math. Comp. 27, 1973), where eigenvalues of P_a + P_b
-    resolve only their squares."""
-    u, sv, _ = np.linalg.svd(np.concatenate((left, right), axis=2), full_matrices=False)
-    return u, np.count_nonzero(sv > eps, axis=1)
-
-
 def _phased(cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns, each rotated to canonical phase."""
     if not cols.shape[1]:
@@ -165,19 +138,42 @@ def _phased(cols: np.ndarray) -> np.ndarray:
     return np.column_stack([canonical_phase(c) for c in cols.T])
 
 
+def _angles(ci: np.ndarray, bj: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One SVD of ``M = C_iᴴ B_j`` per pair of a batch with one (r_i, r_j):
+    ``ci`` (g, n, n - r_i) spans i's orthocomplement, ``bj`` (g, n, r_j) j's
+    basis. The singular values of M are the sines of the principal angles
+    between i and j (Bjorck & Golub, Math. Comp. 27, 1973; Knyazev &
+    Argentati, SIAM J. Sci. Comput. 23, 2002). With ``c`` above eps, the join
+    is [B_i | C_i U_live], its complement C_i U_dead; the meet is B_j V_dead,
+    its complement [C_j | B_j V_live]. Returns C_i U (live columns first),
+    B_j V (dead columns first) and c; an empty M (r_i = n or r_j = 0) has c = 0.
+
+    The cut is sin(theta) > eps. The SVD of [B_i | B_j] it replaced cut at
+    sqrt(2) sin(theta/2) > eps: the two differ only for theta within a factor
+    sqrt(2) of eps, and a shared direction has a rounding angle (~1e-16) far
+    below the eps floor 1e-13."""
+    u, s, vh = np.linalg.svd(ci.conj().transpose(0, 2, 1) @ bj)
+    c = np.count_nonzero(s > eps, axis=1)
+    return ci @ u, bj @ vh.conj().transpose(0, 2, 1)[:, :, ::-1], c
+
+
+def _complement(s: Subspace) -> np.ndarray:
+    """Orthocomplement basis: the left singular vectors past the rank."""
+    return np.linalg.svd(s.basis)[0][:, s.rank:]
+
+
 def join(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Closed span of the union."""
+    """Closed span of the union: a's basis, then b's directions outside a."""
     _check_dims(a, b)
-    u, r = _spans(_padded(a)[None], _padded(b)[None], tol.eps)
-    return Subspace(a.ambient_dim, _phased(u[0, :, :r[0]]))
+    ciu, _, c = _angles(_complement(a)[None], b.basis[None], tol.eps)
+    return Subspace(a.ambient_dim, _phased(np.concatenate((a.basis, ciu[0, :, :c[0]]), axis=1)))
 
 
 def meet(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Intersection, via the common-nullspace construction (a^ v b^)^."""
+    """Intersection: the directions of b at angle zero to a."""
     _check_dims(a, b)
-    ca, cb = orthocomplement(a, tol), orthocomplement(b, tol)
-    u, r = _spans(_padded(ca)[None], _padded(cb)[None], tol.eps)
-    return Subspace(a.ambient_dim, _phased(u[0, :, r[0]:]))
+    _, bjv, c = _angles(_complement(a)[None], b.basis[None], tol.eps)
+    return Subspace(a.ambient_dim, _phased(bjv[0, :, :b.rank - c[0]]))
 
 
 def commutes(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -221,9 +217,9 @@ class _ClosureRun:
     its orthocomplement (both zero-padded to n columns, the basis in canonical
     phase) and its projector, in (capacity, n, n) stacks, so a round's meets
     and joins are batched SVDs over gathered pairs. The SVD that makes an
-    element also spans its orthocomplement, and that is the basis stored: a
-    join's u[:, r:], a meet's u[:, :r]; a complement swaps its source's two
-    bases. ``result()`` is the only place that builds ``Subspace`` objects.
+    element also spans its orthocomplement, and that is the basis stored (see
+    ``_angles``); a complement swaps its source's two bases. ``result()`` is
+    the only place that builds ``Subspace`` objects.
 
     Dedup: an element is filed under the cell ``floor(<W, P> / width)`` of its
     projector P's projection on a fixed weight matrix W, with width =
@@ -260,16 +256,9 @@ class _ClosureRun:
         self._weights = (w[0] - 1j * w[1]).ravel()  # conjugated W
         self._width = 2.0 * n * float(np.linalg.norm(w)) * max(tol.eps, 1e-12)
         self._cells: dict[int, list[int]] = {}
-        # the zero and full subspaces, then the generators; the null space of
-        # each padded basis is its orthocomplement
-        seeds = np.zeros((len(gens) + 2, n, n), dtype=np.complex128)
-        seeds[1] = np.eye(n)
-        for seed, g in zip(seeds[2:], gens):
-            seed[:, :g.rank] = g.basis
-        u, r = _spans(seeds, np.zeros_like(seeds), tol.eps)
-        projs = [seeds[0], seeds[1]] + [g.projector() for g in gens]
-        for seed, uk, rk, proj in zip(seeds, u, r.tolist(), projs):
-            self._place(proj, self._cells_of(proj[None])[0], seed[:, :rk], uk[:, rk:])
+        for g in [Subspace.zero(n), Subspace.full(n), *gens]:
+            proj = g.projector()
+            self._place(proj, self._cells_of(proj[None])[0], g.basis, _complement(g))
 
     def __len__(self) -> int:
         return len(self._ranks)
@@ -364,16 +353,26 @@ class _ClosureRun:
         left, right = np.triu_indices(base, 1)
         keep = right >= done
         left, right = left[keep], right[keep]
+        ranks = np.array(self._ranks, dtype=np.int64)
         for lo in range(0, len(left), _CHUNK):
             i, j = left[lo:lo + _CHUNK], right[lo:lo + _CHUNK]
-            um, rm = _spans(self._comps[i], self._comps[j], self.tol.eps)
-            uj, rj = _spans(self._bases[i], self._bases[j], self.tol.eps)
-            # result 2p is meet(pair p), the null space of the complements'
-            # stack; result 2p + 1 is join(pair p), the range of the bases' stack
-            us = np.stack((um, uj), axis=1).reshape(-1, n, n)
-            live = np.stack((cols >= rm[:, None], cols < rj[:, None]), axis=1).reshape(-1, n)
+            # result 2p is meet(pair p), 2p + 1 is join(pair p): the leading
+            # rank columns of its us. One SVD per (r_i, r_j) group, on unpadded
+            # blocks: padding would mix its null directions with the meet's
+            us = np.empty((2 * len(i), n, n), dtype=np.complex128)
+            rank = np.empty(2 * len(i), dtype=np.int64)
+            groups, at = np.unique(ranks[i] * (n + 1) + ranks[j], return_inverse=True)
+            for g, key in enumerate(groups.tolist()):
+                ri, rj = divmod(key, n + 1)
+                p = np.flatnonzero(at == g)
+                gi, gj = i[p], j[p]
+                ciu, bjv, c = _angles(self._comps[gi, :, :n - ri], self._bases[gj, :, :rj],
+                                      self.tol.eps)
+                us[2 * p] = np.concatenate((bjv, self._comps[gj, :, :n - rj]), axis=2)
+                us[2 * p + 1] = np.concatenate((self._bases[gi, :, :ri], ciu), axis=2)
+                rank[2 * p], rank[2 * p + 1] = rj - c, ri + c
             self._emit(["meet", "join"] * len(i), np.repeat(i, 2).tolist(),
-                       np.repeat(j, 2).tolist(), us, live)
+                       np.repeat(j, 2).tolist(), us, cols < rank[:, None])
         self._processed = base
         self.depth += 1
         return len(self) > base

@@ -15,6 +15,13 @@ from .errors import (
 )
 
 
+#: smallest accepted eps. Rank cuts compare singular values of unit-norm
+#: bases with eps, and rounding leaves ~1e-16 where a value is exactly 0
+#: (numpy.linalg.matrix_rank's default cut is n * 2**-52): below about 1e-16
+#: that noise counts as rank. The floor stays two decades above that cliff.
+EPS_FLOOR = 1e-13
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical tolerance for all approximate comparisons."""
@@ -22,8 +29,8 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1.0) or not np.isfinite(self.eps):
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+        if not (EPS_FLOOR <= self.eps < 1.0) or not np.isfinite(self.eps):
+            raise ValueError(f"eps must lie in [{EPS_FLOOR:g}, 1), got {self.eps}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -137,9 +144,6 @@ class RegisterLayout:
             if n == name:
                 return i
         raise UnknownFactor(f"no factor named {name!r} in {self.names}")
-
-    def dim_of(self, names: "tuple[str, ...] | list[str]") -> int:
-        return int(np.prod([self.factors[self.axis(n)][1] for n in names], initial=1))
 
 
 def basis_vector(dim: int, index: int) -> ComplexVector:

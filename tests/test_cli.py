@@ -65,10 +65,29 @@ class TestExitCodes:
             lines = out.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (args, out.stderr)
 
-    def test_tiny_eps_still_decides_the_extension(self):
-        # the extension verdict reads only the relation table, which no
-        # tolerance check can reject
+    def test_eps_below_the_floor_exits_two(self):
+        # below 1e-13 rounding noise counts as rank: join(a, a) of a ray
+        # would be the full space, so the lattice would be nonsense
         out = run("decohere", "--eps", "1e-300")
+        assert out.returncode == 2, out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+    def test_context_not_orthonormal_at_eps_exits_two(self, tmp_path):
+        # contexts are found at the default eps; a tighter --eps fails the
+        # assignment search's Gram check (MalformedContext), a usage error.
+        # This pins the current behaviour, a context built at one tolerance
+        # and rejected at another (the FOUND on RaySet in CHANGES.md,
+        # ROADMAP item 3); passing --eps through to RaySet changes it.
+        rays = tmp_path / "near.rays"
+        rays.write_text("1,0,0\n1e-11,1,0\n0,0,1\n")
+        out = run("ks", "--rays", str(rays), "--eps", "1e-13")
+        assert out.returncode == 2, out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and "not orthonormal within eps" in lines[0], out.stderr
+
+    def test_eps_at_the_floor_still_decides_the_extension(self):
+        out = run("decohere", "--eps", "1e-13")
         assert out.returncode == 0, out.stderr
         assert "[PASS] pointer_branch_not_addable" in out.stdout
 

@@ -254,8 +254,7 @@ def multilevel_trajectory(seed: int, steps: int = 3000, dt_scale: float = 1.0):
 class TestCumulativeRows:
     """``sample_paths`` tests a walker's stay slot before it sweeps the
     thresholds, which is exact only if the thresholds ``cum[t, i, :k - 1]``
-    never decrease.  (The pinned last entry may sit one rounding below its
-    predecessor; no walker reads it.)"""
+    never decrease."""
 
     @staticmethod
     def assert_thresholds_nondecreasing(traj):
@@ -265,6 +264,14 @@ class TestCumulativeRows:
     @pytest.mark.parametrize("seed", range(8))
     def test_multilevel(self, seed):
         self.assert_thresholds_nondecreasing(multilevel_trajectory(seed))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_transitions_nonnegative(self, seed):
+        # a row total one ulp above 1 once left the pinned last entry below
+        # its predecessor: a -2.2e-16 probability into the last label
+        cum, _ = _transition_cumulatives(multilevel_trajectory(seed))
+        trans = np.diff(cum, axis=-1, prepend=0.0)
+        assert trans.min() >= 0.0
 
     def test_entangling(self):
         self.assert_thresholds_nondecreasing(entangling_trajectory(200))

@@ -254,20 +254,30 @@ class TestValidation:
             sample_paths(cum, p0, 0, seed=0, sample_idx=full_grid(5))
 
 
+def run_script(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestBenchmarkScript:
     def test_bench_jump_runs(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "benchmarks/bench_jump.py",
-             "--steps", "50", "--walkers", "100", "--repeat", "1"],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-            env=env,
-            timeout=120,
-        )
+        out = run_script("benchmarks/bench_jump.py",
+                         "--steps", "50", "--walkers", "100", "--repeat", "1")
         assert out.returncode == 0, out.stderr
         assert "walker-steps/s" in out.stdout
+
+    def test_bench_closure_runs(self):
+        out = run_script("benchmarks/bench_closure.py", "--repeat", "1")
+        assert out.returncode == 0, out.stderr
+        assert "closure rounds, (4, 1) extension probe, budget 512" in out.stdout
+        assert "public meet/join, 200 random pairs per dim" in out.stdout

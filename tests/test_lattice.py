@@ -20,7 +20,7 @@ from qpt import (
     meet,
     orthocomplement,
 )
-from qpt.lattice import _canonical_key, _ClosureRun
+from qpt.lattice import _angles, _canonical_key, _ClosureRun
 from qpt.linalg import orthonormalize
 from conftest import random_subspace, random_unitary, random_vector
 
@@ -266,6 +266,69 @@ class TestReferenceAgreement:
             (op, remap[i], remap[j], remap[k]) for op, i, j, k in rels))
         for mine, ref in zip(got.elements, (elems[i] for i in order)):
             assert _proj_close(mine, ref, 1e-9)
+
+
+def related_pair(kind: str, dim: int, rng: np.random.Generator) -> tuple[Subspace, Subspace]:
+    """Two subspaces of C^dim in the relation ``kind``, each with its own
+    random basis."""
+    q = random_unitary(dim, rng)
+
+    def span(cols) -> Subspace:
+        if not len(cols):
+            return Subspace.zero(dim)
+        w = random_unitary(len(cols), rng)  # a basis other than q's columns
+        return Subspace(dim, q[:, cols] @ w)
+
+    ra, rb = (int(r) for r in rng.integers(0, dim + 1, size=2))
+    if kind == "equal":
+        return span(range(ra)), span(range(ra))
+    if kind == "orthogonal":
+        return span(range(ra)), span(range(ra, min(dim, ra + rb)))
+    if kind == "comparable":
+        a, b = span(range(min(ra, rb))), span(range(max(ra, rb)))
+        return (a, b) if rng.random() < 0.5 else (b, a)
+    if kind == "commuting":
+        return (span(np.flatnonzero(rng.random(dim) < 0.5)),
+                span(np.flatnonzero(rng.random(dim) < 0.5)))
+    other = random_subspace(dim, int(rng.integers(1, dim)), rng)
+    if kind == "zero":
+        return Subspace.zero(dim), other
+    if kind == "full":
+        return other, Subspace.full(dim)
+    return other, random_subspace(dim, int(rng.integers(1, dim)), rng)
+
+
+class TestPairKernel:
+    """Meet and join of one pair from one SVD of ``C_aᴴ B_b``."""
+
+    @given(seeds, st.integers(2, 6),
+           st.sampled_from(["random", "equal", "orthogonal", "comparable", "commuting",
+                            "zero", "full"]))
+    @settings(max_examples=120, deadline=None)
+    def test_meet_and_join_against_the_reference(self, seed, dim, kind):
+        a, b = related_pair(kind, dim, np.random.default_rng(seed))
+        m, j = meet(a, b), join(a, b)
+        assert m.rank + j.rank == a.rank + b.rank
+        assert _proj_close(m, reference_meet(a, b), 1e-12)
+        assert _proj_close(j, reference_join(a, b), 1e-12)
+        # the closure's columns: each result's basis, then its orthocomplement's
+        ca, cb = (np.linalg.svd(s.basis)[0][:, s.rank:] for s in (a, b))
+        ciu, bjv, c = _angles(ca[None], b.basis[None], DEFAULT_TOL.eps)
+        eye = np.eye(dim)
+        for cols, result in ((np.concatenate((bjv[0], cb), axis=1), m),
+                             (np.concatenate((a.basis, ciu[0]), axis=1), j)):
+            assert np.abs(cols.conj().T @ cols - eye).max() < 1e-12
+            basis = cols[:, :result.rank]
+            assert np.abs(basis @ basis.conj().T - result.projector()).max() < 1e-12
+
+    @pytest.mark.parametrize("scale, rank", [(10.0, 2), (0.1, 1)])
+    def test_rays_at_a_small_angle(self, scale, rank):
+        # the rank cut is the sine of the principal angle against eps
+        theta = scale * DEFAULT_TOL.eps
+        a = Subspace.ray(basis_vector(3, 0))
+        b = Subspace.ray(ComplexVector(np.array([np.cos(theta), np.sin(theta), 0.0])))
+        assert join(a, b).rank == rank
+        assert meet(a, b).rank == 2 - rank
 
 
 class TestClosureRunState:
