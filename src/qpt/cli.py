@@ -144,7 +144,7 @@ def _ks_report(path: Path, tol: Tolerance) -> ScenarioReport:
         rs = RaySet.from_file(path, tol)
     except ValueError as exc:  # content-level defect (e.g. coincident rays)
         raise RayFileError(str(exc)) from exc
-    result = find_assignment(rs, tol)
+    result = find_assignment(rs)
     quantities = [
         Quantity("n_rays", len(rs.rays)),
         Quantity("n_contexts", len(rs.contexts)),
@@ -152,7 +152,7 @@ def _ks_report(path: Path, tol: Tolerance) -> ScenarioReport:
         Quantity("result", type(result).__name__),
     ]
     if isinstance(result, NoAssignment):
-        reverify = find_assignment(rs, tol, restrict_to=result.witness)
+        reverify = find_assignment(rs, restrict_to=result.witness)
         quantities.append(
             Quantity(
                 "witness_contexts",
@@ -209,7 +209,7 @@ def _ks_report(path: Path, tol: Tolerance) -> ScenarioReport:
     return ScenarioReport("ks", {"rays": str(path)}, tuple(quantities), checks)
 
 
-def _chsh_report(angles, tol: Tolerance) -> ScenarioReport:
+def _chsh_report(angles) -> ScenarioReport:
     setting = (
         ChshSetting((angles[0], angles[1]), (angles[2], angles[3]))
         if angles is not None
@@ -227,7 +227,7 @@ def _chsh_report(angles, tol: Tolerance) -> ScenarioReport:
 
     rs_a, rs_b = setting_ray_sets(setting)
     table = correlation_table(state, setting)
-    lp = local_map_search(rs_a, rs_b, table, tol)
+    lp = local_map_search(rs_a, rs_b, table)
 
     if value > bound + 1e-9:
         lp_ok = isinstance(lp, Unsatisfiable) and lp.residual > 1e-9
@@ -440,7 +440,7 @@ def main(argv: "list[str] | None" = None) -> int:
         elif args.command == "ks":
             report = _ks_report(args.rays, tol)
         elif args.command == "chsh":
-            report = _chsh_report(args.angles, tol)
+            report = _chsh_report(args.angles)
         elif args.command == "dynamics":
             report = _dynamics_report(args, tol)
         else:

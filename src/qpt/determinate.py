@@ -16,7 +16,7 @@ from .errors import (
     NotResolutionOfIdentity,
     ZeroVector,
 )
-from .lattice import Subspace, _ClosureRun, meet, orthocomplement
+from .lattice import Subspace, _ClosureRun, _two_valued, meet, orthocomplement
 from .linalg import DEFAULT_TOL, ComplexVector, Tolerance, canonical_phase
 
 
@@ -261,111 +261,6 @@ class ExtensionReport:
         return self.verdict == "contradiction"
 
 
-def _relations_satisfiable(n_elems: int, relations, node_cap: int = 100000) -> "bool | None":
-    """Search for a {0,1} assignment on elements satisfying every recorded
-    relation as a logic gate, with element 0 (the zero subspace) false and
-    element 1 (the full space) true. None means the node cap was hit."""
-    val = [-1] * n_elems
-    val[0], val[1] = 0, 1
-    nodes = 0
-
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for op, a, b, c in relations:
-                va, vb, vc = val[a], val[b], val[c]
-                if op == "complement":
-                    if va != -1 and vc == -1:
-                        val[c] = 1 - va
-                        changed = True
-                    elif vc != -1 and va == -1:
-                        val[a] = 1 - vc
-                        changed = True
-                    elif va != -1 and vc != -1 and va + vc != 1:
-                        return False
-                elif op == "meet":
-                    if va != -1 and vb != -1 and vc != -1:
-                        if vc != (va & vb):
-                            return False
-                    elif va == 1 and vb == 1:
-                        val[c] = 1
-                        changed = True
-                    elif va == 0 or vb == 0:
-                        if vc == 1:
-                            return False
-                        if vc == -1:
-                            val[c] = 0
-                            changed = True
-                    elif vc == 1:
-                        if va == -1:
-                            val[a] = 1
-                            changed = True
-                        if vb == -1:
-                            val[b] = 1
-                            changed = True
-                    elif vc == 0 and va == 1 and vb == -1:
-                        val[b] = 0
-                        changed = True
-                    elif vc == 0 and vb == 1 and va == -1:
-                        val[a] = 0
-                        changed = True
-                else:  # join
-                    if va != -1 and vb != -1 and vc != -1:
-                        if vc != (va | vb):
-                            return False
-                    elif va == 0 and vb == 0:
-                        val[c] = 0
-                        changed = True
-                    elif va == 1 or vb == 1:
-                        if vc == 0:
-                            return False
-                        if vc == -1:
-                            val[c] = 1
-                            changed = True
-                    elif vc == 0:
-                        if va == -1:
-                            val[a] = 0
-                            changed = True
-                        if vb == -1:
-                            val[b] = 0
-                            changed = True
-                    elif vc == 1 and va == 0 and vb == -1:
-                        val[b] = 1
-                        changed = True
-                    elif vc == 1 and vb == 0 and va == -1:
-                        val[a] = 1
-                        changed = True
-        return True
-
-    def search() -> "bool | None":
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            return None
-        snapshot = val[:]
-        if not propagate():
-            val[:] = snapshot
-            return False
-        try:
-            pivot = val.index(-1)
-        except ValueError:
-            return True
-        for choice in (1, 0):
-            inner = val[:]
-            val[pivot] = choice
-            sub = search()
-            if sub:
-                return True
-            if sub is None:
-                return None
-            val[:] = inner
-        val[:] = snapshot
-        return False
-
-    return search()
-
-
 def extend_and_check(
     d: DeterminateSublattice,
     v: Subspace,
@@ -393,7 +288,7 @@ def extend_and_check(
     while True:
         grew = run.step()
         # the closure inserts the zero and full subspaces first, as elements 0 and 1
-        unsat = _relations_satisfiable(len(run), run.relations) is False
+        unsat = _two_valued(len(run), run.relations, first=1, node_cap=100000) is False
         if unsat or run.saturated or not grew:
             break
     return ExtensionReport(

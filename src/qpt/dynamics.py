@@ -110,14 +110,16 @@ class PossibilityTrajectory:
         )
 
     @cached_property
+    def _projected(self) -> np.ndarray:
+        """(steps + 1, k, dim) projected states x[t, i] = P_i psi_t."""
+        projs = [s.projector() for s in self.observable.eigenprojectors]
+        return np.stack([self.psis @ p.T for p in projs], axis=1)
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """(steps + 1, k) array of ||P_i psi_t||^2, aligned with labels."""
-        projs = [s.projector() for s in self.observable.eigenprojectors]
-        out = np.empty((self.psis.shape[0], len(projs)))
-        for i, p in enumerate(projs):
-            x = self.psis @ p.T
-            out[:, i] = np.einsum("td,td->t", x, x.conj()).real
-        return out
+        x = self._projected
+        return np.einsum("tid,tid->ti", x, x.conj()).real
 
 
 def evolve_possibility(
@@ -143,15 +145,9 @@ def evolve_possibility(
     return PossibilityTrajectory(spec, observable, times, psis, tol)
 
 
-def _projected(traj: PossibilityTrajectory) -> np.ndarray:
-    """(steps + 1, k, dim) projected states x[t, i] = P_i psi_t."""
-    projs = [s.projector() for s in traj.observable.eigenprojectors]
-    return np.stack([traj.psis @ p.T for p in projs], axis=1)
-
-
 def _currents(traj: PossibilityTrajectory, x: np.ndarray) -> np.ndarray:
     """(steps, k, k) antisymmetric currents J[t, i, j] at the left endpoint of
-    each step, from the projected states ``x`` of ``_projected``."""
+    each step, from the projected states ``x`` of ``traj._projected``."""
     x = x[: traj.spec.steps]
     hx = x @ traj.spec.hamiltonian.entries.T  # hx[t, j] = H @ x[t, j]
     inner = np.einsum("tid,tjd->tij", x.conj(), hx)
@@ -170,8 +166,7 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
     outflow; absent labels get frozen placeholder rows, which no walker can
     occupy.
     """
-    w = traj.weights
-    x = _projected(traj)
+    w, x = traj.weights, traj._projected
     j = _currents(traj, x)
     k = w.shape[1]
     present = w >= PRESENCE_CUTOFF

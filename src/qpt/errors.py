@@ -57,10 +57,6 @@ class BudgetExceeded(QptError):
         self.partial = partial
 
 
-class MalformedContext(QptError):
-    """A measurement context is not orthonormal within tolerance."""
-
-
 class TableShapeMismatch(QptError):
     """Correlation table shape does not match the settings/outcomes structure."""
 

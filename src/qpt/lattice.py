@@ -201,6 +201,78 @@ class SublatticeSet:
         return self.closed_under >= {"meet", "join", "complement"}
 
 
+def _gate_table(gate) -> list:
+    """Unit propagation for the relation c = gate(a, b): for each of the 27
+    partial states of (a, b, c), -1 meaning unknown, at index
+    9a + 3b + c + 13, the (slot, value) pairs that every completion
+    consistent with the state shares, or None when no completion exists."""
+    table = []
+    for state in itertools.product((-1, 0, 1), repeat=3):
+        fits = [abc for abc in itertools.product((0, 1), repeat=3)
+                if abc[2] == gate(abc[0], abc[1]) and all(s in (-1, v) for s, v in zip(state, abc))]
+        table.append(None if not fits else tuple(
+            (slot, fits[0][slot]) for slot in range(3)
+            if state[slot] == -1 and len({f[slot] for f in fits}) == 1))
+    return table
+
+
+_GATES = {"meet": _gate_table(lambda a, b: a & b),
+          "join": _gate_table(lambda a, b: a | b),
+          "complement": _gate_table(lambda a, b: 1 - a)}
+
+
+def _two_valued(n: int, relations, first: int, node_cap: "int | None") -> "list[int] | bool | None":
+    """A two-valued homomorphism on elements 0..n-1: a {0,1} value per
+    element, element 0 (the zero element) false and element 1 (the full
+    element) true, that keeps every (op, i, j, k) relation of ``relations``
+    as a logic gate (meet = and, join = or, complement = not i). Returns the
+    values, False when none exists, or None when the search would visit more
+    than ``node_cap`` nodes (no cap when None).
+
+    Depth-first: sweep the gates until none forces a value, then branch on
+    the lowest unvalued element, trying ``first`` before 1 - first, so the
+    first map found is the lexicographically first with that preference."""
+    val = [-1] * n
+    val[0], val[1] = 0, 1
+    nodes = 0
+
+    def propagate() -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for op, a, b, c in relations:
+                forced = _GATES[op][9 * val[a] + 3 * val[b] + val[c] + 13]
+                if forced:
+                    abc = (a, b, c)
+                    for slot, v in forced:
+                        val[abc[slot]] = v
+                    changed = True
+                elif forced is None:
+                    return False
+        return True
+
+    def search() -> "bool | None":
+        nonlocal nodes
+        nodes += 1
+        if node_cap is not None and nodes > node_cap:
+            return None
+        if not propagate():
+            return False
+        if -1 not in val:
+            return True
+        pivot, saved = val.index(-1), val[:]
+        for choice in (first, 1 - first):
+            val[pivot] = choice
+            found = search()
+            if found is not False:
+                return found
+            val[:] = saved
+        return False
+
+    found = search()
+    return val if found else found
+
+
 def _canonical_key(s: Subspace) -> tuple:
     p = np.round(s.projector(), 9) + 0.0  # normalize -0.0
     return (s.rank,) + tuple(float(x) for x in p.view(np.float64).ravel())

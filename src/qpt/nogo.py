@@ -9,29 +9,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    MalformedContext,
-    RayFileError,
-    TableShapeMismatch,
-    ZeroVector,
-)
+from .errors import DimMismatch, RayFileError, TableShapeMismatch, ZeroVector
+from .lattice import _two_valued
 from .linalg import DEFAULT_TOL, ComplexVector, Operator, Tolerance, canonical_phase
 
 
 @dataclass(frozen=True, eq=False)
 class RaySet:
     """Unit rays in a common dimension, with measurement contexts derived as
-    the maximal mutually-orthogonal subsets of size equal to the dimension."""
+    the maximal mutually-orthogonal subsets of size equal to the dimension.
+    Two rays are orthogonal at |<a, b>| <= tol.eps * dim and coincide at
+    |<a, b>| >= 1 - tol.eps * dim."""
 
     rays: tuple[ComplexVector, ...]
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         rays = list(self.rays)
         if not rays:
             raise ValueError("empty ray set")
         dim = rays[0].dim
-        tol = DEFAULT_TOL
+        tol = self.tol
         for k, r in enumerate(rays):
             if r.dim != dim:
                 raise DimMismatch(f"mixed dims {dim} vs {r.dim}")
@@ -65,7 +63,7 @@ class RaySet:
         for v in vectors:
             vec = v if isinstance(v, ComplexVector) else ComplexVector(np.asarray(v, complex))
             rays.append(ComplexVector(canonical_phase(vec.normalized(tol).amplitudes)))
-        return cls(tuple(rays))
+        return cls(tuple(rays), tol)
 
     @classmethod
     def from_file(cls, path, tol: Tolerance = DEFAULT_TOL) -> "RaySet":
@@ -137,107 +135,35 @@ class NoAssignment:
     witness: tuple[int, ...]
 
 
-def _solve_coloring(
-    m: int,
-    contexts: tuple[tuple[int, ...], ...],
-    orthogonal,
-) -> "tuple[int, ...] | None":
-    """Lexicographically first assignment (0 preferred) with exactly one ray
-    valued 1 per context and no two orthogonal rays both 1, or None."""
-    in_ctx = [[] for _ in range(m)]
-    for ci, ctx in enumerate(contexts):
-        for i in ctx:
-            in_ctx[i].append(ci)
-    ctx_size = [len(c) for c in contexts]
-    val = [-1] * m
-
-    ones = [0] * len(contexts)
-    unassigned = list(ctx_size)
-
-    def set_value(i: int, v: int, trail: list) -> bool:
-        """Assign with propagation; record changes on trail; False on conflict.
-
-        Counter updates for an accepted assignment are applied in full before
-        any conflict is reported, so ``undo`` is always an exact inverse."""
-        stack = [(i, v)]
-        while stack:
-            i, v = stack.pop()
-            if val[i] != -1:
-                if val[i] != v:
-                    return False
-                continue
-            val[i] = v
-            trail.append(i)
-            conflict = False
-            if v == 1:
-                for j in range(m):
-                    if orthogonal(i, j):
-                        if val[j] == 1:
-                            conflict = True
-                        elif val[j] == -1:
-                            stack.append((j, 0))
-            for ci in in_ctx[i]:
-                unassigned[ci] -= 1
-                ones[ci] += v
-                if ones[ci] > 1:
-                    conflict = True
-                elif ones[ci] == 0:
-                    if unassigned[ci] == 0:
-                        conflict = True
-                    elif unassigned[ci] == 1:
-                        last = next(j for j in contexts[ci] if val[j] == -1)
-                        stack.append((last, 1))
-                elif v == 1:
-                    for j in contexts[ci]:
-                        if val[j] == -1:
-                            stack.append((j, 0))
-            if conflict:
-                return False
-        return True
-
-    def undo(trail: list) -> None:
-        for i in reversed(trail):
-            v = val[i]
-            val[i] = -1
-            for ci in in_ctx[i]:
-                unassigned[ci] += 1
-                ones[ci] -= v
-
-    def search(start: int) -> bool:
-        i = start
-        while i < m and val[i] != -1:
-            i += 1
-        if i == m:
-            return True
-        for v in (0, 1):
-            trail: list = []
-            if set_value(i, v, trail) and search(i + 1):
-                return True
-            undo(trail)
-        return False
-
-    return tuple(val) if search(0) else None
-
-
-def _solve_contexts(rs: RaySet, chosen) -> "tuple[int, ...] | None":
-    """``_solve_coloring`` under the contexts ``chosen`` (indices into
-    ``rs.contexts``) and the orthogonality among their rays. Rays outside
-    those contexts carry no constraint and are reported 0."""
-    contexts = tuple(rs.contexts[ci] for ci in chosen)
-    live = {i for ctx in contexts for i in ctx}
-
-    def orthogonal(i: int, j: int) -> bool:
-        return i in live and j in live and rs.orthogonal(i, j)
-
-    sol = _solve_coloring(len(rs.rays), contexts, orthogonal)
-    if sol is None:
+def _assign(rs: RaySet, chosen) -> "tuple[int, ...] | None":
+    """The lexicographically first assignment (0 preferred) under the contexts
+    ``chosen`` (indices into ``rs.contexts``), or None: the first two-valued
+    homomorphism of relations over the rays of those contexts, elements 2, 3,
+    ... in ray order. Each orthogonal pair of them meets in element 0 (the
+    zero element), and each context's rays join to element 1 (the full
+    element) through a chain of partial-span elements, so a context holds
+    exactly one ray valued 1. Rays outside the contexts carry no constraint
+    and are reported 0."""
+    contexts = [rs.contexts[ci] for ci in chosen]
+    live = sorted({i for ctx in contexts for i in ctx})
+    elem = {ray: e for e, ray in enumerate(live, start=2)}
+    pairs = np.argwhere(np.triu(rs._orth[np.ix_(live, live)], 1)) + 2
+    rels = [("meet", i, j, 0) for i, j in pairs.tolist()]
+    n = 2 + len(live)
+    for ctx in contexts:
+        span = elem[ctx[0]]
+        for ray in ctx[1:-1]:
+            rels.append(("join", span, elem[ray], n))
+            span, n = n, n + 1
+        rels.append(("join", span, elem[ctx[-1]], 1))
+    vals = _two_valued(n, rels, first=0, node_cap=None)
+    if vals is False:
         return None
-    return tuple(v if i in live else 0 for i, v in enumerate(sol))
+    return tuple(vals[elem[i]] if i in elem else 0 for i in range(len(rs.rays)))
 
 
 def find_assignment(
     rs: RaySet,
-    tol: Tolerance = DEFAULT_TOL,
     restrict_to: "tuple[int, ...] | None" = None,
 ) -> "Assignment | NoAssignment":
     """Search for a noncontextual assignment. With ``restrict_to`` (context
@@ -245,12 +171,7 @@ def find_assignment(
     search; used to re-verify unsatisfiable cores."""
     if rs.dim < 2:
         raise ValueError("assignment search requires dim >= 2")
-    for ctx in rs.contexts:
-        g = np.array([[rs.rays[i].inner(rs.rays[j]) for j in ctx] for i in ctx])
-        if np.abs(g - np.eye(len(ctx))).max() > tol.eps * rs.dim:
-            raise MalformedContext(f"context {ctx} is not orthonormal within eps")
-
-    sol = _solve_contexts(rs, range(len(rs.contexts)) if restrict_to is None else restrict_to)
+    sol = _assign(rs, range(len(rs.contexts)) if restrict_to is None else restrict_to)
     if sol is not None:
         return Assignment(values=sol)
     if restrict_to is not None:
@@ -260,7 +181,7 @@ def find_assignment(
     core = list(range(len(rs.contexts)))
     for ci in list(core):
         trial = [c for c in core if c != ci]
-        if _solve_contexts(rs, trial) is None:
+        if _assign(rs, trial) is None:
             core = trial
     return NoAssignment(witness=tuple(core))
 
@@ -300,7 +221,6 @@ def local_map_search(
     rs_a: RaySet,
     rs_b: RaySet,
     table: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> "Satisfiable | Unsatisfiable":
     """Decide whether the correlation table (settings x settings x outcomes x
     outcomes) is a convex mixture of deterministic local assignment pairs.

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpt import cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -56,8 +62,8 @@ class TestExitCodes:
             ("teleport", "--samples", "0"),
             ("decohere", "--budget", "0"),
             ("decohere", "--budget", "1"),
-            # MalformedContext from the assignment search's Gram check on a
-            # well-formed file: the tolerance is at fault, not the file
+            # an --eps below the floor 1e-13 on a well-formed file: the
+            # tolerance is at fault, not the file
             ("ks", "--rays", "src/qpt/fixtures/ks18-d4.rays", "--eps", "1e-300"),
         ):
             out = run(*args)
@@ -73,18 +79,16 @@ class TestExitCodes:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
-    def test_context_not_orthonormal_at_eps_exits_two(self, tmp_path):
-        # contexts are found at the default eps; a tighter --eps fails the
-        # assignment search's Gram check (MalformedContext), a usage error.
-        # This pins the current behaviour, a context built at one tolerance
-        # and rejected at another (the FOUND on RaySet in CHANGES.md,
-        # ROADMAP item 3); passing --eps through to RaySet changes it.
+    def test_eps_governs_ray_contexts(self, tmp_path):
+        # |<r0, r1>| = 1e-11: orthogonal within the default eps * dim (3e-9),
+        # not within 1e-13 * dim, where the three rays form no context
         rays = tmp_path / "near.rays"
         rays.write_text("1,0,0\n1e-11,1,0\n0,0,1\n")
-        out = run("ks", "--rays", str(rays), "--eps", "1e-13")
-        assert out.returncode == 2, out.stderr
-        lines = out.stderr.splitlines()
-        assert len(lines) == 1 and "not orthonormal within eps" in lines[0], out.stderr
+        for eps, n_contexts in ((["--eps", "1e-13"], 0), ([], 1)):
+            out = run("ks", "--rays", str(rays), *eps, "--format", "json")
+            assert out.returncode == 0, out.stderr
+            doc = json.loads(out.stdout)
+            assert {q["name"]: q["value"] for q in doc["quantities"]}["n_contexts"] == n_contexts
 
     def test_eps_at_the_floor_still_decides_the_extension(self):
         out = run("decohere", "--eps", "1e-13")
@@ -119,6 +123,73 @@ class TestExitCodes:
 
     def test_unknown_subcommand_exits_two(self):
         assert run("frobnicate").returncode == 2
+
+
+def _flag(name: str, values) -> st.SearchStrategy:
+    """[] or [name, value] for one optional flag."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+SMALL_FLOATS = st.sampled_from([0.0, 0.5, -1.0, 1e-11, 3.0, float("nan"), float("inf")])
+SMALL_COMPLEX = st.sampled_from(["0.6", "0.8j", "1", "0", "5+0j", "0.6-0.8j", "nan"])
+
+#: each subcommand's own arguments, at sizes that keep one call under ~0.1 s
+SUBCOMMAND_ARGS = {
+    "epr": st.just([]),
+    "teleport": st.tuples(_flag("--c-plus", SMALL_COMPLEX), _flag("--c-minus", SMALL_COMPLEX),
+                          _flag("--seed", st.integers(-1, 99)),
+                          _flag("--samples", st.integers(-1, 300))),
+    "decohere": st.tuples(_flag("--n-env", st.integers(-1, 4)), _flag("--angle", SMALL_FLOATS),
+                          _flag("--budget", st.integers(-1, 40))),
+    "correspond": st.tuples(_flag("--n-max", st.integers(-2, 60))),
+    "chsh": st.tuples(_flag("--angles", st.lists(SMALL_FLOATS, min_size=3, max_size=5).map(
+        lambda a: ",".join(map(str, a))))),
+    "dynamics": st.tuples(_flag("--steps", st.integers(0, 60)),
+                          _flag("--trajectories", st.integers(0, 200)),
+                          _flag("--seed", st.integers(0, 99))),
+    "determinate": st.tuples(_flag("--dim", st.integers(-1, 5)), _flag("--seed", st.integers(0, 99)),
+                             _flag("--observable", st.sampled_from(["maximal", "identity"]))),
+}
+
+#: ray-file components: unit, zero, complex and tiny entries
+RAY_COMPONENTS = st.sampled_from(["0", "1", "-1", "0.5", "1j", "1-2j", "1e-11"])
+
+
+@st.composite
+def ray_file(draw) -> str:
+    """A small ray file: up to six rays of one dimension 1-4, where one file
+    in four has a line with an extra component, zero or unparsable."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(RAY_COMPONENTS, min_size=dim, max_size=dim), max_size=6))
+    if rows and draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(st.sampled_from(["0", "wat"])))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_every_input_keeps_the_exit_code_contract(self, data, tmp_path_factory):
+        command = data.draw(st.sampled_from(sorted(SUBCOMMAND_ARGS) + ["ks"]))
+        if command == "ks":
+            rays = tmp_path_factory.getbasetemp() / "fuzz.rays"
+            rays.write_text(data.draw(ray_file()))
+            argv = ["ks", "--rays", str(rays)]
+        else:
+            argv = [command, *[a for flag in data.draw(SUBCOMMAND_ARGS[command]) for a in flag]]
+        argv += data.draw(_flag("--eps", st.sampled_from([1e-300, 1e-13, 1e-9, 1e-3, 0.5, -1e-9])))
+        out, err = io.StringIO(), io.StringIO()
+        parsed = True
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejecting an argument prints its usage
+                code, parsed = exc.code, False
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert (code == 1) == ("[FAIL]" in out.getvalue()), (argv, out.getvalue())
+        if parsed and code in (2, 3):
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
 
 
 class TestDeterminism:

@@ -281,3 +281,9 @@ class TestBenchmarkScript:
         assert out.returncode == 0, out.stderr
         assert "closure rounds, (4, 1) extension probe, budget 512" in out.stdout
         assert "public meet/join, 200 random pairs per dim" in out.stdout
+
+    def test_bench_nogo_runs(self):
+        out = run_script("benchmarks/bench_nogo.py", "--repeat", "1")
+        assert out.returncode == 0, out.stderr
+        assert "find_assignment, bundled fixtures" in out.stdout
+        assert "two-valued search, last relation table of the (4, 1) extension probe" in out.stdout

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from qpt import (
     meet,
     orthocomplement,
 )
-from qpt.lattice import _angles, _canonical_key, _ClosureRun
+from qpt.lattice import _angles, _canonical_key, _ClosureRun, _two_valued
 from qpt.linalg import orthonormalize
 from conftest import random_subspace, random_unitary, random_vector
 
@@ -394,3 +396,45 @@ class TestDedup:
                 hi = mid
         assert cell(hi) - cell(lo) in (-1, 1)
         assert len(closure([ray(lo), ray(hi)]).elements) == 4
+
+
+GATES = {"meet": lambda a, b: a & b, "join": lambda a, b: a | b, "complement": lambda a, b: 1 - a}
+
+
+@st.composite
+def relation_tables(draw):
+    """(n, relations) over at most 8 elements in the SublatticeSet format,
+    operands drawn freely, so they repeat (meet(i, i) = k, k = i, ...)."""
+    n = draw(st.integers(2, 8))
+    elem = st.integers(0, n - 1)
+    rels = draw(st.lists(st.tuples(st.sampled_from(sorted(GATES)), elem, elem, elem), max_size=12))
+    return n, [(op, i, i if op == "complement" else j, k) for op, i, j, k in rels]
+
+
+class TestTwoValuedSearch:
+    """The homomorphism search behind the extension check and the ray-set
+    assignment search, against brute force over all {0,1} maps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(relation_tables())
+    def test_against_brute_force(self, table):
+        n, rels = table
+        # every map with element 0 false and element 1 true that keeps the relations,
+        # in lexicographic order
+        maps = [v for bits in itertools.product((0, 1), repeat=n - 2) for v in [[0, 1, *bits]]
+                if all(v[k] == GATES[op](v[i], v[j]) for op, i, j, k in rels)]
+        for first in (0, 1):
+            found = _two_valued(n, rels, first=first, node_cap=None)
+            capped = _two_valued(n, rels, first=first, node_cap=1)
+            if not maps:
+                assert found is False and capped in (False, None)
+                continue
+            # a returned map keeps every relation: it is the first one listed,
+            # or the last when 1 is tried first
+            assert found == maps[-first]
+            if len(maps) > 1:
+                # propagation never values an element two maps disagree on, so
+                # the search must branch, and its second node is over the cap
+                assert capped is None
+            else:
+                assert capped in (None, maps[0])
