@@ -95,7 +95,6 @@ class PossibilityTrajectory:
     observable: ObservableSpec
     times: np.ndarray
     psis: np.ndarray  # (steps + 1, dim) complex
-    tol: Tolerance = DEFAULT_TOL  # for building the sublattices
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -103,9 +102,10 @@ class PossibilityTrajectory:
 
     @cached_property
     def sublattices(self) -> tuple[DeterminateSublattice, ...]:
-        """``D(psis[t], observable)`` for every snapshot, built on first use."""
+        """``D(psis[t], observable)`` for every snapshot, built on first use
+        at the evolution's tolerance ``spec.tol``."""
         return tuple(
-            build_determinate(ComplexVector(psi), self.observable, tol=self.tol)
+            build_determinate(ComplexVector(psi), self.observable, tol=self.spec.tol)
             for psi in self.psis
         )
 
@@ -126,8 +126,6 @@ def evolve_possibility(
     psi0: ComplexVector,
     observable: ObservableSpec,
     spec: EvolutionSpec,
-    *,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> PossibilityTrajectory:
     dim = observable.eigenprojectors[0].ambient_dim
     if psi0.dim != dim or spec.hamiltonian.entries.shape[0] != dim:
@@ -142,7 +140,7 @@ def evolve_possibility(
         nxt = u @ psis[t]
         psis[t + 1] = nxt / np.linalg.norm(nxt)
     times = spec.dt * np.arange(spec.steps + 1)
-    return PossibilityTrajectory(spec, observable, times, psis, tol)
+    return PossibilityTrajectory(spec, observable, times, psis)
 
 
 def _currents(traj: PossibilityTrajectory, x: np.ndarray) -> np.ndarray:

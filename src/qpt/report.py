@@ -18,6 +18,7 @@ __all__ = [
     "Quantity",
     "ScenarioReport",
     "close_check",
+    "exact_check",
     "format_complex",
 ]
 
@@ -128,6 +129,11 @@ def close_check(
         tolerance=tolerance,
         note=note,
     )
+
+
+def exact_check(name: str, expected: Any, actual: Any, note: str = "") -> Check:
+    """Convenience actual == expected check, at tolerance 0."""
+    return Check(name, bool(actual == expected), expected, actual, 0.0, note)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,14 @@ from .determinate import (
     extend_and_check,
     property_states,
 )
-from .errors import NotNormalized
+from .dynamics import (
+    EvolutionSpec,
+    evolve_possibility,
+    jump_process,
+    sample_marginals,
+    trajectory_rows,
+)
+from .errors import NotNormalized, RayFileError
 from .lattice import Subspace
 from .linalg import (
     DEFAULT_TOL,
@@ -26,15 +33,34 @@ from .linalg import (
     Tolerance,
     basis_vector,
     embed,
+    random_state,
     reduced_state,
     tensor,
 )
-from .report import Check, Quantity, ScenarioReport, close_check, format_complex
+from .nogo import (
+    ChshSetting,
+    NoAssignment,
+    RaySet,
+    Satisfiable,
+    Unsatisfiable,
+    chsh_lhv_bound,
+    chsh_value,
+    correlation_table,
+    find_assignment,
+    local_map_search,
+    setting_ray_sets,
+    singlet,
+)
+from .report import Check, Quantity, ScenarioReport, close_check, exact_check, format_complex
 
 __all__ = [
+    "chsh_scenario",
     "correspondence_scenario",
     "decoherence_scenario",
+    "determinate_scenario",
+    "dynamics_scenario",
     "epr_scenario",
+    "ks_scenario",
     "teleportation_scenario",
 ]
 
@@ -88,10 +114,10 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     layout = RegisterLayout((("spin1", 2), ("spin2", 2), ("pos1", 3), ("pos2", 3)))
     sym = ["-", "0", "+"]
     r0 = basis_vector(3, 1)  # center position
-    singlet = tensor(ComplexVector(_UP), ComplexVector(_DOWN)).add(
+    pair = tensor(ComplexVector(_UP), ComplexVector(_DOWN)).add(
         tensor(ComplexVector(_DOWN), ComplexVector(_UP)).scaled(-1)
     ).scaled(1 / np.sqrt(2))
-    psi0 = tensor(singlet, r0, r0)
+    psi0 = tensor(pair, r0, r0)
 
     # spin1-controlled shift of pos1: up moves +1 (to "+"), down moves -1
     u_local = np.kron(np.outer(_UP, _UP.conj()), _cyclic_shift(3, +1)) + np.kron(
@@ -122,25 +148,13 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
 
     states_after = property_states(d_after)
     weights_after = sorted(round(s.probability, 12) for s in states_after)
-    born = born_check(d_after, v_up2)
+    born = born_check(d_after, v_up2, tol)
 
     checks = (
-        Check(
-            "rays_before",
-            passed=len(d_before.projected_rays) == 1,
-            expected=1,
-            actual=len(d_before.projected_rays),
-            tolerance=0.0,
-            note="initial state occupies a single position pair",
-        ),
-        Check(
-            "rays_after",
-            passed=len(d_after.projected_rays) == 2,
-            expected=2,
-            actual=len(d_after.projected_rays),
-            tolerance=0.0,
-            note="premeasurement splits the state over two pointer readings",
-        ),
+        exact_check("rays_before", 1, len(d_before.projected_rays),
+                    note="initial state occupies a single position pair"),
+        exact_check("rays_after", 2, len(d_after.projected_rays),
+                    note="premeasurement splits the state over two pointer readings"),
         close_check(
             "weights_after_half",
             expected=0.0,
@@ -148,22 +162,10 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
             tolerance=1e-12,
             note="largest deviation of a branch weight from 1/2",
         ),
-        Check(
-            "side2_zspin_member_before",
-            passed=member_before is False,
-            expected=False,
-            actual=member_before,
-            tolerance=0.0,
-            note="z-spin of side 2 not determinate before premeasurement",
-        ),
-        Check(
-            "side2_zspin_member_after",
-            passed=member_after is True,
-            expected=True,
-            actual=member_after,
-            tolerance=0.0,
-            note="z-spin of side 2 determinate after premeasurement on side 1",
-        ),
+        exact_check("side2_zspin_member_before", False, member_before,
+                    note="z-spin of side 2 not determinate before premeasurement"),
+        exact_check("side2_zspin_member_after", True, member_after,
+                    note="z-spin of side 2 determinate after premeasurement on side 1"),
         close_check(
             "no_signalling_rho_side2",
             expected=0.0,
@@ -329,13 +331,7 @@ def teleportation_scenario(
             tolerance=tol.eps * layout.dim,
             note="four Bell branches reassemble the pre-measurement state",
         ),
-        Check(
-            "four_property_states",
-            passed=len(states) == 4,
-            expected=4,
-            actual=len(states),
-            tolerance=0.0,
-        ),
+        exact_check("four_property_states", 4, len(states)),
         close_check(
             "outcome_probabilities_quarter",
             expected=0.25,
@@ -490,14 +486,8 @@ def decoherence_scenario(
         )
         verdict = extend_and_check(d_eff, branch_ray, budget=extension_budget, tol=tol)
         checks.append(
-            Check(
-                "pointer_branch_not_addable",
-                passed=verdict.is_contradiction,
-                expected="contradiction",
-                actual=verdict.verdict,
-                tolerance=0.0,
-                note="adding the branch ray forces an uncolorable ray set",
-            )
+            exact_check("pointer_branch_not_addable", "contradiction", verdict.verdict,
+                        note="adding the branch ray forces an uncolorable ray set")
         )
         quantities.append(Quantity("extension_elements", verdict.n_elements))
         quantities.append(Quantity("extension_rounds", verdict.closure_depth))
@@ -539,14 +529,8 @@ def correspondence_scenario(n_max: int) -> ScenarioReport:
 
     anchor = _ratio(2, 1)
     checks = [
-        Check(
-            "small_n_gross_disagreement",
-            passed=anchor == 3.0,
-            expected=3.0,
-            actual=anchor,
-            tolerance=0.0,
-            note="lowest transition runs at triple the orbital frequency",
-        ),
+        exact_check("small_n_gross_disagreement", 3.0, anchor,
+                    note="lowest transition runs at triple the orbital frequency"),
         close_check(
             "defect_closed_form",
             expected=0.0,
@@ -605,3 +589,281 @@ def correspondence_scenario(n_max: int) -> ScenarioReport:
         ),
     )
     return ScenarioReport("correspond", {"n_max": n_max}, quantities, tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# Kochen-Specker assignment search on a ray-set file
+# ---------------------------------------------------------------------------
+
+
+def ks_scenario(path, *, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
+    """Search the ray set in ``path`` for a noncontextual {0,1} assignment.
+    Reports the assignment with its two defining properties re-verified, or
+    a deletion-minimal witness core that is searched again on its own.
+    """
+    try:
+        rs = RaySet.from_file(path, tol)
+    except ValueError as exc:  # content-level defect (e.g. coincident rays)
+        raise RayFileError(str(exc)) from exc
+    result = find_assignment(rs)
+    quantities = [
+        Quantity("n_rays", len(rs.rays)),
+        Quantity("n_contexts", len(rs.contexts)),
+        Quantity("dim", rs.dim),
+        Quantity("result", type(result).__name__),
+    ]
+    if isinstance(result, NoAssignment):
+        reverify = find_assignment(rs, restrict_to=result.witness)
+        quantities.append(
+            Quantity(
+                "witness_contexts",
+                [list(rs.contexts[ci]) for ci in result.witness],
+                note="ray indices per context; deletion-minimal unsatisfiable core",
+            )
+        )
+        checks = (
+            exact_check("exhaustive_search_complete", "NoAssignment", type(result).__name__,
+                        note="backtracking with propagation explored the full space"),
+            exact_check("witness_core_unsatisfiable", "NoAssignment", type(reverify).__name__,
+                        note="the witness contexts alone already admit no assignment"),
+        )
+    else:
+        per_context_ok = all(
+            sum(result.values[i] for i in ctx) == 1 for ctx in rs.contexts
+        )
+        no_orth_pair = all(
+            not (result.values[i] and result.values[j] and rs.orthogonal(i, j))
+            for i in range(len(rs.rays))
+            for j in range(i + 1, len(rs.rays))
+        )
+        quantities.append(Quantity("assignment", list(result.values)))
+        checks = (
+            exact_check("one_per_context", True, per_context_ok,
+                        note="every complete context contains exactly one ray valued 1"),
+            exact_check("orthogonal_exclusivity", True, no_orth_pair,
+                        note="no two orthogonal rays both valued 1"),
+        )
+    return ScenarioReport("ks", {"rays": str(path)}, tuple(quantities), checks)
+
+
+# ---------------------------------------------------------------------------
+# CHSH
+# ---------------------------------------------------------------------------
+
+
+def chsh_scenario(angles: "tuple[float, float, float, float] | None" = None) -> ScenarioReport:
+    """CHSH value of the singlet at ``angles`` (a1, a2, b1, b2; the maximizing
+    setting when None) by two routes, against the brute-force classical bound,
+    the 2*sqrt(2) ceiling and the local-model linear program.
+    """
+    setting = (
+        ChshSetting((angles[0], angles[1]), (angles[2], angles[3]))
+        if angles is not None
+        else ChshSetting.optimal()
+    )
+    state = singlet()
+    value = chsh_value(state, setting)
+    bound = chsh_lhv_bound()
+    a1, a2 = setting.alice_angles
+    b1, b2 = setting.bob_angles
+    closed_form = abs(
+        -np.cos(a1 - b1) - np.cos(a1 - b2) - np.cos(a2 - b1) + np.cos(a2 - b2)
+    )
+    ceiling = 2.0 * np.sqrt(2.0)
+
+    rs_a, rs_b = setting_ray_sets(setting)
+    table = correlation_table(state, setting)
+    lp = local_map_search(rs_a, rs_b, table)
+
+    if value > bound + 1e-9:
+        lp_ok = isinstance(lp, Unsatisfiable) and lp.residual > 1e-9
+        lp_note = "value above the classical bound: no local model may exist"
+        lp_expected = "Unsatisfiable"
+    elif value < bound - 1e-9:
+        lp_ok = isinstance(lp, Satisfiable)
+        lp_note = "value below the classical bound: a local model must exist"
+        lp_expected = "Satisfiable"
+    else:
+        lp_ok = True
+        lp_note = "value at the classical boundary: either outcome is consistent"
+        lp_expected = type(lp).__name__
+
+    checks = (
+        exact_check("classical_bound_exact", 2.0, bound,
+                    note="brute force over the 16 deterministic strategies"),
+        close_check(
+            "dual_route_value",
+            expected=closed_form,
+            actual=value,
+            tolerance=1e-12,
+            note="state-vector route against the closed-form correlators",
+        ),
+        Check(
+            "quantum_ceiling",
+            passed=bool(value <= ceiling + 1e-9),
+            expected=f"<= {ceiling:.12g}",
+            actual=value,
+            tolerance=1e-9,
+            note="no setting exceeds 2*sqrt(2) on the singlet",
+        ),
+        Check(
+            "local_model_consistency",
+            passed=bool(lp_ok),
+            expected=lp_expected,
+            actual=type(lp).__name__,
+            tolerance=0.0,
+            note=lp_note,
+        ),
+    )
+    quantities = [
+        Quantity("alice_angles", list(setting.alice_angles)),
+        Quantity("bob_angles", list(setting.bob_angles)),
+        Quantity("chsh_value", value, tolerance=1e-12),
+        Quantity("classical_bound", bound),
+        Quantity("quantum_ceiling", ceiling),
+    ]
+    if isinstance(lp, Unsatisfiable):
+        quantities.append(
+            Quantity("l1_residual", lp.residual, note="distance to the local polytope")
+        )
+    params = {"angles": [a1, a2, b1, b2]}
+    return ScenarioReport("chsh", params, tuple(quantities), checks)
+
+
+# ---------------------------------------------------------------------------
+# Two-level jump dynamics
+# ---------------------------------------------------------------------------
+
+
+def dynamics_scenario(
+    steps: int,
+    trajectories: int,
+    seed: int,
+    *,
+    trajectory_out=None,
+    tol: Tolerance = DEFAULT_TOL,
+) -> ScenarioReport:
+    """Evolve spin-up under H = sigma_x / 2 over one period in ``steps``
+    steps, check the z weights against cos^2/sin^2 of half the elapsed angle,
+    and sample ``trajectories`` jump paths against them at ten times.  With
+    ``trajectory_out``, one further sampled path (seed + 1) is written there
+    as TSV rows.
+    """
+    h = Operator(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128))
+    observable = ObservableSpec.from_eigenbasis(
+        [basis_vector(2, 0), basis_vector(2, 1)], labels=("up", "down"), tol=tol
+    )
+    if steps < 10:
+        raise ValueError("dynamics demo needs at least 10 steps")
+    spec = EvolutionSpec(h, dt=2.0 * np.pi / steps, steps=steps, tol=tol)
+    traj = evolve_possibility(basis_vector(2, 0), observable, spec)
+
+    grid = traj.times
+    closed_up = np.cos(grid / 2.0) ** 2
+    weight_err = float(np.abs(traj.weights[:, 0] - closed_up).max())
+
+    stride = steps // 10
+    idx = np.arange(1, 11) * stride
+    marg = sample_marginals(traj, seed, trajectories, idx)
+    tv = marg.total_variation()
+
+    if trajectory_out is not None:
+        path_rows = trajectory_rows(jump_process(traj, seed + 1), traj)
+        trajectory_out.write_text("\n".join(path_rows) + "\n")
+
+    sigma = 0.5 / np.sqrt(trajectories)
+    tv_tol = max(0.02, 4.0 * sigma + 0.01)
+    checks = (
+        close_check(
+            "weights_match_closed_form",
+            expected=0.0,
+            actual=weight_err,
+            tolerance=1e-9,
+            note="evolved weights against cos^2/sin^2 of half the elapsed angle",
+        ),
+        Check(
+            "marginals_mesh",
+            passed=bool(tv.max() <= tv_tol),
+            expected=f"<= {tv_tol:.4g}",
+            actual=float(tv.max()),
+            tolerance=tv_tol,
+            note="worst total-variation distance, empirical vs evolved weights",
+        ),
+    )
+    quantities = (
+        Quantity("dt", spec.dt),
+        Quantity("sampled_times", [float(t) for t in marg.times]),
+        Quantity(
+            "total_variation",
+            [float(x) for x in tv],
+            tolerance=tv_tol,
+            note="one entry per sampled time",
+        ),
+    )
+    params = {"steps": steps, "trajectories": trajectories, "seed": seed}
+    return ScenarioReport("dynamics", params, quantities, checks)
+
+
+# ---------------------------------------------------------------------------
+# Determinate sublattice of a random state
+# ---------------------------------------------------------------------------
+
+
+def determinate_scenario(
+    dim: int,
+    seed: int,
+    observable: str = "maximal",
+    *,
+    tol: Tolerance = DEFAULT_TOL,
+) -> ScenarioReport:
+    """Build the determinate sublattice of a seeded Haar-random state in
+    ``dim`` dimensions, for a random nondegenerate observable ("maximal") or
+    the single-eigenspace one ("identity"), and re-verify its weights,
+    membership, Born measure and complement.
+    """
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    rng = np.random.default_rng(seed)
+    psi = random_state(dim, rng)
+    if observable == "identity":
+        spec = ObservableSpec.identity(dim)
+    else:
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, _ = np.linalg.qr(m)
+        spec = ObservableSpec.from_eigenbasis(
+            [ComplexVector(q[:, i]) for i in range(dim)],
+            labels=tuple(f"e{i}" for i in range(dim)),
+            tol=tol,
+        )
+    d = build_determinate(psi, spec, tol=tol)
+    states = property_states(d)
+    total = float(sum(s.probability for s in states))
+
+    member_ok = all(contains(d, Subspace.ray(r.vector), tol) for r in d.projected_rays)
+    born_err = 0.0
+    for r in d.projected_rays:
+        bp = born_check(d, Subspace.ray(r.vector), tol)
+        born_err = max(born_err, abs(bp.measure_prob - bp.born_prob))
+    leak = float(np.linalg.norm(d.complement.projector() @ d.psi.amplitudes))
+
+    checks = (
+        close_check("probabilities_sum_to_one", expected=1.0, actual=total, tolerance=1e-10),
+        exact_check("projected_rays_are_members", True, member_ok),
+        close_check(
+            "born_measure_per_ray",
+            expected=0.0,
+            actual=born_err,
+            tolerance=1e-10,
+            note="measure over property states vs state-vector probability",
+        ),
+        close_check(
+            "state_outside_complement",
+            expected=0.0,
+            actual=leak,
+            tolerance=1e-9,
+            note="the state has no component in the complement block",
+        ),
+    )
+    quantities = tuple(Quantity(k, v) for k, v in sorted(d.to_report().items()))
+    params = {"dim": dim, "seed": seed, "observable": observable}
+    return ScenarioReport("determinate", params, quantities, checks)

@@ -121,6 +121,20 @@ class TestExitCodes:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["teleport", "--samples", str(10**15)],
+        ["decohere", "--n-env", str(10**15)],
+    ])
+    def test_unallocatable_size_exits_two(self, argv):
+        # 8 PB is beyond the address space, so numpy fails at once whatever
+        # the overcommit mode; the size is bad input, not a crash
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
     def test_unknown_subcommand_exits_two(self):
         assert run("frobnicate").returncode == 2
 

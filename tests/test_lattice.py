@@ -22,7 +22,7 @@ from qpt import (
     meet,
     orthocomplement,
 )
-from qpt.lattice import _angles, _canonical_key, _ClosureRun, _two_valued
+from qpt.lattice import _GATES, _angles, _canonical_key, _ClosureRun, _two_valued
 from qpt.linalg import orthonormalize
 from conftest import random_subspace, random_unitary, random_vector
 
@@ -438,3 +438,35 @@ class TestTwoValuedSearch:
                 assert capped is None
             else:
                 assert capped in (None, maps[0])
+
+    #: c for each (a, b), written out row by row rather than from a formula;
+    #: a complement relation (complement, i, i, k) has a == b, and c = not a
+    TRUTH = {
+        "meet": {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
+        "join": {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
+        "complement": {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0},
+    }
+
+    @pytest.mark.parametrize("op", sorted(TRUTH))
+    def test_gate_tables_force_what_every_completion_shares(self, op):
+        # a table that forces less only makes the search branch more, which the
+        # brute-force test above cannot see; the node cap can
+        for state in itertools.product((-1, 0, 1), repeat=3):
+            fits = [(a, b, c) for (a, b), c in self.TRUTH[op].items()
+                    if all(s in (-1, v) for s, v in zip(state, (a, b, c)))]
+            entry = _GATES[op][9 * state[0] + 3 * state[1] + state[2] + 13]
+            if not fits:
+                assert entry is None, (op, state)
+                continue
+            shared = {slot: fits[0][slot] for slot in range(3)
+                      if state[slot] == -1 and all(f[slot] == fits[0][slot] for f in fits)}
+            assert entry is not None and dict(entry) == shared, (op, state, entry)
+
+    @pytest.mark.parametrize("relation, values", [
+        (("meet", 1, 1, 2), [0, 1, 1]),
+        (("join", 0, 0, 2), [0, 1, 0]),
+        (("complement", 1, 1, 2), [0, 1, 0]),
+    ])
+    def test_propagation_decides_without_branching(self, relation, values):
+        for first in (0, 1):
+            assert _two_valued(3, [relation], first=first, node_cap=1) == values

@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from qpt import Check, Quantity, SCHEMA_VERSION, ScenarioReport
-from qpt.report import close_check, format_complex
+from qpt.report import close_check, exact_check, format_complex
 
 
 class TestQuantity:
@@ -40,6 +41,21 @@ class TestCheck:
         bad = close_check("bad", 1.0, 2.0, 1e-12).render()
         assert good.startswith("[PASS] good:")
         assert bad.startswith("[FAIL] bad:")
+
+    @pytest.mark.parametrize(
+        "expected, same, other",
+        [(4, 4, 3), (True, True, False), (False, False, True),
+         ("NoAssignment", "NoAssignment", "Assignment")],
+    )
+    def test_exact_check_passes_only_on_equality(self, expected, same, other):
+        good = exact_check("n", expected=expected, actual=same, note="why")
+        bad = exact_check("n", expected=expected, actual=other)
+        assert good.passed is True and bad.passed is False
+        assert good.tolerance == bad.tolerance == 0.0
+        assert good.render() == f"[PASS] n: actual={same} expected={expected} tol=0  (why)"
+        assert bad.render() == f"[FAIL] n: actual={other} expected={expected} tol=0"
+        assert good.to_dict() == {"name": "n", "passed": True, "expected": expected,
+                                  "actual": same, "tolerance": 0.0, "note": "why"}
 
     def test_dict_schema(self):
         d = Check("n", True, 1, 1, tolerance=0.0, note="k").to_dict()

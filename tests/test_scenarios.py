@@ -4,17 +4,22 @@ reports must be deterministic for fixed parameters."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpt import (
     NotNormalized,
+    RayFileError,
     correspondence_scenario,
     decoherence_scenario,
     epr_scenario,
     teleportation_scenario,
 )
+from qpt.scenarios import chsh_scenario, determinate_scenario, dynamics_scenario, ks_scenario
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qpt" / "fixtures"
 
 
 def check_names(rep) -> list[str]:
@@ -138,6 +143,39 @@ class TestCorrespondence:
             correspondence_scenario(n_max=2)
 
 
+class TestKs:
+    def test_uncolorable_fixture_reports_its_core(self):
+        rep = ks_scenario(FIXTURES / "ks18-d4.rays")
+        assert rep.all_passed, rep.render_text()
+        assert check_names(rep) == ["exhaustive_search_complete", "witness_core_unsatisfiable"]
+        assert {q.name: q.value for q in rep.quantities}["result"] == "NoAssignment"
+
+    def test_colorable_set_reports_a_verified_assignment(self, tmp_path):
+        rays = tmp_path / "triad.rays"
+        rays.write_text("1,0,0\n0,1,0\n0,0,1\n1,1,0\n1,-1,0\n")
+        rep = ks_scenario(rays)
+        assert rep.all_passed, rep.render_text()
+        assert check_names(rep) == ["one_per_context", "orthogonal_exclusivity"]
+
+    def test_coincident_rays_are_a_file_error(self, tmp_path):
+        rays = tmp_path / "dup.rays"
+        rays.write_text("1,0\n1,0\n")
+        with pytest.raises(RayFileError):
+            ks_scenario(rays)
+
+
+class TestDynamicsScenario:
+    def test_trajectory_rows_written_on_request(self, tmp_path):
+        out = tmp_path / "paths.tsv"
+        rep = dynamics_scenario(40, 400, 0, trajectory_out=out)
+        assert rep.all_passed, rep.render_text()
+        assert len(out.read_text().splitlines()) == 41  # one row per time
+
+    def test_too_few_steps_rejected(self):
+        with pytest.raises(ValueError):
+            dynamics_scenario(4, 100, 0)
+
+
 class TestReportShape:
     @pytest.mark.parametrize(
         "rep_fn",
@@ -146,6 +184,10 @@ class TestReportShape:
             lambda: teleportation_scenario(0.6, 0.8, seed=0, samples=100),
             lambda: decoherence_scenario(4, 1.0, run_extension=False),
             lambda: correspondence_scenario(n_max=20),
+            lambda: ks_scenario(FIXTURES / "ks33-d3.rays"),
+            lambda: chsh_scenario((0.0, 0.3, 0.1, 0.2)),
+            lambda: dynamics_scenario(20, 200, 1),
+            lambda: determinate_scenario(3, 1, "identity"),
         ],
     )
     def test_reports_parse_as_json_with_schema(self, rep_fn):
