@@ -6,6 +6,9 @@ Times, best of ``--repeat``:
   ``extend_and_check`` runs: a random dim-4 state under the identity
   observable, its sublattice generators and complement probe rays, plus a
   random ray outside the sublattice, all drawn from seed ``SEED``, budget 512;
+  with the results the round emitted and the time spent in ``_emit`` (the
+  dedup lookup and bookkeeping) and in ``_angles`` (the batched SVDs), timed
+  by wrapping both functions, since cProfile misattributes time here;
 - the public ``meet`` and ``join`` on ``PAIRS`` random pairs of subspaces of
   random rank in each of dims 3-6, as calls per second.
 
@@ -17,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
-from qpt import ObservableSpec, Subspace, build_determinate, contains, join, meet
+from qpt import ObservableSpec, Subspace, build_determinate, contains, join, lattice, meet
 from qpt.determinate import complement_probe_rays
 from qpt.lattice import _ClosureRun
 from qpt.linalg import DEFAULT_TOL, ComplexVector
@@ -45,20 +49,50 @@ def probe_generators(seed: int) -> list[Subspace]:
     return d.generators() + complement_probe_rays(d) + [ray]
 
 
+@contextmanager
+def timed_layers(spent: dict):
+    """Add the results ``_emit`` records and the seconds spent in ``_emit``
+    and ``_angles`` to ``spent`` while the block runs."""
+    emit, angles = _ClosureRun._emit, lattice._angles
+
+    def timed_emit(run, ops, *args):
+        t0 = time.perf_counter()
+        emit(run, ops, *args)
+        spent["results"] += len(ops)
+        spent["emit"] += time.perf_counter() - t0
+
+    def timed_angles(*args):
+        t0 = time.perf_counter()
+        out = angles(*args)
+        spent["angles"] += time.perf_counter() - t0
+        return out
+
+    _ClosureRun._emit, lattice._angles = timed_emit, timed_angles
+    try:
+        yield
+    finally:
+        _ClosureRun._emit, lattice._angles = emit, angles
+
+
 def time_rounds(gens: list[Subspace], repeat: int) -> list[list]:
-    """[elements before, pairs, elements after, best seconds] per round, run
-    until a fixpoint or the budget refuses an element."""
+    """[elements before, pairs, elements after, results, best seconds in the
+    round, in ``_emit``, in ``_angles``] per round, run until a fixpoint or
+    the budget refuses an element."""
     best: list[list] = []
     for _ in range(repeat):
         run = _ClosureRun(gens, 512, DEFAULT_TOL)
         rows, grew = [], True
         while grew and not run.saturated:
             before, fresh = len(run), len(run) - run._processed
-            t0 = time.perf_counter()
-            grew = run.step()
+            spent = {"results": 0, "emit": 0.0, "angles": 0.0}
+            with timed_layers(spent):
+                t0 = time.perf_counter()
+                grew = run.step()
+                t = time.perf_counter() - t0
             rows.append([before, fresh * (before - fresh) + fresh * (fresh - 1) // 2, len(run),
-                         time.perf_counter() - t0])
-        best = rows if not best else [b[:3] + [min(b[3], r[3])] for b, r in zip(best, rows)]
+                         spent["results"], t, spent["emit"], spent["angles"]])
+        best = rows if not best else [b[:4] + [min(x, y) for x, y in zip(b[4:], r[4:])]
+                                      for b, r in zip(best, rows)]
     return best
 
 
@@ -79,11 +113,15 @@ def main() -> None:
 
     print(f"repeat={args.repeat}  seed={SEED}")
     print("closure rounds, (4, 1) extension probe, budget 512")
-    print(f"{'round':>5}  {'elements':>8}  {'pairs':>7}  {'new':>5}  {'time (s)':>10}  {'pairs/s':>10}")
+    print(f"{'round':>5}  {'elements':>8}  {'pairs':>7}  {'new':>5}  {'results':>7}  "
+          f"{'time (s)':>10}  {'pairs/s':>10}  {'_emit (s)':>10}  {'_angles (s)':>11}")
     rows = time_rounds(probe_generators(SEED), args.repeat)
-    for r, (before, pairs, after, t) in enumerate(rows):
-        print(f"{r:>5}  {before:>8}  {pairs:>7}  {after - before:>5}  {t:>10.4f}  {pairs / t:>10.3g}")
-    print(f"{'all':>5}  {'':>8}  {sum(r[1] for r in rows):>7}  {'':>5}  {sum(r[3] for r in rows):>10.4f}")
+    for r, (before, pairs, after, results, t, emit, angles) in enumerate(rows):
+        print(f"{r:>5}  {before:>8}  {pairs:>7}  {after - before:>5}  {results:>7}  "
+              f"{t:>10.4f}  {pairs / t:>10.3g}  {emit:>10.4f}  {angles:>11.4f}")
+    total = [sum(r[c] for r in rows) for c in range(7)]
+    print(f"{'all':>5}  {'':>8}  {total[1]:>7}  {'':>5}  {total[3]:>7}  "
+          f"{total[4]:>10.4f}  {'':>10}  {total[5]:>10.4f}  {total[6]:>11.4f}")
 
     print(f"public meet/join, {PAIRS} random pairs per dim")
     print(f"{'dim':>3}  {'meet calls/s':>12}  {'join calls/s':>12}")

@@ -57,13 +57,15 @@ def _sweep(u, ct, lab):
     return nxt
 
 
-def _walk(cols, cum_p0, n_walkers, gens, sample_idx):
+def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
     """Walk all chunks side by side through ``cols`` (steps, k, k), where
     ``cols[t, j, i]`` is the cumulative probability of jumping from label i
     to a label <= j.  Walkers sit in a (chunks, width) grid; the short last
     chunk is padded, and its padding walks on zeros and is dropped.  Each
     chunk draws its start uniforms, then its step uniforms a block of steps
-    at a time into its own slab of one reused buffer.
+    at a time into its own slab of one reused buffer.  The chunk streams are
+    built only once the output and start arrays are allocated, so a walker
+    count too large to hold fails at once with ``MemoryError``.
 
     A walker on label i stays iff its uniform lies in that label's own slot
     ``[cols[t, i - 1, i], cols[t, i, i])`` (open below for i = 0 and above
@@ -72,11 +74,12 @@ def _walk(cols, cum_p0, n_walkers, gens, sample_idx):
     sweeps the thresholds only for the walkers that leave it; for k <= 3
     the test costs as much as the sweep, so every walker is swept."""
     steps, k, _ = cols.shape
-    width = min(n_walkers, CHUNK)
-    sizes = [width] * (len(gens) - 1) + [n_walkers - (len(gens) - 1) * width]
+    n_chunks, width = -(-n_walkers // CHUNK), min(n_walkers, CHUNK)
     out = np.empty((sample_idx.shape[0], n_walkers), dtype=np.int64)
+    u0 = np.zeros((n_chunks, width))
+    sizes = [width] * (n_chunks - 1) + [n_walkers - (n_chunks - 1) * width]
+    gens = _chunk_streams(seed, steps, n_chunks)
     where = {int(t): i for i, t in enumerate(sample_idx)}
-    u0 = np.zeros((len(gens), width))
     for g, slab, c in zip(gens, u0, sizes):
         _fill(g, slab, c)
     lab = np.minimum((u0[..., None] >= cum_p0).sum(axis=-1), k - 1)
@@ -88,7 +91,7 @@ def _walk(cols, cum_p0, n_walkers, gens, sample_idx):
         lo = np.full_like(hi, -np.inf)
         lo[:, 1:] = np.diagonal(cols, offset=1, axis1=1, axis2=2)
     block = max(1, min(steps, BLOCK_DOUBLES // lab.size))
-    buf = np.zeros((len(gens), block, width))
+    buf = np.zeros((n_chunks, block, width))
     for t0 in range(0, steps, block):
         b = min(block, steps - t0)
         for g, slab, c in zip(gens, buf, sizes):
@@ -144,6 +147,4 @@ def sample_paths(
     cols = np.ascontiguousarray(np.asarray(cum, dtype=np.float64).transpose(0, 2, 1))
     cum_p0 = np.cumsum(np.asarray(p0, dtype=np.float64))
     cum_p0[-1] = 1.0
-
-    gens = _chunk_streams(seed, steps, -(-n_walkers // CHUNK))
-    return _walk(cols, cum_p0, n_walkers, gens, sample_idx)
+    return _walk(cols, cum_p0, n_walkers, seed, sample_idx)

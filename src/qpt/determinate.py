@@ -305,9 +305,10 @@ def _distinct_rays(cols: np.ndarray) -> int:
     """Number of rays, given as the rows of ``cols``, left by a greedy
     first-kept pass that drops any ray with |<a, b>| >= 1 - 1e-6 to an earlier
     kept one (a fixed threshold, stricter than the closure's own dedup)."""
-    dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
-    kept: list[int] = []
-    for i in range(len(cols)):
-        if not dup[i, kept].any():
-            kept.append(i)
-    return len(kept)
+    dup = np.tril(np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6, -1)
+    # a ray with no earlier near-duplicate is kept; only the others need the
+    # earlier rays' verdicts, which are final by the time each is reached
+    kept = ~dup.any(axis=1)
+    for i in np.flatnonzero(~kept).tolist():
+        kept[i] = not (dup[i] & kept).any()
+    return int(kept.sum())

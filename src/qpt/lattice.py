@@ -132,10 +132,13 @@ def orthocomplement(a: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 
 def _phased(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal columns, each rotated to canonical phase."""
-    if not cols.shape[1]:
-        return cols
-    return np.column_stack([canonical_phase(c) for c in cols.T])
+    """Orthonormal columns (the last two axes), each rotated to canonical
+    phase: ``canonical_phase`` on every column at once. ``hypot`` gives the
+    scalar ``abs`` it divides by bit for bit; the array ``np.abs`` does not."""
+    mags = np.abs(cols)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=-2, keepdims=True), axis=-2)
+    pv = np.take_along_axis(cols, lead[..., None, :], axis=-2)
+    return cols / (pv / np.hypot(pv.real, pv.imag))
 
 
 def _angles(ci: np.ndarray, bj: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,12 +298,13 @@ class _ClosureRun:
 
     Dedup: an element is filed under the cell ``floor(<W, P> / width)`` of its
     projector P's projection on a fixed weight matrix W, with width =
-    2*n*|W|_F*max(eps, 1e-12). Two projectors within the ``Subspace.isclose``
-    distance eps*n have projections at most eps*n*|W|_F apart, half a cell, so
-    a lookup probes cells k-1, k, k+1 and confirms with that distance; it
-    returns the smallest matching index. The 1e-12 floor keeps a cell wider
-    than the rounding error of <W, P> (and the cell index within int64) for
-    any eps; it only coarsens the filter.
+    2*n*|W|_F*max(eps, 1e-12), kept in the int64 array ``_cell`` parallel to
+    ``_ranks``. Two projectors within the ``Subspace.isclose`` distance eps*n
+    have projections at most eps*n*|W|_F apart, half a cell, so a lookup
+    probes cells k-1, k, k+1 and confirms with that distance; it returns the
+    smallest matching index. The 1e-12 floor keeps a cell wider than the
+    rounding error of <W, P> (and the cell index within int64) for any eps;
+    it only coarsens the filter.
     """
 
     def __init__(self, generators, max_new: int, tol: Tolerance):
@@ -327,10 +331,11 @@ class _ClosureRun:
         w = np.random.default_rng(0).standard_normal((2, n, n))
         self._weights = (w[0] - 1j * w[1]).ravel()  # conjugated W
         self._width = 2.0 * n * float(np.linalg.norm(w)) * max(tol.eps, 1e-12)
-        self._cells: dict[int, list[int]] = {}
-        for g in [Subspace.zero(n), Subspace.full(n), *gens]:
-            proj = g.projector()
-            self._place(proj, self._cells_of(proj[None])[0], g.basis, _complement(g))
+        self._cell = np.zeros(0, dtype=np.int64)
+        seeds = [Subspace.zero(n), Subspace.full(n), *gens]
+        self._file(np.stack([g.projector() for g in seeds]),
+                   np.stack([np.concatenate((g.basis, _complement(g)), axis=1) for g in seeds]),
+                   np.array([g.rank for g in seeds]))
 
     def __len__(self) -> int:
         return len(self._ranks)
@@ -339,73 +344,94 @@ class _ClosureRun:
         """(m, n) basis columns of the rank-1 elements, in insertion order."""
         return self._bases[:len(self)][np.array(self._ranks) == 1, :, 0]
 
-    def _cells_of(self, projs: np.ndarray) -> list[int]:
+    def _cells_of(self, projs: np.ndarray) -> np.ndarray:
         keys = (projs.reshape(len(projs), self.n ** 2) @ self._weights).real / self._width
-        return np.floor(keys).astype(np.int64).tolist()
+        return np.floor(keys).astype(np.int64)
 
-    def _first(self, cells: np.ndarray) -> np.ndarray:
-        """For each of ``cells``, the smallest element index filed in cells
-        cell-1..cell+1, or -1."""
-        opened = np.array([(c, b[0]) for c, b in self._cells.items()], dtype=np.int64)
-        opened = opened[np.argsort(opened[:, 0])]
-        keys, firsts = opened[:, 0], opened[:, 1]
-        best = np.full(len(cells), len(self), dtype=np.int64)
-        for near in (cells - 1, cells, cells + 1):
-            at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
-            np.minimum(best, firsts[at], out=best, where=keys[at] == near)
-        return np.where(best < len(self), best, -1)
+    @staticmethod
+    def _near(cells: np.ndarray, filed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair (t, f) with ``filed[f]`` within one of ``cells[t]``, t
+        ascending: one ``searchsorted`` range per t over the sorted cells."""
+        order = np.argsort(filed, kind="stable")
+        keys = filed[order]
+        # cells are integers: the range ends before the first key >= cell + 2
+        lo, hi = np.searchsorted(keys, np.concatenate((cells - 1, cells + 2))).reshape(2, -1)
+        count = hi - lo
+        t = np.repeat(np.arange(len(cells)), count)
+        return t, order[np.arange(len(t)) + np.repeat(lo - np.cumsum(count) + count, count)]
 
-    def _find(self, proj: np.ndarray, cell: int) -> "int | None":
-        hits = sorted(i for c in (cell - 1, cell, cell + 1) for i in self._cells.get(c, ()))
-        for i in hits:
-            if np.linalg.norm(self._projs[i] - proj) <= self.tol.eps * self.n:
-                return i
-        return None
+    def _file(self, projs: np.ndarray, us: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """Element index of each result, in order, or -1 where the budget
+        refused it. Result t has projector ``projs[t]`` and is spanned by the
+        leading ``rank[t]`` columns of ``us[t]``, its orthocomplement by the
+        rest. It takes the smallest index within isclose distance in cells
+        c-1..c+1, elements made by earlier results included, else a new
+        element while the budget allows."""
+        m, eps = len(self), self.tol.eps * self.n
+        cells = self._cells_of(projs)
+        t, f = self._near(cells, self._cell)
+        close = np.linalg.norm(self._projs[f] - projs[t], axis=(1, 2)) <= eps
+        match = np.full(len(cells), m, dtype=np.int64)
+        np.minimum.at(match, t[close], f[close])
+        # a miss matches nothing filed before this batch: its match, if any,
+        # is the element made by the earliest close miss before it
+        miss = np.flatnonzero(match == m)
+        if not len(miss) or m >= self.budget:  # no room left: every miss is refused
+            self.saturated |= len(miss) > 0
+            match[miss] = -1
+            return match
+        t, f = self._near(cells[miss], cells[miss])
+        t, f = t[f < t], f[f < t]
+        close = np.linalg.norm(projs[miss[f]] - projs[miss[t]], axis=(1, 2)) <= eps
+        prior: dict[int, list[int]] = {}
+        for a, b in zip(t[close].tolist(), f[close].tolist()):
+            prior.setdefault(a, []).append(b)
+        made, got, k = [-1] * len(miss), [], m
+        for q in range(len(miss)):
+            hit = min([made[p] for p in prior[q] if made[p] >= 0], default=-1) if q in prior else -1
+            if hit < 0 and k < self.budget:
+                hit = made[q] = k
+                k += 1
+            got.append(hit)
+        self.saturated |= -1 in got
+        match[miss] = got
+        if k > m:
+            new = miss[np.array(made) >= 0]
+            self._store(projs[new], cells[new], us[new], rank[new])
+        return match
 
-    def _place(self, proj: np.ndarray, cell: int, basis: np.ndarray,
-               comp: np.ndarray) -> "int | None":
-        """Index of the element within isclose distance of ``proj``, else of a
-        new element spanned by the columns ``basis`` whose orthocomplement is
-        spanned by ``comp``, or None when the budget refuses it."""
-        found = self._find(proj, cell)
-        if found is not None:
-            return found
-        k = len(self)
-        if k >= self.budget:
-            self.saturated = True
-            return None
-        if k == len(self._bases):
-            grow = np.zeros((max(8, k), self.n, self.n), dtype=np.complex128)
+    def _store(self, projs: np.ndarray, cells: np.ndarray, us: np.ndarray,
+               rank: np.ndarray) -> None:
+        """Append new elements, each in one slice of every stack."""
+        m, n = len(self), self.n
+        k = m + len(rank)
+        if k > len(self._bases):
+            cap = len(self._bases)
+            while cap < k:
+                cap += max(8, cap)
+            grow = np.zeros((cap - len(self._bases), n, n), dtype=np.complex128)
             self._bases, self._comps, self._projs = (
                 np.concatenate((a, grow)) for a in (self._bases, self._comps, self._projs))
-        r = basis.shape[1]
-        self._bases[k, :, :r] = _phased(basis)
-        self._comps[k, :, :self.n - r] = comp
-        self._projs[k] = proj
-        self._cells.setdefault(cell, []).append(k)
-        self._ranks.append(r)
-        return k
+        # padding is written as zeros: a mask multiply would leave -0.0
+        cols, r = np.arange(n), rank[:, None]
+        self._bases[m:k] = np.where((cols < r)[:, None], _phased(us), 0)
+        turned = np.take_along_axis(us, ((cols + r) % n)[:, None], axis=2)
+        self._comps[m:k] = np.where((cols < n - r)[:, None], turned, 0)
+        self._projs[m:k] = projs
+        self._cell = np.concatenate((self._cell, cells))
+        self._ranks.extend(rank.tolist())
 
-    def _emit(self, ops, lhs, rhs, us: np.ndarray, live: np.ndarray) -> None:
+    def _emit(self, ops, lhs, rhs, us: np.ndarray, rank: np.ndarray) -> None:
         """Record results in emission order. Result t is spanned by the
-        columns of ``us[t]`` that ``live[t]`` keeps; the other columns span
-        its orthocomplement."""
-        spans = us * live[:, None, :]
+        leading ``rank[t]`` columns of ``us[t]``; the other columns span its
+        orthocomplement."""
+        spans = us * (np.arange(self.n) < rank[:, None])[:, None, :]
         projs = spans @ spans.conj().transpose(0, 2, 1)
-        cells = self._cells_of(projs)
-        # a result that matches the smallest index filed near it needs no
-        # further lookup; every other one goes through _place in order
-        first = self._first(np.array(cells, dtype=np.int64))
-        known = first >= 0
-        near = np.linalg.norm(self._projs[first[known]] - projs[known], axis=(1, 2))
-        match = np.full(len(cells), -1, dtype=np.int64)
-        match[known] = np.where(near <= self.tol.eps * self.n, first[known], -1)
-        for t, k in enumerate(match.tolist()):
-            if k < 0:
-                k = self._place(projs[t], cells[t], us[t][:, live[t]], us[t][:, ~live[t]])
-                if k is None:
-                    continue
-            self.relations.append((ops[t], lhs[t], rhs[t], k))
+        match = self._file(projs, us, rank)
+        rows = zip(ops, lhs, rhs, match.tolist())
+        # a result is refused only once the budget is spent
+        self.relations.extend(itertools.compress(rows, (match >= 0).tolist())
+                              if self.saturated else rows)
 
     def step(self) -> bool:
         """Run one closure round. Returns True if new elements appeared.
@@ -417,11 +443,11 @@ class _ClosureRun:
         cols = np.arange(n)
         # a complement's columns are its source's complement columns, then
         # its source's basis columns
-        rest = n - np.array(self._ranks[done:base], dtype=np.int64)[:, None]
+        rest = n - np.array(self._ranks[done:base], dtype=np.int64)
         both = np.concatenate((self._comps[done:base], self._bases[done:base]), axis=2)
-        swapped = np.take_along_axis(both, np.where(cols < rest, cols, cols + n - rest)[:, None],
-                                     axis=2)
-        self._emit(["complement"] * len(fresh), fresh, fresh, swapped, cols < rest)
+        turn = np.where(cols < rest[:, None], cols, cols + n - rest[:, None])
+        self._emit(["complement"] * len(fresh), fresh, fresh,
+                   np.take_along_axis(both, turn[:, None], axis=2), rest)
         left, right = np.triu_indices(base, 1)
         keep = right >= done
         left, right = left[keep], right[keep]
@@ -444,7 +470,7 @@ class _ClosureRun:
                 us[2 * p + 1] = np.concatenate((self._bases[gi, :, :ri], ciu), axis=2)
                 rank[2 * p], rank[2 * p + 1] = rj - c, ri + c
             self._emit(["meet", "join"] * len(i), np.repeat(i, 2).tolist(),
-                       np.repeat(j, 2).tolist(), us, cols < rank[:, None])
+                       np.repeat(j, 2).tolist(), us, rank)
         self._processed = base
         self.depth += 1
         return len(self) > base

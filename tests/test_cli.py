@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpt import cli
+from qpt import _kernels, cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -131,6 +131,20 @@ class TestExitCodes:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+    def test_unallocatable_walker_count_fails_before_building_streams(self, monkeypatch):
+        # one PCG64 stream per CHUNK walkers would be ~5e11 generators here:
+        # the sampler must refuse its output array before it builds any
+        def never(*args):
+            pytest.fail("chunk streams built before the walker arrays were allocated")
+
+        monkeypatch.setattr(_kernels, "_chunk_streams", never)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["dynamics", "--trajectories", str(10**15), "--steps", "10"])
         assert code == 2 and out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

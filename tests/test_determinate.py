@@ -26,6 +26,7 @@ from qpt import (
     property_states,
     truth_value,
 )
+from qpt.determinate import _distinct_rays
 from conftest import maximal_observable, random_subspace, random_vector
 
 seeds = st.integers(0, 2**32 - 1)
@@ -245,3 +246,28 @@ class TestExtendAndCheck:
         for probe in complement_probe_rays(d):
             b = probe.basis[:, 0]
             assert np.linalg.norm(pk @ b - b) < 1e-10
+
+
+class TestDistinctRays:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_greedy_pass(self, seed, dim, count):
+        # copies of earlier rays, nudged within and beyond the 1 - 1e-6
+        # overlap threshold and rephased, so that chains of near-duplicates
+        # leave some rays dropped and some kept
+        rng = np.random.default_rng(seed)
+        rays = []
+        for _ in range(count):
+            if rays and rng.random() < 0.6:
+                v = rays[int(rng.integers(len(rays)))] + rng.choice([1e-5, 1e-3]) * (
+                    rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            else:
+                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            rays.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * v / np.linalg.norm(v))
+        cols = np.array(rays, dtype=np.complex128).reshape(count, dim)
+        dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
+        kept: list[int] = []
+        for i in range(count):
+            if not dup[i, kept].any():
+                kept.append(i)
+        assert _distinct_rays(cols) == len(kept)

@@ -280,6 +280,7 @@ class TestBenchmarkScript:
         out = run_script("benchmarks/bench_closure.py", "--repeat", "1")
         assert out.returncode == 0, out.stderr
         assert "closure rounds, (4, 1) extension probe, budget 512" in out.stdout
+        assert "_emit (s)" in out.stdout and "_angles (s)" in out.stdout
         assert "public meet/join, 200 random pairs per dim" in out.stdout
 
     def test_bench_nogo_runs(self):

@@ -23,7 +23,7 @@ from qpt import (
     orthocomplement,
 )
 from qpt.lattice import _GATES, _angles, _canonical_key, _ClosureRun, _two_valued
-from qpt.linalg import orthonormalize
+from qpt.linalg import canonical_phase, orthonormalize
 from conftest import random_subspace, random_unitary, random_vector
 
 seeds = st.integers(0, 2**32 - 1)
@@ -173,6 +173,11 @@ class TestClosure:
         partial = exc.value.partial
         assert partial is not None
         assert len(partial.elements) >= 8
+
+    def test_zero_budget_refuses_every_element(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            closure([Subspace.ray(basis_vector(3, 0))], max_new=0)
+        assert exc.value.partial.elements == ()
 
     def test_relations_refer_to_valid_indices(self):
         gens = [Subspace.ray(basis_vector(3, i)) for i in range(2)]
@@ -359,6 +364,109 @@ class TestClosureRunState:
                 assert not run._bases[k, :, r:].any() and not run._comps[k, :, dim - r:].any()
             if run.saturated or not grew:
                 break
+
+
+def reference_emit(run: _ClosureRun, ops, lhs, rhs, us: np.ndarray, rank: np.ndarray) -> None:
+    """``_ClosureRun._emit`` as a loop over results in emission order: each
+    takes the smallest filed index within cells c-1..c+1 and the isclose
+    distance, elements made by earlier results included, else a new element
+    while the budget allows, else it is refused and records nothing."""
+    n = run.n
+    spans = us * (np.arange(n) < rank[:, None])[:, None, :]
+    projs = spans @ spans.conj().transpose(0, 2, 1)
+    cells = run._cells_of(projs)
+    for t in range(len(us)):
+        m, r = len(run), int(rank[t])
+        near = [k for k in range(m) if abs(run._cell[k] - cells[t]) <= 1
+                and np.linalg.norm(run._projs[k] - projs[t]) <= run.tol.eps * n]
+        if near:
+            k = near[0]
+        elif m < run.budget:
+            k = m
+            if k == len(run._bases):
+                grow = np.zeros((max(8, k), n, n), dtype=np.complex128)
+                run._bases, run._comps, run._projs = (
+                    np.concatenate((a, grow)) for a in (run._bases, run._comps, run._projs))
+            for c in range(r):
+                run._bases[k, :, c] = canonical_phase(us[t, :, c])
+            run._comps[k, :, :n - r] = us[t, :, r:]
+            run._projs[k] = projs[t]
+            run._cell = np.append(run._cell, cells[t])
+            run._ranks.append(r)
+        else:
+            run.saturated = True
+            continue
+        run.relations.append((ops[t], lhs[t], rhs[t], k))
+
+
+class _ReferenceRun(_ClosureRun):
+    _emit = reference_emit
+
+
+def assert_same_run(a: _ClosureRun, b: _ClosureRun) -> None:
+    assert a.relations == b.relations
+    assert a._ranks == b._ranks and a.saturated == b.saturated
+    for stack in ("_bases", "_comps", "_projs"):
+        assert getattr(a, stack).tobytes() == getattr(b, stack).tobytes(), stack
+
+
+class TestBatchedLookup:
+    """The batched dedup lookup of ``_emit`` against the per-result loop."""
+
+    @given(seeds, st.integers(2, 5), st.integers(2, 40), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_result_loop(self, seed, dim, budget, commuting):
+        # small budgets refuse elements part-way through a batch; spans of
+        # one basis's columns make many results of a batch the same new
+        # subspace, which a random subspace then skews
+        rng = np.random.default_rng(seed)
+        q = random_unitary(dim, rng)
+        gens = [Subspace(dim, q[:, rng.random(dim) < 0.5]) if commuting else
+                random_subspace(dim, int(rng.integers(1, dim)), rng)
+                for _ in range(int(rng.integers(1, 4)))]
+        gens += [random_subspace(dim, 1, rng)] if commuting and rng.random() < 0.5 else []
+        run, ref = _ClosureRun(gens, budget, DEFAULT_TOL), _ReferenceRun(gens, budget, DEFAULT_TOL)
+        while True:
+            grew, ref_grew = run.step(), ref.step()
+            assert grew == ref_grew
+            assert_same_run(run, ref)
+            if run.saturated or not grew:
+                break
+
+    @pytest.mark.parametrize("budget, got", [(6, [3, 4, 3]), (4, [3, -1, 3]), (3, [-1, -1, -1])])
+    def test_one_new_subspace_twice_in_a_batch(self, budget, got):
+        # the plane e1 v e2, then the plane e0 v e1, then e1 v e2 again in
+        # another basis: the third result must find the element the first
+        # one made, whatever the budget refused in between
+        e = np.eye(3, dtype=np.complex128)
+        s = np.sqrt(0.5)
+        us = np.stack([np.stack([e[1], e[2], e[0]], axis=1),
+                       np.stack([e[0], e[1], e[2]], axis=1),
+                       np.stack([s * (e[1] + e[2]), s * (e[1] - e[2]), e[0]], axis=1)])
+        rank = np.array([2, 2, 2])
+        ops, lhs, rhs = ["join"] * 3, [0, 1, 2], [0, 1, 2]
+        gens = [Subspace.ray(basis_vector(3, 0))]
+        run, ref = _ClosureRun(gens, budget, DEFAULT_TOL), _ReferenceRun(gens, budget, DEFAULT_TOL)
+        run._emit(ops, lhs, rhs, us, rank)
+        ref._emit(ops, lhs, rhs, us, rank)
+        assert_same_run(run, ref)
+        assert run.relations == [("join", t, t, k) for t, k in enumerate(got) if k >= 0]
+        assert len(run) == min(budget, 5) and run.saturated == (-1 in got)
+
+    @pytest.mark.parametrize("first", [0.0, 1.0])
+    def test_a_result_between_two_elements_takes_the_smaller_index(self, first):
+        # rays at projector distance 1.5 eps * n are two elements; a ray
+        # halfway between is within eps * n of both and must take element 2
+        def ray(t: float) -> np.ndarray:
+            return np.array([np.cos(t), np.sin(t), 0.0], dtype=np.complex128)
+
+        step = 1.5 * DEFAULT_TOL.eps * 3 / np.sqrt(2)
+        angles = (first * step, (1 - first) * step)
+        run = _ClosureRun([Subspace(3, ray(a)[:, None]) for a in angles], 8, DEFAULT_TOL)
+        assert len(run) == 4
+        mid = np.stack([ray(step / 2), ray(step / 2 + np.pi / 2), np.eye(3)[2]], axis=1)
+        run._emit(["complement"], [0], [0], mid[None], np.array([1]))
+        assert run.relations == [("complement", 0, 0, 2)] and len(run) == 4
 
 
 class TestDedup:
