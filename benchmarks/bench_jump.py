@@ -4,8 +4,8 @@ Builds two evolutions, converts each to per-step cumulative transition
 matrices, and times ``sample_paths`` (best of ``--repeat``) for a few
 trajectory counts:
 
-- ``rabi``: a two-level Rabi period (k = 2), where every walker runs the
-  threshold sweep;
+- ``rabi``: a two-level Rabi period (k = 2), where each step compares all
+  uniforms with two scalar thresholds and selects each walker's bit;
 - ``dim6``: a random Hermitian H in dimension 6 with a random maximal
   observable (k = 6) and start state, drawn from ``--seed``, stepped at
   ``default_timestep``.  Most walkers stay on their label each step, so the

@@ -67,12 +67,19 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
     built only once the output and start arrays are allocated, so a walker
     count too large to hold fails at once with ``MemoryError``.
 
-    A walker on label i stays iff its uniform lies in that label's own slot
-    ``[cols[t, i - 1, i], cols[t, i, i])`` (open below for i = 0 and above
-    for i = k - 1); since the thresholds are nondecreasing, that is exactly
-    when ``_sweep`` would count i.  For k > 3 each step tests the slot and
-    sweeps the thresholds only for the walkers that leave it; for k <= 3
-    the test costs as much as the sweep, so every walker is swept."""
+    Two routes, both exactly the selection rule of ``_sweep``:
+
+    - k = 2: the labels are a boolean grid.  A step compares every uniform
+      with the two scalar thresholds, giving ``from0 = u >= cols[t, 0, 0]``
+      and ``from1 = u >= cols[t, 0, 1]`` (the next label of a walker on
+      label 0 or 1), and keeps per walker the one for its own label,
+      ``lab = (lab & from1) | (~lab & from0)``, in place.  No gather runs,
+      and the labels become int64 only in the sampled rows.
+    - k != 2: a walker on label i stays iff its uniform lies in that label's
+      own slot ``[cols[t, i - 1, i], cols[t, i, i])`` (open below for i = 0
+      and above for i = k - 1); since the thresholds are nondecreasing, that
+      is exactly when ``_sweep`` would count i.  Each step tests the slot
+      and sweeps the thresholds only for the walkers that leave it."""
     steps, k, _ = cols.shape
     n_chunks, width = -(-n_walkers // CHUNK), min(n_walkers, CHUNK)
     out = np.empty((sample_idx.shape[0], n_walkers), dtype=np.int64)
@@ -85,7 +92,10 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
     lab = np.minimum((u0[..., None] >= cum_p0).sum(axis=-1), k - 1)
     if 0 in where:
         out[where[0]] = lab.reshape(-1)[:n_walkers]
-    if k > 3:
+    if k == 2:
+        lab = lab.astype(bool)
+        from0, from1 = np.empty_like(lab), np.empty_like(lab)
+    else:
         hi = np.diagonal(cols, axis1=1, axis2=2).copy()
         hi[:, -1] = np.inf
         lo = np.full_like(hi, -np.inf)
@@ -98,8 +108,13 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
             _fill(g, slab[:b], c)
         for s in range(b):
             t, u = t0 + s, buf[:, s]
-            if k <= 3:
-                lab = _sweep(u, cols[t], lab)
+            if k == 2:
+                np.greater_equal(u, cols[t, 0, 0], out=from0)
+                np.greater_equal(u, cols[t, 0, 1], out=from1)
+                from1 &= lab
+                np.logical_not(lab, out=lab)
+                lab &= from0
+                lab |= from1
             else:
                 leave = u < lo[t].take(lab)
                 leave |= u >= hi[t].take(lab)
@@ -107,6 +122,26 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
             if t + 1 in where:
                 out[where[t + 1]] = lab.reshape(-1)[:n_walkers]
     return out
+
+
+def sample_index_array(sample_idx, steps: int) -> np.ndarray:
+    """``sample_idx`` as an int64 array of time indices.  Raises
+    ``ValueError`` unless it is 1-D, holds only integers (integer-valued
+    floats included; a fractional index is never truncated), lies in
+    ``[0, steps]`` and strictly increases.  An empty input is valid."""
+    raw = np.asarray(sample_idx)
+    if raw.ndim != 1:
+        raise ValueError(f"sample indices must be 1-D, got shape {raw.shape}")
+    if raw.size and raw.dtype.kind not in "iu" and not (
+        raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw == np.trunc(raw)).all()
+    ):
+        raise ValueError("sample indices must be integers")
+    if raw.size and (raw.min() < 0 or raw.max() > steps):
+        raise ValueError("sample indices outside [0, steps]")
+    idx = raw.astype(np.int64)
+    if (np.diff(idx) <= 0).any():
+        raise ValueError("sample indices must be strictly increasing")
+    return idx
 
 
 def sample_paths(
@@ -127,6 +162,13 @@ def sample_paths(
     then the first j with ``u < cum[t, i, j]``, a uniform ``u < 1`` never
     runs past the last label, and the stay test of ``_walk`` is exact.
 
+    Two routes give these paths (see ``_walk``): with two labels, each step
+    is two scalar compares over all walkers and an in-place bit select; with
+    any other number, each step tests every walker's own slot and sweeps the
+    thresholds only for the walkers that leave it.  ``sample_idx`` must be a
+    1-D array of integer time indices in ``[0, steps]``, strictly
+    increasing; anything else raises ``ValueError``.
+
     A seed fixes the paths.  The stream layout: walkers fall into chunks of
     ``CHUNK`` (the last one may be shorter), and chunk m consumes, from the
     one stream of ``PCG64(seed)``, one start uniform per walker and then one
@@ -137,12 +179,7 @@ def sample_paths(
     """
     if n_walkers < 1:
         raise ValueError("n_walkers must be positive")
-    steps = cum.shape[0]
-    sample_idx = np.asarray(sample_idx, dtype=np.int64)
-    if sample_idx.size and (sample_idx.min() < 0 or sample_idx.max() > steps):
-        raise ValueError("sample indices outside [0, steps]")
-    if not np.all(np.diff(sample_idx) > 0):
-        raise ValueError("sample indices must be strictly increasing")
+    sample_idx = sample_index_array(sample_idx, cum.shape[0])
     # thresholds as contiguous columns, so each step gathers 1-D arrays
     cols = np.ascontiguousarray(np.asarray(cum, dtype=np.float64).transpose(0, 2, 1))
     cum_p0 = np.cumsum(np.asarray(p0, dtype=np.float64))

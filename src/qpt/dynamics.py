@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import sample_paths
+from ._kernels import sample_index_array, sample_paths
 from .determinate import DeterminateSublattice, ObservableSpec, build_determinate
 from .errors import DimMismatch, LabelDiscontinuity, NotHermitian
 from .linalg import DEFAULT_TOL, ComplexVector, Operator, Tolerance
@@ -274,10 +274,12 @@ def sample_marginals(
     cum, p0 = _transition_cumulatives(traj)
     k = cum.shape[1]
     if sample_indices is None:
-        sample_indices = np.arange(traj.spec.steps + 1, dtype=np.int64)
-    idx = np.asarray(sample_indices, dtype=np.int64)
+        idx = np.arange(traj.spec.steps + 1, dtype=np.int64)
+    else:
+        idx = sample_index_array(sample_indices, traj.spec.steps)
     paths = sample_paths(cum, p0, n_trajectories, seed, idx)
-    counts = np.stack([np.bincount(row, minlength=k) for row in paths])
+    counts = np.array([np.bincount(row, minlength=k) for row in paths], dtype=np.int64)
+    counts = counts.reshape(-1, k)  # (0, k) when no index is sampled
     return MarginalSample(
         times=traj.times[idx],
         labels=traj.labels,

@@ -5,7 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qpt import ComplexVector, ObservableSpec, Subspace
+from qpt import (
+    ComplexVector,
+    EvolutionSpec,
+    ObservableSpec,
+    Operator,
+    PossibilityTrajectory,
+    Subspace,
+    evolve_possibility,
+)
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -29,6 +39,20 @@ def maximal_observable(dim: int, rng: np.random.Generator) -> ObservableSpec:
 def random_subspace(dim: int, rank: int, rng: np.random.Generator) -> Subspace:
     z = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return Subspace.from_vectors([z[:, i] for i in range(rank)], ambient_dim=dim)
+
+
+def z_observable() -> ObservableSpec:
+    return ObservableSpec.from_eigenbasis(
+        [np.array([1.0, 0.0]), np.array([0.0, 1.0])], labels=["up", "down"]
+    )
+
+
+def rabi_trajectory(steps: int = 600) -> PossibilityTrajectory:
+    """H = sigma_x / 2 over one period from |up>, observed in the z basis."""
+    spec = EvolutionSpec(
+        hamiltonian=Operator(SX / 2), dt=2 * np.pi / steps, steps=steps
+    )
+    return evolve_possibility(ComplexVector(np.array([1.0 + 0j, 0.0])), z_observable(), spec)
 
 
 @pytest.fixture

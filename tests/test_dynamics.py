@@ -38,26 +38,11 @@ from qpt.dynamics import (
 )
 from qpt.scenarios import _position_observable
 
-from conftest import maximal_observable, random_vector
-
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def z_observable() -> ObservableSpec:
-    return ObservableSpec.from_eigenbasis(
-        [np.array([1.0, 0.0]), np.array([0.0, 1.0])], labels=["up", "down"]
-    )
+from conftest import SX, maximal_observable, rabi_trajectory, random_vector, z_observable
 
 
 def paths_sha256(paths: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(paths).tobytes()).hexdigest()
-
-
-def rabi_trajectory(steps: int = 600) -> "PossibilityTrajectory":
-    spec = EvolutionSpec(
-        hamiltonian=Operator(SX / 2), dt=2 * np.pi / steps, steps=steps
-    )
-    return evolve_possibility(ComplexVector(np.array([1.0 + 0j, 0.0])), z_observable(), spec)
 
 
 class TestEvolutionSpec:
@@ -328,6 +313,19 @@ class TestMeshing:
         idx = np.array([0, 50, 100], dtype=np.int64)
         marg = sample_marginals(traj, seed=2, n_trajectories=500, sample_indices=idx)
         assert np.abs(marg.expected - traj.weights[idx]).max() < 1e-12
+
+    @pytest.mark.parametrize("bad", [[0.5, 10.9], [[0, 10], [20, 30]]])
+    def test_fractional_or_multidimensional_indices_rejected(self, bad):
+        # a fractional index used to be truncated to the step below it
+        traj = rabi_trajectory(100)
+        with pytest.raises(ValueError):
+            sample_marginals(traj, seed=0, n_trajectories=100, sample_indices=bad)
+
+    def test_empty_indices_give_no_counts(self):
+        marg = sample_marginals(rabi_trajectory(100), seed=0, n_trajectories=100,
+                                sample_indices=[])
+        assert marg.counts.shape == (0, 2)
+        assert marg.times.shape == (0,)
 
     def test_sampled_paths_match_golden(self):
         # a seed fixes the paths, so their digest is pinned

@@ -13,9 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpt import ComplexVector, EvolutionSpec, ObservableSpec, Operator, evolve_possibility
+from qpt import (
+    ComplexVector,
+    EvolutionSpec,
+    ObservableSpec,
+    Operator,
+    evolve_possibility,
+    jump_process,
+)
 from qpt._kernels import CHUNK, sample_paths
 from qpt.dynamics import _transition_cumulatives
+
+from conftest import rabi_trajectory
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -62,6 +71,15 @@ def stay_heavy_cumulatives(steps: int, k: int, rng, ties) -> tuple[np.ndarray, n
         cum[t, i, j] = u
         cum[t, i, j + 1:k - 1] = np.maximum(cum[t, i, j + 1:k - 1], u)
     return cum, rng.dirichlet(np.ones(k))
+
+
+def first_chunk_uniforms(n_walkers: int, steps: int, seed: int) -> np.ndarray:
+    """The step uniforms of the first chunk, in the order sample_paths draws
+    them, so that a threshold set to one of ``ties[t]`` is hit exactly."""
+    rng = np.random.default_rng(seed)
+    c = min(n_walkers, CHUNK)
+    rng.random(c)
+    return rng.random((steps, c))
 
 
 def full_grid(steps: int) -> np.ndarray:
@@ -180,6 +198,61 @@ class TestReferenceAgreement:
         assert np.array_equal(a, b)
 
 
+class TestLabelCountRoutes:
+    """``_walk`` has a boolean route for k = 2 and the stay-first route for
+    every other k; both must give the reference walker's paths."""
+
+    @given(
+        st.sampled_from([1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, (1.0, 0.0), (0.0, 1.0)]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_two_labels_bit_identical_to_reference(self, n_walkers, steps, seed, start):
+        ties = first_chunk_uniforms(n_walkers, steps, seed)
+        rng = np.random.default_rng(seed + 1)
+        cum, p0 = stay_heavy_cumulatives(steps, 2, rng, ties)
+        # crossed rows, cum[t, 1, 0] >= cum[t, 0, 0], which stay-heavy rows
+        # never are: half are forced jumps from both labels, and the rest put
+        # both thresholds on uniforms the walkers draw at step t
+        crossed = rng.random(steps) < 0.3
+        pick = rng.integers(ties.shape[1], size=(steps, 2))
+        edges = np.sort(ties[np.arange(steps)[:, None], pick])
+        edges[rng.random(steps) < 0.5] = (0.0, 1.0)
+        cum[crossed, 0, 0], cum[crossed, 1, 0] = edges[crossed, 0], edges[crossed, 1]
+        if start is not None:
+            p0 = np.array(start)
+        idx = full_grid(steps)
+        a = sample_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        b = reference_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_one_walker_jump_process_matches_reference(self, seed):
+        traj = rabi_trajectory(200)
+        cum, p0 = _transition_cumulatives(traj)
+        path = reference_paths(cum, p0, 1, seed, full_grid(200))[:, 0]
+        assert jump_process(traj, seed).selected_labels == tuple(traj.labels[i] for i in path)
+
+    @pytest.mark.parametrize("n_walkers", [1, CHUNK + 1])
+    def test_three_labels_take_the_stay_first_route(self, n_walkers):
+        steps, seed = 30, 4
+        ties = first_chunk_uniforms(n_walkers, steps, seed)
+        cum, p0 = stay_heavy_cumulatives(steps, 3, np.random.default_rng(seed + 1), ties)
+        idx = full_grid(steps)
+        a = sample_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        b = reference_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        assert np.array_equal(a, b)
+
+    def test_one_label_stays_at_zero(self):
+        cum, p0 = np.ones((12, 1, 1)), np.array([1.0])
+        out = sample_paths(cum, p0, CHUNK + 3, seed=2, sample_idx=full_grid(12))
+        assert out.shape == (13, CHUNK + 3)
+        assert not out.any()
+
+
 class TestDeterminismAndShape:
     def test_same_seed_same_paths(self):
         rng = np.random.default_rng(0)
@@ -246,6 +319,21 @@ class TestValidation:
         bad = np.array([0, 6], dtype=np.int64)
         with pytest.raises(ValueError):
             sample_paths(cum, p0, 10, seed=0, sample_idx=bad)
+
+    @pytest.mark.parametrize("bad", [[0.5, 3.9], [1, 2.5], [[0, 1], [2, 3]], [[1]], [np.nan]])
+    def test_fractional_or_multidimensional_sample_indices_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        cum, p0 = random_cumulatives(5, 2, rng)
+        with pytest.raises(ValueError):
+            sample_paths(cum, p0, 10, seed=0, sample_idx=bad)
+
+    def test_empty_and_integer_valued_sample_indices_accepted(self):
+        rng = np.random.default_rng(0)
+        cum, p0 = random_cumulatives(5, 2, rng)
+        assert sample_paths(cum, p0, 10, seed=0, sample_idx=[]).shape == (0, 10)
+        a = sample_paths(cum, p0, 10, seed=0, sample_idx=[1.0, 4.0])
+        b = sample_paths(cum, p0, 10, seed=0, sample_idx=np.array([1, 4]))
+        assert np.array_equal(a, b)
 
     def test_nonpositive_walkers_rejected(self):
         rng = np.random.default_rng(0)
