@@ -6,9 +6,11 @@ Times, best of ``--repeat``:
   ``extend_and_check`` runs: a random dim-4 state under the identity
   observable, its sublattice generators and complement probe rays, plus a
   random ray outside the sublattice, all drawn from seed ``SEED``, budget 512;
-  with the results the round emitted and the time spent in ``_emit`` (the
-  dedup lookup and bookkeeping) and in ``_angles`` (the batched SVDs), timed
-  by wrapping both functions, since cProfile misattributes time here;
+  in wall and in process CPU seconds (CPU above wall is time spent in extra
+  BLAS threads), with the results the round emitted and the time spent in
+  ``_emit`` (the dedup lookup and bookkeeping) and in ``_angles`` (the batched
+  SVDs), timed by wrapping both functions, since cProfile misattributes time
+  here;
 - the public ``meet`` and ``join`` on ``PAIRS`` random pairs of subspaces of
   random rank in each of dims 3-6, as calls per second.
 
@@ -76,8 +78,9 @@ def timed_layers(spent: dict):
 
 def time_rounds(gens: list[Subspace], repeat: int) -> list[list]:
     """[elements before, pairs, elements after, results, best seconds in the
-    round, in ``_emit``, in ``_angles``] per round, run until a fixpoint or
-    the budget refuses an element."""
+    round, best process CPU seconds in the round, in ``_emit``, in
+    ``_angles``] per round, run until a fixpoint or the budget refuses an
+    element."""
     best: list[list] = []
     for _ in range(repeat):
         run = _ClosureRun(gens, 512, DEFAULT_TOL)
@@ -86,11 +89,11 @@ def time_rounds(gens: list[Subspace], repeat: int) -> list[list]:
             before, fresh = len(run), len(run) - run._processed
             spent = {"results": 0, "emit": 0.0, "angles": 0.0}
             with timed_layers(spent):
-                t0 = time.perf_counter()
+                t0, c0 = time.perf_counter(), time.process_time()
                 grew = run.step()
-                t = time.perf_counter() - t0
+                t, cpu = time.perf_counter() - t0, time.process_time() - c0
             rows.append([before, fresh * (before - fresh) + fresh * (fresh - 1) // 2, len(run),
-                         spent["results"], t, spent["emit"], spent["angles"]])
+                         spent["results"], t, cpu, spent["emit"], spent["angles"]])
         best = rows if not best else [b[:4] + [min(x, y) for x, y in zip(b[4:], r[4:])]
                                       for b, r in zip(best, rows)]
     return best
@@ -114,14 +117,16 @@ def main() -> None:
     print(f"repeat={args.repeat}  seed={SEED}")
     print("closure rounds, (4, 1) extension probe, budget 512")
     print(f"{'round':>5}  {'elements':>8}  {'pairs':>7}  {'new':>5}  {'results':>7}  "
-          f"{'time (s)':>10}  {'pairs/s':>10}  {'_emit (s)':>10}  {'_angles (s)':>11}")
+          f"{'time (s)':>10}  {'cpu (s)':>10}  {'pairs/s':>10}  {'_emit (s)':>10}  "
+          f"{'_angles (s)':>11}")
     rows = time_rounds(probe_generators(SEED), args.repeat)
-    for r, (before, pairs, after, results, t, emit, angles) in enumerate(rows):
+    for r, (before, pairs, after, results, t, cpu, emit, angles) in enumerate(rows):
         print(f"{r:>5}  {before:>8}  {pairs:>7}  {after - before:>5}  {results:>7}  "
-              f"{t:>10.4f}  {pairs / t:>10.3g}  {emit:>10.4f}  {angles:>11.4f}")
-    total = [sum(r[c] for r in rows) for c in range(7)]
+              f"{t:>10.4f}  {cpu:>10.4f}  {pairs / t:>10.3g}  {emit:>10.4f}  {angles:>11.4f}")
+    total = [sum(r[c] for r in rows) for c in range(8)]
     print(f"{'all':>5}  {'':>8}  {total[1]:>7}  {'':>5}  {total[3]:>7}  "
-          f"{total[4]:>10.4f}  {'':>10}  {total[5]:>10.4f}  {total[6]:>11.4f}")
+          f"{total[4]:>10.4f}  {total[5]:>10.4f}  {'':>10}  {total[6]:>10.4f}  "
+          f"{total[7]:>11.4f}")
 
     print(f"public meet/join, {PAIRS} random pairs per dim")
     print(f"{'dim':>3}  {'meet calls/s':>12}  {'join calls/s':>12}")

@@ -16,7 +16,7 @@ from .errors import (
     NotResolutionOfIdentity,
     ZeroVector,
 )
-from .lattice import Subspace, _ClosureRun, _two_valued, meet, orthocomplement
+from .lattice import Subspace, _ClosureRun, _two_valued, orthocomplement
 from .linalg import DEFAULT_TOL, ComplexVector, Tolerance, canonical_phase
 
 
@@ -142,26 +142,30 @@ def build_determinate(
         psi=ComplexVector(unit),
         observable=observable,
         projected_rays=tuple(rays),
-        complement=orthocomplement(span, tol),
+        complement=orthocomplement(span),
     )
+
+
+def _ray_masks(d: DeterminateSublattice, v: Subspace,
+               tol: Tolerance) -> tuple[np.ndarray, bool]:
+    """Which projected rays lie in v (``|P_v r - r| <= eps * n``), and whether
+    v is a member: every ray lies in v or is orthogonal to it
+    (``|P_v r| <= eps * n``). That suffices, since P_v then commutes with each
+    ray's projector R_i, so P_v = sum of the inside R_i + P_v P_K, and P_v P_K
+    projects onto v meet K."""
+    if v.ambient_dim != d.ambient_dim:
+        raise DimMismatch(f"subspace dim {v.ambient_dim} vs ambient {d.ambient_dim}")
+    rays = np.stack([r.vector.amplitudes for r in d.projected_rays], axis=1)
+    kept = v.projector() @ rays
+    eps = tol.eps * d.ambient_dim
+    inside = np.linalg.norm(kept - rays, axis=0) <= eps
+    return inside, bool((inside | (np.linalg.norm(kept, axis=0) <= eps)).all())
 
 
 def contains(d: DeterminateSublattice, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Analytic membership: every projected ray lies in v or orthogonal to it,
-    and v decomposes as span(inside rays) + (v meet K)."""
-    if v.ambient_dim != d.ambient_dim:
-        raise DimMismatch(f"subspace dim {v.ambient_dim} vs ambient {d.ambient_dim}")
-    inside = []
-    for r in d.projected_rays:
-        if v.contains_vector(r.vector, tol):
-            inside.append(r.vector)
-        elif not v.orthogonal_to_vector(r.vector, tol):
-            return False
-    span = Subspace.from_vectors(inside, ambient_dim=d.ambient_dim, tol=tol)
-    w = meet(v, d.complement, tol)
-    recomposed = span.projector() + w.projector()
-    dist = float(np.linalg.norm(v.projector() - recomposed))
-    return dist <= tol.eps * d.ambient_dim
+    so v decomposes as span(inside rays) + (v meet K)."""
+    return _ray_masks(d, v, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,10 @@ def truth_value(
 ) -> bool:
     """Truth of the member v under the property state: true iff the selected
     ray lies inside v."""
-    if not contains(d, v, tol):
+    inside, member = _ray_masks(d, v, tol)
+    if not member:
         raise NotInSublattice("subspace is not a member of the sublattice")
-    ray = d.projected_rays[state.selected].vector
-    return v.contains_vector(ray, tol)
+    return bool(inside[state.selected])
 
 
 class BornProbabilities(NamedTuple):
@@ -207,19 +211,17 @@ def born_check(
     v: Subspace,
     tol: Tolerance = DEFAULT_TOL,
 ) -> BornProbabilities:
-    """Probability of v as a measure over property states vs the state-vector
-    probability <psi|P_v|psi> less the K-internal part (identically zero for a
-    normalized input, kept explicit for the contract)."""
-    if not contains(d, v, tol):
+    """Probability of v as a measure over property states (the weights of the
+    projected rays inside v) vs the state-vector probability <psi|P_v|psi>
+    less <psi|P_v P_K|psi>: for a member, P_v P_K projects onto v meet K, so
+    that term is the weight inside v of the labels dropped below eps."""
+    inside, member = _ray_masks(d, v, tol)
+    if not member:
         raise NotInSublattice("subspace is not a member of the sublattice")
-    measure = 0.0
-    for s in property_states(d):
-        if v.contains_vector(d.projected_rays[s.selected].vector, tol):
-            measure += s.probability
-    amps = d.psi.amplitudes
-    born = float(np.real(np.vdot(amps, v.projector() @ amps)))
-    w = meet(v, d.complement, tol)
-    born -= float(np.real(np.vdot(amps, w.projector() @ amps)))
+    measure = sum((r.weight for r, i in zip(d.projected_rays, inside.tolist()) if i), 0.0)
+    amps, pv = d.psi.amplitudes, v.projector()
+    born = float(np.real(np.vdot(amps, pv @ amps)))
+    born -= float(np.real(np.vdot(amps, pv @ (d.complement.projector() @ amps))))
     return BornProbabilities(measure_prob=measure, born_prob=born)
 
 

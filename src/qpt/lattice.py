@@ -10,6 +10,7 @@ import numpy as np
 from .errors import BudgetExceeded, DimMismatch, NotClosed
 from .linalg import (
     DEFAULT_TOL,
+    PHASE_CUT,
     ComplexVector,
     Tolerance,
     canonical_phase,
@@ -87,24 +88,6 @@ class Subspace:
             object.__setattr__(self, "_proj", p)
         return self._proj
 
-    def contains_vector(self, v: ComplexVector, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if v.dim != self.ambient_dim:
-            raise DimMismatch(f"vector dim {v.dim} vs ambient {self.ambient_dim}")
-        n = v.norm()
-        if n == 0.0:
-            return True
-        resid = self.projector() @ v.amplitudes - v.amplitudes
-        return float(np.linalg.norm(resid)) <= tol.eps * self.ambient_dim * n
-
-    def orthogonal_to_vector(self, v: ComplexVector, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if v.dim != self.ambient_dim:
-            raise DimMismatch(f"vector dim {v.dim} vs ambient {self.ambient_dim}")
-        n = v.norm()
-        if n == 0.0:
-            return True
-        proj = self.projector() @ v.amplitudes
-        return float(np.linalg.norm(proj)) <= tol.eps * self.ambient_dim * n
-
     def isclose(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         """Identity as subspaces: projector Frobenius distance <= eps * ambient_dim."""
         if self.ambient_dim != other.ambient_dim:
@@ -118,7 +101,7 @@ def _check_dims(a: Subspace, b: Subspace) -> None:
         raise DimMismatch(f"ambient dims {a.ambient_dim} vs {b.ambient_dim}")
 
 
-def orthocomplement(a: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def orthocomplement(a: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.rank == 0:
         return Subspace.full(n)
@@ -136,7 +119,7 @@ def _phased(cols: np.ndarray) -> np.ndarray:
     phase: ``canonical_phase`` on every column at once. ``hypot`` gives the
     scalar ``abs`` it divides by bit for bit; the array ``np.abs`` does not."""
     mags = np.abs(cols)
-    lead = np.argmax(mags > 1e-12 * mags.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.argmax(mags > PHASE_CUT * mags.max(axis=-2, keepdims=True), axis=-2)
     pv = np.take_along_axis(cols, lead[..., None, :], axis=-2)
     return cols / (pv / np.hypot(pv.real, pv.imag))
 
@@ -288,12 +271,12 @@ _CHUNK = 256
 class _ClosureRun:
     """Incremental bounded closure with deduplication and op recording.
 
-    Elements live only in arrays: each one's rank, its basis and the basis of
-    its orthocomplement (both zero-padded to n columns, the basis in canonical
-    phase) and its projector, in (capacity, n, n) stacks, so a round's meets
-    and joins are batched SVDs over gathered pairs. The SVD that makes an
-    element also spans its orthocomplement, and that is the basis stored (see
-    ``_angles``); a complement swaps its source's two bases. ``result()`` is
+    Elements live only in arrays: each one's rank, a unitary and its
+    projector, in (capacity, n, n) stacks, so a round's meets and joins are
+    batched SVDs over gathered pairs. Element k's leading ``rank`` columns
+    (in canonical phase) span it and the rest span its orthocomplement: the
+    SVD that makes an element gives both (see ``_angles``), and a complement
+    is its source's columns rotated by the source's rank. ``result()`` is
     the only place that builds ``Subspace`` objects.
 
     Dedup: an element is filed under the cell ``floor(<W, P> / width)`` of its
@@ -324,9 +307,8 @@ class _ClosureRun:
         self.saturated = False  # budget refused an element
         self._ranks: list[int] = []
         # stacks grow geometrically: the budget may be far above what a run reaches
-        self._bases = np.zeros((0, n, n), dtype=np.complex128)
-        self._comps = np.zeros_like(self._bases)
-        self._projs = np.zeros_like(self._bases)
+        self._units = np.zeros((0, n, n), dtype=np.complex128)
+        self._projs = np.zeros_like(self._units)
         # any fixed weights do; generic ones put distinct projectors in distinct cells
         w = np.random.default_rng(0).standard_normal((2, n, n))
         self._weights = (w[0] - 1j * w[1]).ravel()  # conjugated W
@@ -342,10 +324,12 @@ class _ClosureRun:
 
     def ray_columns(self) -> np.ndarray:
         """(m, n) basis columns of the rank-1 elements, in insertion order."""
-        return self._bases[:len(self)][np.array(self._ranks) == 1, :, 0]
+        return self._units[:len(self)][np.array(self._ranks) == 1, :, 0]
 
     def _cells_of(self, projs: np.ndarray) -> np.ndarray:
-        keys = (projs.reshape(len(projs), self.n ** 2) @ self._weights).real / self._width
+        # einsum, not a matrix-vector product: OpenBLAS threads the latter
+        keys = np.einsum("kx,x->k", projs.reshape(len(projs), self.n ** 2),
+                         self._weights).real / self._width
         return np.floor(keys).astype(np.int64)
 
     @staticmethod
@@ -405,18 +389,14 @@ class _ClosureRun:
         """Append new elements, each in one slice of every stack."""
         m, n = len(self), self.n
         k = m + len(rank)
-        if k > len(self._bases):
-            cap = len(self._bases)
+        if k > len(self._units):
+            cap = len(self._units)
             while cap < k:
                 cap += max(8, cap)
-            grow = np.zeros((cap - len(self._bases), n, n), dtype=np.complex128)
-            self._bases, self._comps, self._projs = (
-                np.concatenate((a, grow)) for a in (self._bases, self._comps, self._projs))
-        # padding is written as zeros: a mask multiply would leave -0.0
-        cols, r = np.arange(n), rank[:, None]
-        self._bases[m:k] = np.where((cols < r)[:, None], _phased(us), 0)
-        turned = np.take_along_axis(us, ((cols + r) % n)[:, None], axis=2)
-        self._comps[m:k] = np.where((cols < n - r)[:, None], turned, 0)
+            grow = np.zeros((cap - len(self._units), n, n), dtype=np.complex128)
+            self._units, self._projs = (
+                np.concatenate((a, grow)) for a in (self._units, self._projs))
+        self._units[m:k] = np.where((np.arange(n) < rank[:, None])[:, None], _phased(us), us)
         self._projs[m:k] = projs
         self._cell = np.concatenate((self._cell, cells))
         self._ranks.extend(rank.tolist())
@@ -440,23 +420,20 @@ class _ClosureRun:
         then every pair i < j with j new, meet before join."""
         base, done, n = len(self), self._processed, self.n
         fresh = list(range(done, base))
-        cols = np.arange(n)
-        # a complement's columns are its source's complement columns, then
-        # its source's basis columns
-        rest = n - np.array(self._ranks[done:base], dtype=np.int64)
-        both = np.concatenate((self._comps[done:base], self._bases[done:base]), axis=2)
-        turn = np.where(cols < rest[:, None], cols, cols + n - rest[:, None])
+        # a complement's columns are its source's rotated by the source's rank
+        ranks = np.array(self._ranks, dtype=np.int64)
+        turn = (np.arange(n) + ranks[done:base, None]) % n
         self._emit(["complement"] * len(fresh), fresh, fresh,
-                   np.take_along_axis(both, turn[:, None], axis=2), rest)
+                   np.take_along_axis(self._units[done:base], turn[:, None], axis=2),
+                   n - ranks[done:base])
         left, right = np.triu_indices(base, 1)
         keep = right >= done
         left, right = left[keep], right[keep]
-        ranks = np.array(self._ranks, dtype=np.int64)
         for lo in range(0, len(left), _CHUNK):
             i, j = left[lo:lo + _CHUNK], right[lo:lo + _CHUNK]
             # result 2p is meet(pair p), 2p + 1 is join(pair p): the leading
-            # rank columns of its us. One SVD per (r_i, r_j) group, on unpadded
-            # blocks: padding would mix its null directions with the meet's
+            # rank columns of its us. One SVD per (r_i, r_j) group: zero-padding
+            # the blocks to one shape would mix their null directions with the meet's
             us = np.empty((2 * len(i), n, n), dtype=np.complex128)
             rank = np.empty(2 * len(i), dtype=np.int64)
             groups, at = np.unique(ranks[i] * (n + 1) + ranks[j], return_inverse=True)
@@ -464,10 +441,10 @@ class _ClosureRun:
                 ri, rj = divmod(key, n + 1)
                 p = np.flatnonzero(at == g)
                 gi, gj = i[p], j[p]
-                ciu, bjv, c = _angles(self._comps[gi, :, :n - ri], self._bases[gj, :, :rj],
+                ciu, bjv, c = _angles(self._units[gi, :, ri:], self._units[gj, :, :rj],
                                       self.tol.eps)
-                us[2 * p] = np.concatenate((bjv, self._comps[gj, :, :n - rj]), axis=2)
-                us[2 * p + 1] = np.concatenate((self._bases[gi, :, :ri], ciu), axis=2)
+                us[2 * p] = np.concatenate((bjv, self._units[gj, :, rj:]), axis=2)
+                us[2 * p + 1] = np.concatenate((self._units[gi, :, :ri], ciu), axis=2)
                 rank[2 * p], rank[2 * p + 1] = rj - c, ri + c
             self._emit(["meet", "join"] * len(i), np.repeat(i, 2).tolist(),
                        np.repeat(j, 2).tolist(), us, rank)
@@ -479,7 +456,7 @@ class _ClosureRun:
         return self._processed == len(self)
 
     def result(self) -> SublatticeSet:
-        elements = [Subspace(self.n, self._bases[k, :, :r]) for k, r in enumerate(self._ranks)]
+        elements = [Subspace(self.n, self._units[k, :, :r]) for k, r in enumerate(self._ranks)]
         order = sorted(range(len(elements)), key=lambda i: _canonical_key(elements[i]))
         remap = {old: new for new, old in enumerate(order)}
         rels = tuple(sorted((op, remap[i], remap[j], remap[k])

@@ -276,13 +276,17 @@ def embed(
     return Operator(out)
 
 
-def canonical_phase(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+#: relative magnitude below which ``canonical_phase`` passes over a component
+PHASE_CUT = 1e-12
+
+
+def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first significant component is real positive."""
     mags = np.abs(v)
     top = mags.max()
-    if top <= eps:
+    if top <= PHASE_CUT:
         return v
-    idx = int(np.argmax(mags > eps * top))
+    idx = int(np.argmax(mags > PHASE_CUT * top))
     ph = v[idx] / abs(v[idx])
     return v / ph
 

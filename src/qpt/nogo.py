@@ -69,7 +69,10 @@ class RaySet:
     def from_file(cls, path, tol: Tolerance = DEFAULT_TOL) -> "RaySet":
         """Parse a ray file: one ray per line, comma-separated complex
         components (re+imj form), '#' starts a comment, dimension inferred."""
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise RayFileError(f"{path}: {exc}") from exc
         vectors = []
         dim = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,7 +203,11 @@ class Unsatisfiable:
     residual: float
 
 
-def _local_strategies(rs: RaySet, cap: int = 4096) -> list[tuple[int, ...]]:
+#: most deterministic strategies ``_local_strategies`` enumerates per ray set
+_STRATEGY_CAP = 4096
+
+
+def _local_strategies(rs: RaySet) -> list[tuple[int, ...]]:
     """All noncontextual assignments of the ray set, each mapped to its
     per-context outcome (index of the ray valued 1 within each context).
 
@@ -212,7 +219,7 @@ def _local_strategies(rs: RaySet, cap: int = 4096) -> list[tuple[int, ...]]:
         if any(rs.orthogonal(i, j) for i, j in itertools.combinations(choice, 2)):
             continue
         out.add(tuple(ctx.index(r) for ctx, r in zip(rs.contexts, choice)))
-        if len(out) > cap:
+        if len(out) > _STRATEGY_CAP:
             raise ValueError("too many deterministic strategies to enumerate")
     return sorted(out)
 

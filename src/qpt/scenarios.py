@@ -23,7 +23,7 @@ from .dynamics import (
     sample_marginals,
     trajectory_rows,
 )
-from .errors import NotNormalized, RayFileError
+from .errors import NotNormalized
 from .lattice import Subspace
 from .linalg import (
     DEFAULT_TOL,
@@ -419,6 +419,8 @@ def decoherence_scenario(
     """
     if n_env < 0:
         raise ValueError(f"n_env must be >= 0, got {n_env}")
+    if not np.isfinite(overlap_angle):
+        raise ValueError(f"overlap angle must be finite, got {overlap_angle}")
     alpha, beta = 0.6, 0.8
     c = float(np.cos(overlap_angle))
 
@@ -601,10 +603,7 @@ def ks_scenario(path, *, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     Reports the assignment with its two defining properties re-verified, or
     a deletion-minimal witness core that is searched again on its own.
     """
-    try:
-        rs = RaySet.from_file(path, tol)
-    except ValueError as exc:  # content-level defect (e.g. coincident rays)
-        raise RayFileError(str(exc)) from exc
+    rs = RaySet.from_file(path, tol)
     result = find_assignment(rs)
     quantities = [
         Quantity("n_rays", len(rs.rays)),

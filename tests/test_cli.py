@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,13 @@ class TestExitCodes:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
+        latin = tmp_path / "latin.rays"
+        latin.write_bytes("1,0\n0,1 # \u00e9\n".encode("latin-1"))
+        out = run("ks", "--rays", str(latin))
+        assert out.returncode == 3
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
         out = run("epr", "--output", str(tmp_path / "missing" / "report.json"))
         assert out.returncode == 3
         lines = out.stderr.splitlines()
@@ -131,6 +139,18 @@ class TestExitCodes:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+    @pytest.mark.parametrize("angle", ["inf", "nan"])
+    def test_non_finite_angle_exits_two_before_any_work(self, angle):
+        # rejected before cos/sin of the angle run, so numpy warns of nothing
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["decohere", "--angle", angle])
         assert code == 2 and out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

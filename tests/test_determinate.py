@@ -27,15 +27,14 @@ from qpt import (
     truth_value,
 )
 from qpt.determinate import _distinct_rays
-from conftest import maximal_observable, random_subspace, random_vector
+from qpt.linalg import Tolerance
+from conftest import maximal_observable, random_subspace, random_unitary, random_vector
 
 seeds = st.integers(0, 2**32 - 1)
 
 
 def split_observable(dim: int, rng) -> ObservableSpec:
     """Degenerate observable: one rank-2 eigenspace, the rest rays."""
-    from conftest import random_unitary
-
     q = random_unitary(dim, rng)
     spaces = [Subspace.from_vectors([q[:, 0], q[:, 1]], ambient_dim=dim)]
     spaces += [Subspace.from_vectors([q[:, i]], ambient_dim=dim) for i in range(2, dim)]
@@ -129,6 +128,73 @@ class TestMembership:
         v = join(Subspace.ray(d.projected_rays[1].vector),
                  Subspace.ray(d.projected_rays[3].vector))
         assert contains(d, v) and contains(d, orthocomplement(v))
+
+
+def blocked_state(dim: int, rng) -> tuple[ComplexVector, ObservableSpec]:
+    """An observable whose eigenspaces are random blocks of one random basis,
+    and a state with no weight in at least one of them, so K != 0."""
+    q = random_unitary(dim, rng)
+    cuts = rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)), replace=False)
+    blocks = np.split(np.arange(dim), np.sort(cuts))
+    obs = ObservableSpec(tuple(f"b{i}" for i in range(len(blocks))),
+                         tuple(Subspace(dim, q[:, b]) for b in blocks))
+    # drop one block of two or more; a lone block (rank dim >= 3) leaves K
+    # of rank dim - 1
+    dropped = rng.random(len(blocks)) < 0.4
+    dropped[int(rng.integers(len(blocks)))] = len(blocks) > 1
+    dropped[int(np.argmin(dropped))] = False
+    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for b, drop in zip(blocks, dropped):
+        z[b] *= not drop
+    return ComplexVector(q @ z / np.linalg.norm(z)), obs
+
+
+class TestMembersWithComplement:
+    """Members span(S) + W, S a set of projected rays and W a subspace of K."""
+
+    @given(seeds, st.integers(3, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_member_truth_values_and_born_measure(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        psi, obs = blocked_state(dim, rng)
+        d = build_determinate(psi, obs)
+        k = d.complement.basis
+        assert k.shape[1] > 0
+        chosen = rng.random(len(d.projected_rays)) < 0.5
+        rays = np.stack([r.vector.amplitudes for r in d.projected_rays], axis=1)[:, chosen]
+        w = k @ random_unitary(k.shape[1], rng)[:, :int(rng.integers(0, k.shape[1] + 1))]
+        cols = np.concatenate((rays, w), axis=1)
+        # a basis that mixes the rays with W, so no column is a projected ray
+        v = Subspace(dim, np.linalg.qr(cols @ random_unitary(cols.shape[1], rng))[0]
+                     if cols.shape[1] else cols)
+        assert contains(d, v)
+        for s in property_states(d):
+            assert truth_value(s, d, v) == bool(chosen[s.selected])
+        out = born_check(d, v)
+        assert out.measure_prob == pytest.approx(out.born_prob, abs=1e-10)
+        assert out.measure_prob == pytest.approx(
+            sum(r.weight for r, c in zip(d.projected_rays, chosen) if c), abs=1e-12)
+        # a kept ray r tilted toward K: r is neither inside that ray nor orthogonal to it
+        t = rng.uniform(0.01, np.pi / 2 - 0.01)
+        r = d.projected_rays[int(rng.integers(len(d.projected_rays)))].vector.amplitudes
+        tilted = Subspace.ray(ComplexVector(np.cos(t) * r + np.sin(t) * k[:, 0]))
+        assert not contains(d, tilted)
+
+    def test_born_weight_of_a_label_dropped_below_eps_is_subtracted(self):
+        # |psi_z|^2 = 2.5e-5 < eps: label z is dropped and its direction joins
+        # K, so span(x) + K holds weight 2.5e-5 that no property state carries
+        tol = Tolerance(1e-4)
+        psi = ComplexVector(np.array([0.6, 0.8, 0.005], dtype=complex))
+        obs = ObservableSpec.from_eigenbasis([basis_vector(3, i) for i in range(3)],
+                                             labels=["x", "y", "z"])
+        d = build_determinate(psi, obs, tol)
+        assert [r.label for r in d.projected_rays] == ["x", "y"]
+        v = join(Subspace.ray(d.projected_rays[0].vector), d.complement)
+        assert contains(d, v, tol)
+        out = born_check(d, v, tol)
+        direct = float(np.real(np.vdot(d.psi.amplitudes, v.projector() @ d.psi.amplitudes)))
+        assert direct - out.measure_prob == pytest.approx(0.005 ** 2 / 1.000025, rel=1e-9)
+        assert out.born_prob == pytest.approx(out.measure_prob, abs=1e-14)
 
 
 class TestPropertyStates:

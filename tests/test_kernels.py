@@ -369,6 +369,7 @@ class TestBenchmarkScript:
         assert out.returncode == 0, out.stderr
         assert "closure rounds, (4, 1) extension probe, budget 512" in out.stdout
         assert "_emit (s)" in out.stdout and "_angles (s)" in out.stdout
+        assert "cpu (s)" in out.stdout
         assert "public meet/join, 200 random pairs per dim" in out.stdout
 
     def test_bench_nogo_runs(self):

@@ -199,8 +199,7 @@ def reference_join(a: Subspace, b: Subspace, tol=DEFAULT_TOL) -> Subspace:
 
 
 def reference_meet(a: Subspace, b: Subspace, tol=DEFAULT_TOL) -> Subspace:
-    return orthocomplement(
-        reference_join(orthocomplement(a, tol), orthocomplement(b, tol), tol), tol)
+    return orthocomplement(reference_join(orthocomplement(a), orthocomplement(b), tol))
 
 
 def reference_closure(generators, budget: int, tol=DEFAULT_TOL):
@@ -240,7 +239,7 @@ def reference_closure(generators, budget: int, tol=DEFAULT_TOL):
     while True:
         base = len(elements)
         for i in range(processed, base):
-            record("complement", i, i, orthocomplement(elements[i], tol))
+            record("complement", i, i, orthocomplement(elements[i]))
         for i in range(base):
             for j in range(max(i + 1, processed), base):
                 record("meet", i, j, reference_meet(elements[i], elements[j], tol))
@@ -354,14 +353,12 @@ class TestClosureRunState:
             grew = run.step()
             assert len(run) == len(run._ranks)
             for k, r in enumerate(run._ranks):
-                b, c = run._bases[k, :, :r], run._comps[k, :, :dim - r]
+                u = run._units[k]
+                b, c = u[:, :r], u[:, r:]
                 # orthonormal columns, the basis orthogonal to the complement
-                both = np.concatenate((b, c), axis=1)
-                assert np.abs(both.conj().T @ both - eye).max() < 1e-12
+                assert np.abs(u.conj().T @ u - eye).max() < 1e-12
                 assert np.abs(b @ b.conj().T + c @ c.conj().T - eye).max() < 1e-12
                 assert np.abs(b @ b.conj().T - run._projs[k]).max() < 1e-12
-                # padding columns stay zero
-                assert not run._bases[k, :, r:].any() and not run._comps[k, :, dim - r:].any()
             if run.saturated or not grew:
                 break
 
@@ -383,13 +380,13 @@ def reference_emit(run: _ClosureRun, ops, lhs, rhs, us: np.ndarray, rank: np.nda
             k = near[0]
         elif m < run.budget:
             k = m
-            if k == len(run._bases):
+            if k == len(run._units):
                 grow = np.zeros((max(8, k), n, n), dtype=np.complex128)
-                run._bases, run._comps, run._projs = (
-                    np.concatenate((a, grow)) for a in (run._bases, run._comps, run._projs))
+                run._units, run._projs = (
+                    np.concatenate((a, grow)) for a in (run._units, run._projs))
             for c in range(r):
-                run._bases[k, :, c] = canonical_phase(us[t, :, c])
-            run._comps[k, :, :n - r] = us[t, :, r:]
+                run._units[k, :, c] = canonical_phase(us[t, :, c])
+            run._units[k, :, r:] = us[t, :, r:]
             run._projs[k] = projs[t]
             run._cell = np.append(run._cell, cells[t])
             run._ranks.append(r)
@@ -406,7 +403,7 @@ class _ReferenceRun(_ClosureRun):
 def assert_same_run(a: _ClosureRun, b: _ClosureRun) -> None:
     assert a.relations == b.relations
     assert a._ranks == b._ranks and a.saturated == b.saturated
-    for stack in ("_bases", "_comps", "_projs"):
+    for stack in ("_units", "_projs"):
         assert getattr(a, stack).tobytes() == getattr(b, stack).tobytes(), stack
 
 
