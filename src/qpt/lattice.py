@@ -108,9 +108,9 @@ def orthocomplement(a: Subspace) -> Subspace:
     if a.rank == n:
         return Subspace.zero(n)
     w, vecs = np.linalg.eigh(np.eye(n) - a.projector())
+    # 0 < rank < n and a basis orthonormal to 1e-7: exactly n - rank
+    # eigenvalues of I - P lie above 0.5, so at least one column is kept
     cols = [canonical_phase(vecs[:, i]) for i in range(n) if w[i] > 0.5]
-    if not cols:
-        return Subspace.zero(n)
     return Subspace(n, np.column_stack(cols))
 
 

@@ -100,25 +100,22 @@ class RaySet:
 
 
 def _dim_cliques(orth: np.ndarray, dim: int) -> tuple[tuple[int, ...], ...]:
-    """Maximal cliques of the orthogonality graph, keeping those of size dim.
-    Bron-Kerbosch with pivoting; output canonically sorted."""
-    m = orth.shape[0]
-    adj = [frozenset(np.flatnonzero(orth[i]).tolist()) for i in range(m)]
-    found: set[tuple[int, ...]] = set()
+    """The maximal cliques of size dim of the orthogonality graph, in
+    lexicographic order: every size-dim clique that no further ray is
+    orthogonal to all of."""
+    adj = [set(np.flatnonzero(row).tolist()) for row in orth]
+    found: list[tuple[int, ...]] = []
 
-    def expand(r: set, p: set, x: set) -> None:
-        if not p and not x:
-            if len(r) == dim:
-                found.add(tuple(sorted(r)))
+    def grow(clique: list, cands: list) -> None:
+        if len(clique) == dim:
+            if not orth[:, clique].all(axis=1).any():
+                found.append(tuple(clique))
             return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for vtx in sorted(p - adj[pivot]):
-            expand(r | {vtx}, p & adj[vtx], x & adj[vtx])
-            p = p - {vtx}
-            x = x | {vtx}
+        for vtx in cands:
+            grow(clique + [vtx], [u for u in cands if u > vtx and u in adj[vtx]])
 
-    expand(set(), set(range(m)), set())
-    return tuple(sorted(found))
+    grow([], list(range(len(orth))))
+    return tuple(found)
 
 
 @dataclass(frozen=True)

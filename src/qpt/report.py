@@ -5,7 +5,7 @@ inputs and seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -71,12 +71,7 @@ class Quantity:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": _jsonable(self.value),
-            "tolerance": None if self.tolerance is None else float(self.tolerance),
-            "note": self.note,
-        }
+        return _jsonable(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -91,14 +86,7 @@ class Check:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "expected": _jsonable(self.expected),
-            "actual": _jsonable(self.actual),
-            "tolerance": None if self.tolerance is None else float(self.tolerance),
-            "note": self.note,
-        }
+        return _jsonable(asdict(self))
 
     def render(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

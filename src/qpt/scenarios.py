@@ -6,6 +6,8 @@ ScenarioReport whose checks all pass at default tolerances.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .determinate import (
@@ -70,33 +72,26 @@ _DOWN = np.array([0.0, 1.0], dtype=np.complex128)
 
 def _cyclic_shift(dim: int, by: int = 1) -> np.ndarray:
     """Permutation matrix sending index j to (j + by) mod dim."""
-    m = np.zeros((dim, dim))
-    for j in range(dim):
-        m[(j + by) % dim, j] = 1.0
-    return m
+    return np.roll(np.eye(dim), by, axis=0)
 
 
 def _position_observable(
     layout: RegisterLayout, factor_names: tuple[str, ...], symbols: "list[list[str]]"
 ) -> ObservableSpec:
-    """Eigenspaces of a joint position reading on the named registers, one
-    per combination of position indices."""
+    """Eigenspaces of a joint reading of the named registers, one per
+    combination of their indices, each spanned by the standard basis vectors
+    with that reading in flat-index order."""
     dims = [layout.dims[layout.axis(n)] for n in factor_names]
+    readings = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    readings = readings[[layout.axis(n) for n in factor_names]]
+    eye = np.eye(layout.dim, dtype=np.complex128)
     labels: list[str] = []
     spaces: list[Subspace] = []
     for combo in np.ndindex(*dims):
-        sel = dict(zip(factor_names, combo))
-        cols = []
-        for full in np.ndindex(*layout.dims):
-            idx = dict(zip(layout.names, full))
-            if all(idx[n] == sel[n] for n in factor_names):
-                flat = np.ravel_multi_index(full, layout.dims)
-                cols.append(basis_vector(layout.dim, flat).amplitudes)
-        spaces.append(Subspace.from_vectors(cols, ambient_dim=layout.dim))
-        if len(dims) == 1:
-            labels.append(symbols[0][combo[0]])
-        else:
-            labels.append("(" + ",".join(symbols[k][combo[k]] for k in range(len(dims))) + ")")
+        mask = (readings == np.array(combo)[:, None]).all(axis=0)
+        spaces.append(Subspace(layout.dim, eye[:, mask]))
+        names = [symbols[k][c] for k, c in enumerate(combo)]
+        labels.append(names[0] if len(dims) == 1 else "(" + ",".join(names) + ")")
     return ObservableSpec(tuple(labels), tuple(spaces))
 
 
@@ -114,10 +109,7 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     layout = RegisterLayout((("spin1", 2), ("spin2", 2), ("pos1", 3), ("pos2", 3)))
     sym = ["-", "0", "+"]
     r0 = basis_vector(3, 1)  # center position
-    pair = tensor(ComplexVector(_UP), ComplexVector(_DOWN)).add(
-        tensor(ComplexVector(_DOWN), ComplexVector(_UP)).scaled(-1)
-    ).scaled(1 / np.sqrt(2))
-    psi0 = tensor(pair, r0, r0)
+    psi0 = tensor(singlet(), r0, r0)
 
     # spin1-controlled shift of pos1: up moves +1 (to "+"), down moves -1
     u_local = np.kron(np.outer(_UP, _UP.conj()), _cyclic_shift(3, +1)) + np.kron(
@@ -130,10 +122,7 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     d_before = build_determinate(psi0, observable, tol=tol)
     d_after = build_determinate(psi1, observable, tol=tol)
 
-    p_up2 = embed(Operator(np.outer(_UP, _UP.conj())), layout, ("spin2",))
-    p_down2 = embed(Operator(np.outer(_DOWN, _DOWN.conj())), layout, ("spin2",))
-    v_up2 = Subspace.from_projector(layout.dim, p_up2.entries)
-    v_down2 = Subspace.from_projector(layout.dim, p_down2.entries)
+    v_up2, v_down2 = _position_observable(layout, ("spin2",), [["up", "down"]]).eigenprojectors
 
     member_before = contains(d_before, v_up2, tol=tol) and contains(
         d_before, v_down2, tol=tol
@@ -253,14 +242,7 @@ def teleportation_scenario(
     r0a = basis_vector(5, 0)
     r0b = basis_vector(1, 0)
 
-    full0 = np.einsum(
-        "c,ab,p,q->cabpq",
-        psi_c.amplitudes,
-        pair_ab.amplitudes.reshape(2, 2),
-        r0a.amplitudes,
-        r0b.amplitudes,
-    ).reshape(layout.dim)
-    phi0 = ComplexVector(full0)
+    phi0 = tensor(psi_c, pair_ab, r0a, r0b)
 
     # Bell-branch contents chi_i on B, extracted by contracting against the
     # Bell basis on (C, A); reconstruction must reproduce the initial state.
@@ -286,12 +268,13 @@ def teleportation_scenario(
     d = build_determinate(phi1, observable, tol=tol)
     states = property_states(d)
 
-    rng = np.random.default_rng(seed)
+    # one inverse-CDF draw selects the outcome, `samples` more fill the histogram
     probs = np.array([s.probability for s in states])
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    pick = int((rng.random() >= cum[:-1]).sum())
-    selected = states[pick]
+    picks = (np.random.default_rng(seed).random(samples + 1)[:, None] >= cum[:-1]).sum(axis=1)
+    selected = states[picks[0]]
+    picks = picks[1:]
 
     # fidelity of Bob's corrected state, for every outcome
     fidelities: dict[str, float] = {}
@@ -313,9 +296,6 @@ def teleportation_scenario(
             float(np.linalg.norm(rho_rest_pre.entries - rho_rest_post.entries, ord=2)),
         )
 
-    # outcome histogram over `samples` further seeded selections
-    u = rng.random(samples)
-    picks = (u[:, None] >= cum[None, :-1]).sum(axis=1)
     hist = {
         d.projected_rays[states[i].selected].label: int((picks == i).sum())
         for i in range(len(states))
@@ -441,17 +421,10 @@ def decoherence_scenario(
     ]
     dense_note = "skipped (n_env > 12)"
     if n_env <= 12:
-        e0 = np.array([1.0, 0.0], dtype=np.complex128)
         e1 = np.array([np.cos(overlap_angle), np.sin(overlap_angle)], dtype=np.complex128)
-        branch0 = e0
-        branch1 = e1
-        for _ in range(n_env - 1):
-            branch0 = np.kron(branch0, e0)
-            branch1 = np.kron(branch1, e1)
-        if n_env == 0:
-            branch0 = branch1 = np.ones(1, dtype=np.complex128)
+        branch0, branch1 = (functools.reduce(np.kron, [e] * n_env, np.ones(1)) for e in (_UP, e1))
         full = np.concatenate([alpha * branch0, beta * branch1])
-        layout = RegisterLayout((("pointer", 2), ("env", max(2**n_env, 1))))
+        layout = RegisterLayout((("pointer", 2), ("env", 2**n_env)))
         rho = reduced_state(ComplexVector(full), layout, ("pointer",))
         dense_off = abs(complex(rho.entries[0, 1]))
         checks.append(
@@ -530,6 +503,7 @@ def correspondence_scenario(n_max: int) -> ScenarioReport:
             worst_form = max(worst_form, abs(_ratio(n, m) - form))
 
     anchor = _ratio(2, 1)
+    defect_n_max = max(abs(_ratio(n_max, m) - 1.0) for m in range(1, min(3, n_max - 1) + 1))
     checks = [
         exact_check("small_n_gross_disagreement", 3.0, anchor,
                     note="lowest transition runs at triple the orbital frequency"),
@@ -574,21 +548,15 @@ def correspondence_scenario(n_max: int) -> ScenarioReport:
         checks.append(
             Check(
                 "convergence_to_unity",
-                passed=bool(
-                    max(abs(_ratio(n_max, m) - 1.0) for m in (1, 2, 3))
-                    < max(abs(_ratio(10, m) - 1.0) for m in (1, 2, 3))
-                ),
+                passed=bool(defect_n_max < max(abs(_ratio(10, m) - 1.0) for m in (1, 2, 3))),
                 expected="defect shrinks from n=10 to n=n_max",
-                actual=round(max(abs(_ratio(n_max, m) - 1.0) for m in (1, 2, 3)), 12),
+                actual=round(defect_n_max, 12),
                 tolerance=0.0,
             )
         )
     quantities = (
         Quantity("ratio_table_small_n", table, note="[n, m, ratio] rows"),
-        Quantity(
-            "largest_defect_at_n_max",
-            round(max(abs(_ratio(n_max, m) - 1.0) for m in range(1, min(3, n_max - 1) + 1)), 12),
-        ),
+        Quantity("largest_defect_at_n_max", round(defect_n_max, 12)),
     )
     return ScenarioReport("correspond", {"n_max": n_max}, quantities, tuple(checks))
 

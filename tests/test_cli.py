@@ -21,14 +21,32 @@ from qpt import _kernels, cli
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run(*args: str, cwd: Path = REPO, env: "dict[str, str] | None" = None):
+def spawn(*args: str, env: "dict[str, str] | None" = None) -> subprocess.CompletedProcess:
+    """``python -m qpt`` in a fresh interpreter, for tests of the process itself."""
     return subprocess.run(
         [sys.executable, "-m", "qpt", *args],
         capture_output=True,
         text=True,
-        cwd=cwd,
+        cwd=REPO,
         env=env,
     )
+
+
+def run(*args: str) -> subprocess.CompletedProcess:
+    """``cli.main`` in this process from the repository root, with the
+    captured output of ``spawn``; argparse's ``SystemExit`` gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(REPO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 class TestExitCodes:
@@ -48,7 +66,7 @@ class TestExitCodes:
 
     def test_failed_check_exits_one(self):
         # 12 samples at this seed land outside the 3-sigma band
-        out = run("teleport", "--samples", "12", "--seed", "74")
+        out = spawn("teleport", "--samples", "12", "--seed", "74")
         assert out.returncode == 1
         assert "[FAIL]" in out.stdout
 
@@ -97,7 +115,7 @@ class TestExitCodes:
         assert "[PASS] pointer_branch_not_addable" in out.stdout
 
     def test_file_problems_exit_three(self, tmp_path):
-        missing = run("ks", "--rays", str(tmp_path / "nope.rays"))
+        missing = spawn("ks", "--rays", str(tmp_path / "nope.rays"))
         assert missing.returncode == 3
 
         empty = tmp_path / "empty.rays"
@@ -136,24 +154,20 @@ class TestExitCodes:
     def test_unallocatable_size_exits_two(self, argv):
         # 8 PB is beyond the address space, so numpy fails at once whatever
         # the overcommit mode; the size is bad input, not a crash
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        assert code == 2 and out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        out = run(*argv)
+        assert out.returncode == 2 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
     @pytest.mark.parametrize("angle", ["inf", "nan"])
     def test_non_finite_angle_exits_two_before_any_work(self, angle):
         # rejected before cos/sin of the angle run, so numpy warns of nothing
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = cli.main(["decohere", "--angle", angle])
-        assert code == 2 and out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+            out = run("decohere", "--angle", angle)
+        assert out.returncode == 2 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
     def test_unallocatable_walker_count_fails_before_building_streams(self, monkeypatch):
         # one PCG64 stream per CHUNK walkers would be ~5e11 generators here:
@@ -162,15 +176,13 @@ class TestExitCodes:
             pytest.fail("chunk streams built before the walker arrays were allocated")
 
         monkeypatch.setattr(_kernels, "_chunk_streams", never)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["dynamics", "--trajectories", str(10**15), "--steps", "10"])
-        assert code == 2 and out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        out = run("dynamics", "--trajectories", str(10**15), "--steps", "10")
+        assert out.returncode == 2 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
     def test_unknown_subcommand_exits_two(self):
-        assert run("frobnicate").returncode == 2
+        assert spawn("frobnicate").returncode == 2
 
 
 def _flag(name: str, values) -> st.SearchStrategy:
@@ -226,18 +238,15 @@ class TestExitCodeFuzz:
         else:
             argv = [command, *[a for flag in data.draw(SUBCOMMAND_ARGS[command]) for a in flag]]
         argv += data.draw(_flag("--eps", st.sampled_from([1e-300, 1e-13, 1e-9, 1e-3, 0.5, -1e-9])))
-        out, err = io.StringIO(), io.StringIO()
-        parsed = True
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejecting an argument prints its usage
-                code, parsed = exc.code, False
+        out = run(*argv)
+        code = out.returncode
+        # argparse rejecting an argument exits through SystemExit after its usage
+        parsed = not out.stderr.startswith("usage: ")
         assert code in (0, 1, 2, 3), (argv, code)
-        assert (code == 1) == ("[FAIL]" in out.getvalue()), (argv, out.getvalue())
+        assert (code == 1) == ("[FAIL]" in out.stdout), (argv, out.stdout)
         if parsed and code in (2, 3):
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+            lines = out.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, out.stderr)
 
 
 class TestDeterminism:
@@ -252,15 +261,15 @@ class TestDeterminism:
         ],
     )
     def test_identical_invocations_are_byte_identical(self, args):
-        a = run(*args, "--format", "json")
-        b = run(*args, "--format", "json")
+        a = spawn(*args, "--format", "json")
+        b = spawn(*args, "--format", "json")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
     def test_environment_sets_no_tolerance(self):
         # --eps is the only tolerance route: a stray QPT_EPS changes nothing
-        plain = run("epr", "--format", "json")
-        stray = run("epr", "--format", "json", env={**os.environ, "QPT_EPS": "abc"})
+        plain = spawn("epr", "--format", "json")
+        stray = spawn("epr", "--format", "json", env={**os.environ, "QPT_EPS": "abc"})
         assert plain.returncode == stray.returncode == 0
         assert stray.stdout == plain.stdout
         assert stray.stderr == ""
@@ -368,7 +377,7 @@ class TestColdStart:
     def test_dynamics_report_bytes_pinned(self):
         # captured with the step unitary from scipy.linalg.expm; an eigh-based
         # unitary moves the evolved states in their last bits and changes these bytes
-        out = run("dynamics", "--steps", "200", "--trajectories", "2000", "--format", "json")
+        out = spawn("dynamics", "--steps", "200", "--trajectories", "2000", "--format", "json")
         assert out.returncode == 0, out.stderr
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
             "b7f9468544d9d462de5840d4cec69e309eaa0e1d7f30fcc632ca1242ad912b42"

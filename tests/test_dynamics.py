@@ -321,6 +321,14 @@ class TestMeshing:
         with pytest.raises(ValueError):
             sample_marginals(traj, seed=0, n_trajectories=100, sample_indices=bad)
 
+    def test_default_indices_sample_every_step(self):
+        traj = rabi_trajectory(50)
+        marg = sample_marginals(traj, seed=3, n_trajectories=200)
+        every = sample_marginals(traj, seed=3, n_trajectories=200, sample_indices=np.arange(51))
+        assert marg.counts.shape == (51, 2)
+        assert np.array_equal(marg.counts, every.counts)
+        assert np.array_equal(marg.times, traj.times)
+
     def test_empty_indices_give_no_counts(self):
         marg = sample_marginals(rabi_trajectory(100), seed=0, n_trajectories=100,
                                 sample_indices=[])

@@ -327,6 +327,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample_paths(cum, p0, 10, seed=0, sample_idx=bad)
 
+    @pytest.mark.parametrize("bad", [[3, 1], [2, 2]])
+    def test_non_increasing_sample_indices_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        cum, p0 = random_cumulatives(5, 2, rng)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sample_paths(cum, p0, 10, seed=0, sample_idx=bad)
+
     def test_empty_and_integer_valued_sample_indices_accepted(self):
         rng = np.random.default_rng(0)
         cum, p0 = random_cumulatives(5, 2, rng)

@@ -33,7 +33,7 @@ from qpt import (
     singlet,
     spin_observable,
 )
-from qpt.nogo import _local_strategies
+from qpt.nogo import _dim_cliques, _local_strategies
 from conftest import random_unitary
 
 FIXTURES = Path(qpt.__file__).resolve().parent / "fixtures"
@@ -164,6 +164,28 @@ class TestContextOracle:
             tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == rs.dim
         }
         assert set(rs.contexts) == cliques
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_contexts_are_the_maximal_dim_cliques(self, data):
+        # random orthogonality graphs, some with a planted (dim + 1)-clique
+        # whose size-dim subsets are cliques but not maximal ones
+        dim, m = data.draw(st.integers(2, 5)), data.draw(st.integers(0, 10))
+        orth = np.zeros((m, m), dtype=bool)
+        orth[np.triu_indices(m, 1)] = data.draw(
+            st.lists(st.booleans(), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+        if m > dim and data.draw(st.booleans()):
+            planted = data.draw(st.lists(st.integers(0, m - 1), min_size=dim + 1,
+                                         max_size=dim + 1, unique=True))
+            orth[np.ix_(planted, planted)] = True
+        orth |= orth.T
+        np.fill_diagonal(orth, False)
+        brute = tuple(
+            c for c in itertools.combinations(range(m), dim)
+            if all(orth[i, j] for i, j in itertools.combinations(c, 2))
+            and not any(all(orth[v, i] for i in c) for v in range(m) if v not in c)
+        )
+        assert _dim_cliques(orth, dim) == brute
 
 
 class TestFindAssignment:

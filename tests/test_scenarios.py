@@ -164,6 +164,16 @@ class TestKs:
             ks_scenario(rays)
 
 
+class TestChsh:
+    def test_value_at_the_classical_bound_accepts_either_local_model_verdict(self):
+        # four distinct settings whose CHSH value is 2 to rounding
+        rep = chsh_scenario((0.0, np.pi / 2, -0.35831957700497175, -np.pi / 4))
+        assert rep.all_passed, rep.render_text()
+        assert abs({q.name: q.value for q in rep.quantities}["chsh_value"] - 2.0) <= 1e-9
+        by = {c.name: c for c in rep.checks}
+        assert "at the classical boundary" in by["local_model_consistency"].note
+
+
 class TestDynamicsScenario:
     def test_trajectory_rows_written_on_request(self, tmp_path):
         out = tmp_path / "paths.tsv"
