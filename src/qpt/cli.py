@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import QptError, RayFileError
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, EPS_FLOOR, Tolerance
 from .scenarios import (
     chsh_scenario,
     correspondence_scenario,
@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_FILE = 3
+
+#: largest accepted --eps (the library accepts any eps below 1)
+_EPS_CEIL = 1e-3
+_EPS_RANGE = f"[{EPS_FLOOR:g}, {_EPS_CEIL:g}]"
 
 
 def _parse_complex(text: str) -> complex:
@@ -48,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--eps",
         type=float,
         default=None,
-        help="comparison tolerance in [1e-13, 1e-3]; default 1e-9 (below the "
-        "floor 1e-13, rounding noise would count as subspace rank)",
+        help=f"comparison tolerance in {_EPS_RANGE}; default 1e-9 (below the "
+        f"floor {EPS_FLOOR:g}, rounding noise would count as subspace rank)",
     )
     common.add_argument(
         "--format",
@@ -116,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_tol(args) -> Tolerance:
     if args.eps is None:
         return DEFAULT_TOL
-    if args.eps > 1e-3:
-        raise ValueError(f"--eps must lie in [1e-13, 1e-3], got {args.eps}")
-    return Tolerance(eps=args.eps)  # raises below the floor
+    if not EPS_FLOOR <= args.eps <= _EPS_CEIL:
+        raise ValueError(f"--eps must lie in {_EPS_RANGE}, got {args.eps}")
+    return Tolerance(eps=args.eps)
 
 
 def main(argv: "list[str] | None" = None) -> int:

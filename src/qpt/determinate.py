@@ -124,13 +124,10 @@ def build_determinate(
     (squared norm >= eps) as weighted rays; K is the orthocomplement of their span."""
     if psi.dim != observable.ambient_dim:
         raise DimMismatch(f"state dim {psi.dim} vs observable dim {observable.ambient_dim}")
-    nrm = psi.norm()
-    if nrm <= tol.eps:
-        raise ZeroVector("state vector is (near-)zero")
-    unit = psi.amplitudes / nrm
+    unit = psi.normalized(tol)
     rays = []
     for label, space in zip(observable.labels, observable.eigenprojectors):
-        x = space.projector() @ unit
+        x = space.projector() @ unit.amplitudes
         w = float(np.real(np.vdot(x, x)))
         if w >= tol.eps:
             vec = ComplexVector(canonical_phase(x / np.sqrt(w)))
@@ -139,7 +136,7 @@ def build_determinate(
         raise ZeroVector("all eigenspace projections fell below eps")
     span = Subspace.from_vectors([r.vector for r in rays], ambient_dim=psi.dim, tol=tol)
     return DeterminateSublattice(
-        psi=ComplexVector(unit),
+        psi=unit,
         observable=observable,
         projected_rays=tuple(rays),
         complement=orthocomplement(span),

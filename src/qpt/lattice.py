@@ -10,7 +10,6 @@ import numpy as np
 from .errors import BudgetExceeded, DimMismatch, NotClosed
 from .linalg import (
     DEFAULT_TOL,
-    PHASE_CUT,
     ComplexVector,
     Tolerance,
     canonical_phase,
@@ -53,26 +52,9 @@ class Subspace:
         return cls(v.dim, canonical_phase(u.amplitudes).reshape(-1, 1))
 
     @classmethod
-    def from_projector(cls, ambient_dim: int, proj: np.ndarray) -> "Subspace":
-        """Range of a Hermitian idempotent, read off its eigendecomposition."""
-        vals, vecs = np.linalg.eigh(proj)
-        keep = vals > 0.5
-        return cls(ambient_dim, np.ascontiguousarray(vecs[:, keep]))
-
-    @classmethod
-    def from_vectors(cls, vectors, ambient_dim: "int | None" = None,
-                     tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        cols = orthonormalize(vectors, tol)
-        if not cols:
-            if ambient_dim is None:
-                vecs = list(vectors)
-                if not vecs:
-                    raise ValueError("need ambient_dim for an empty generating set")
-                first = vecs[0]
-                ambient_dim = first.dim if isinstance(first, ComplexVector) else len(first)
-            return cls.zero(ambient_dim)
-        mat = np.column_stack([c.amplitudes for c in cols])
-        return cls(mat.shape[0], mat)
+    def from_vectors(cls, vectors, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+        cols = [c.amplitudes for c in orthonormalize(vectors, tol)]
+        return cls(ambient_dim, np.column_stack(cols)) if cols else cls.zero(ambient_dim)
 
     @property
     def rank(self) -> int:
@@ -90,8 +72,7 @@ class Subspace:
 
     def isclose(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         """Identity as subspaces: projector Frobenius distance <= eps * ambient_dim."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimMismatch(f"ambient dims {self.ambient_dim} vs {other.ambient_dim}")
+        _check_dims(self, other)
         d = float(np.linalg.norm(self.projector() - other.projector()))
         return d <= tol.eps * self.ambient_dim
 
@@ -109,19 +90,8 @@ def orthocomplement(a: Subspace) -> Subspace:
         return Subspace.zero(n)
     w, vecs = np.linalg.eigh(np.eye(n) - a.projector())
     # 0 < rank < n and a basis orthonormal to 1e-7: exactly n - rank
-    # eigenvalues of I - P lie above 0.5, so at least one column is kept
-    cols = [canonical_phase(vecs[:, i]) for i in range(n) if w[i] > 0.5]
-    return Subspace(n, np.column_stack(cols))
-
-
-def _phased(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal columns (the last two axes), each rotated to canonical
-    phase: ``canonical_phase`` on every column at once. ``hypot`` gives the
-    scalar ``abs`` it divides by bit for bit; the array ``np.abs`` does not."""
-    mags = np.abs(cols)
-    lead = np.argmax(mags > PHASE_CUT * mags.max(axis=-2, keepdims=True), axis=-2)
-    pv = np.take_along_axis(cols, lead[..., None, :], axis=-2)
-    return cols / (pv / np.hypot(pv.real, pv.imag))
+    # eigenvalues of I - P lie above 0.5
+    return Subspace(n, canonical_phase(vecs[:, w > 0.5]))
 
 
 def _angles(ci: np.ndarray, bj: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,14 +122,14 @@ def join(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Closed span of the union: a's basis, then b's directions outside a."""
     _check_dims(a, b)
     ciu, _, c = _angles(_complement(a)[None], b.basis[None], tol.eps)
-    return Subspace(a.ambient_dim, _phased(np.concatenate((a.basis, ciu[0, :, :c[0]]), axis=1)))
+    return Subspace(a.ambient_dim, canonical_phase(np.concatenate((a.basis, ciu[0, :, :c[0]]), axis=1)))
 
 
 def meet(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Intersection: the directions of b at angle zero to a."""
     _check_dims(a, b)
     _, bjv, c = _angles(_complement(a)[None], b.basis[None], tol.eps)
-    return Subspace(a.ambient_dim, _phased(bjv[0, :, :b.rank - c[0]]))
+    return Subspace(a.ambient_dim, canonical_phase(bjv[0, :, :b.rank - c[0]]))
 
 
 def commutes(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -175,16 +145,14 @@ class SublatticeSet:
     ``relations`` is the op table harvested while the set was generated:
     tuples (op, i, j, k) recording that applying ``op`` ("meet", "join",
     "complement") to elements i, j produced element k. For complements j == i.
+    ``is_closed``: the set is closed under all three ops (the closure reached
+    a fixpoint within its budget).
     """
 
     elements: tuple[Subspace, ...]
-    closed_under: frozenset[str]
+    is_closed: bool
     closure_depth: int
     relations: tuple[tuple[str, int, int, int], ...] = field(default_factory=tuple)
-
-    @property
-    def is_closed(self) -> bool:
-        return self.closed_under >= {"meet", "join", "complement"}
 
 
 def _gate_table(gate) -> list:
@@ -396,7 +364,7 @@ class _ClosureRun:
             grow = np.zeros((cap - len(self._units), n, n), dtype=np.complex128)
             self._units, self._projs = (
                 np.concatenate((a, grow)) for a in (self._units, self._projs))
-        self._units[m:k] = np.where((np.arange(n) < rank[:, None])[:, None], _phased(us), us)
+        self._units[m:k] = np.where((np.arange(n) < rank[:, None])[:, None], canonical_phase(us), us)
         self._projs[m:k] = projs
         self._cell = np.concatenate((self._cell, cells))
         self._ranks.extend(rank.tolist())
@@ -461,11 +429,9 @@ class _ClosureRun:
         remap = {old: new for new, old in enumerate(order)}
         rels = tuple(sorted((op, remap[i], remap[j], remap[k])
                             for op, i, j, k in self.relations))
-        flags = frozenset() if self.saturated or not self.finished() else frozenset(
-            {"meet", "join", "complement"})
         return SublatticeSet(
             elements=tuple(elements[i] for i in order),
-            closed_under=flags,
+            is_closed=not self.saturated and self.finished(),
             closure_depth=self.depth,
             relations=rels,
         )

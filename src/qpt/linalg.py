@@ -75,14 +75,6 @@ class ComplexVector:
             raise ZeroVector(f"norm {n} below eps {tol.eps}")
         return ComplexVector(self.amplitudes / n)
 
-    def scaled(self, factor: complex) -> "ComplexVector":
-        return ComplexVector(self.amplitudes * factor)
-
-    def add(self, other: "ComplexVector") -> "ComplexVector":
-        if self.dim != other.dim:
-            raise DimMismatch(f"dims {self.dim} vs {other.dim}")
-        return ComplexVector(self.amplitudes + other.amplitudes)
-
 
 @dataclass(frozen=True, eq=False)
 class Operator:
@@ -281,14 +273,19 @@ PHASE_CUT = 1e-12
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first significant component is real positive."""
-    mags = np.abs(v)
-    top = mags.max()
-    if top <= PHASE_CUT:
-        return v
-    idx = int(np.argmax(mags > PHASE_CUT * top))
-    ph = v[idx] / abs(v[idx])
-    return v / ph
+    """Rotate a global phase so the first significant component is real
+    positive: of a 1-D vector, or of each column of an array whose last two
+    axes are (components, columns). A column whose largest component is at
+    most ``PHASE_CUT`` comes back unchanged. Each column is divided by
+    ``pv / hypot(pv.real, pv.imag)`` for its first significant entry ``pv``:
+    ``hypot`` is the scalar ``abs`` bit for bit, the array ``np.abs`` is not."""
+    cols = v[..., None] if v.ndim == 1 else v
+    mags = np.abs(cols)
+    top = mags.max(axis=-2, keepdims=True)
+    live = top > PHASE_CUT
+    lead = np.argmax(mags > PHASE_CUT * top, axis=-2)
+    pv = np.where(live, np.take_along_axis(cols, lead[..., None, :], axis=-2), 1)
+    return np.where(live, cols / (pv / np.hypot(pv.real, pv.imag)), cols).reshape(v.shape)
 
 
 def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[ComplexVector]:

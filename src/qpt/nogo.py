@@ -124,9 +124,6 @@ class Assignment:
 
     values: tuple[int, ...]
 
-    def ones(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v == 1)
-
 
 @dataclass(frozen=True)
 class NoAssignment:

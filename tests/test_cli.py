@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -72,8 +73,12 @@ class TestExitCodes:
 
     def test_invalid_input_exits_two(self, tmp_path):
         assert run("teleport", "--c-plus", "5+0j").returncode == 2
-        assert run("epr", "--eps", "5").returncode == 2
         assert run("epr", "--eps", "-1e-9").returncode == 2
+        # one --eps range, above the ceiling and below the floor alike
+        above, below = run("epr", "--eps", "5"), run("epr", "--eps", "1e-300")
+        assert above.returncode == below.returncode == 2
+        ranges = {re.search(r"must lie in (.*), got", out.stderr).group(1) for out in (above, below)}
+        assert len(ranges) == 1, (above.stderr, below.stderr)
         assert run("dynamics", "--steps", "4").returncode == 2
         assert run("correspond", "--n-max", "1").returncode == 2
         # sizes the scenarios themselves reject: usage errors, not crashes

@@ -13,8 +13,10 @@ from qpt import (
     ComplexVector,
     DimMismatch,
     NotInSublattice,
+    NotResolutionOfIdentity,
     ObservableSpec,
     Subspace,
+    ZeroVector,
     basis_vector,
     born_check,
     build_determinate,
@@ -42,7 +44,37 @@ def split_observable(dim: int, rng) -> ObservableSpec:
     return ObservableSpec(tuple(labels), tuple(spaces))
 
 
+class TestObservableSpecChecks:
+    def test_labels_must_align_with_eigenprojectors(self):
+        with pytest.raises(ValueError):
+            ObservableSpec(("a",), (Subspace.full(2), Subspace.zero(2)))
+
+    def test_duplicate_labels_rejected(self):
+        rays = tuple(Subspace.ray(basis_vector(2, i)) for i in range(2))
+        with pytest.raises(ValueError):
+            ObservableSpec(("a", "a"), rays)
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(DimMismatch):
+            ObservableSpec(("a", "b"), (Subspace.full(2), Subspace.full(3)))
+
+    def test_overlapping_eigenprojectors_rejected(self):
+        tilted = ComplexVector(np.array([1.0, 1.0]) / np.sqrt(2))
+        with pytest.raises(NotResolutionOfIdentity, match="orthogonal"):
+            ObservableSpec(("a", "b"), (Subspace.ray(basis_vector(2, 0)), Subspace.ray(tilted)))
+
+    def test_eigenprojectors_must_sum_to_identity(self):
+        with pytest.raises(NotResolutionOfIdentity, match="identity"):
+            ObservableSpec(("a",), (Subspace.ray(basis_vector(2, 0)),))
+
+
 class TestBuildDeterminate:
+    def test_every_projection_below_eps_rejected(self):
+        # weights 1/3 each, all below eps = 0.4
+        psi = ComplexVector(np.ones(3) / np.sqrt(3))
+        with pytest.raises(ZeroVector, match="all eigenspace projections"):
+            build_determinate(psi, ObservableSpec.from_eigenbasis(np.eye(3)), Tolerance(0.4))
+
     def test_weights_sum_to_one(self, rng):
         d = build_determinate(random_vector(5, rng), maximal_observable(5, rng))
         assert sum(r.weight for r in d.projected_rays) == pytest.approx(1.0, abs=1e-12)

@@ -49,10 +49,17 @@ class TestSubspaceBasics:
         assert np.abs(z.projector()).max() == 0.0
         assert np.abs(f.projector() - np.eye(3)).max() == 0.0
 
-    def test_from_projector_roundtrip(self, rng):
-        s = random_subspace(5, 2, rng)
-        t = Subspace.from_projector(5, s.projector())
-        assert _proj_close(s, t, 1e-10)
+    def test_from_vectors_rejects_a_mismatched_ambient_dim(self):
+        with pytest.raises(ValueError):
+            Subspace.from_vectors([np.ones(3)], ambient_dim=4)
+
+    def test_from_vectors_takes_a_generator(self, rng):
+        for vecs, rank in (([random_vector(4, rng).amplitudes for _ in range(2)], 2),
+                           ([np.zeros(4)], 0)):
+            listed = Subspace.from_vectors(vecs, ambient_dim=4)
+            generated = Subspace.from_vectors(iter(vecs), ambient_dim=4)
+            assert generated.rank == listed.rank == rank
+            assert generated.basis.tobytes() == listed.basis.tobytes()
 
     def test_contains_vector_via_projector(self, rng):
         s = random_subspace(4, 2, rng)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,13 +49,23 @@ class TestComplexVector:
 
     def test_inner_is_conjugate_linear_in_first_slot(self, rng):
         a, b = random_vector(4, rng), random_vector(4, rng)
-        lhs = a.scaled(2j).inner(b)
+        lhs = ComplexVector(2j * a.amplitudes).inner(b)
         assert lhs == pytest.approx(np.conj(2j) * a.inner(b))
 
     def test_amplitudes_are_immutable(self):
         v = basis_vector(3, 0)
         with pytest.raises((ValueError, RuntimeError)):
             v.amplitudes[0] = 5.0
+
+
+def scalar_phase(v: np.ndarray) -> np.ndarray:
+    """The one-vector rule, spelled with Python scalars: divide by the phase
+    of the first component above 1e-12 times the largest."""
+    mags = np.abs(v)
+    if mags.max() <= 1e-12:
+        return v
+    lead = v[int(np.argmax(mags > 1e-12 * mags.max()))]
+    return v / (lead / abs(lead))
 
 
 class TestCanonicalPhase:
@@ -77,6 +89,35 @@ class TestCanonicalPhase:
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         once = canonical_phase(v)
         assert np.abs(canonical_phase(once) - once).max() < 1e-14
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_equals_per_column(self, seed, g, n, m):
+        # zero, -0.0, tiny (<= PHASE_CUT), real-valued and generic columns
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(g, n, m)) + 1j * rng.normal(size=(g, n, m))
+        kind = np.broadcast_to(rng.integers(0, 5, size=(g, 1, m)), stack.shape)
+        stack[kind == 0] = 0.0
+        stack[kind == 1] = complex(-0.0, -0.0)
+        stack[kind == 2] *= 1e-14
+        stack[kind == 3] = stack[kind == 3].real
+        stack[:, rng.random(n) < 0.3, :] = 0.0  # leading or inner zero rows
+        for arr in (stack, stack.real.copy()):
+            out = canonical_phase(arr)
+            for a, b in itertools.product(range(g), range(m)):
+                col = arr[a, :, b]
+                assert out[a, :, b].tobytes() == canonical_phase(col).tobytes()
+                assert out[a, :, b].tobytes() == scalar_phase(col).tobytes()
+            assert out[0].tobytes() == canonical_phase(arr[0]).tobytes()
+
+    def test_tiny_vector_comes_back_unchanged(self):
+        # largest component at most PHASE_CUT: no phase is read off it
+        for v in (np.array([complex(-0.0, -0.0), 1e-13j, complex(0.0, -0.0)]),
+                  np.array([-0.0, 5e-13, -1e-12]),
+                  np.zeros(3, dtype=complex)):
+            assert canonical_phase(v).tobytes() == v.tobytes()
+            cols = np.stack([v, v], axis=1)
+            assert canonical_phase(cols).tobytes() == cols.tobytes()
 
 
 class TestTensor:

@@ -16,6 +16,7 @@ from qpt import (
     Assignment,
     ChshSetting,
     ComplexVector,
+    DimMismatch,
     NoAssignment,
     RayFileError,
     RaySet,
@@ -56,6 +57,18 @@ class TestRaySet:
         v = np.array([0.6, 0.8], dtype=complex)
         with pytest.raises(ValueError):
             RaySet.from_vectors([v, np.exp(1j) * v])
+
+    def test_empty_ray_set_rejected(self):
+        with pytest.raises(ValueError):
+            RaySet(())
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(DimMismatch):
+            RaySet((ComplexVector(np.array([1.0, 0.0])), ComplexVector(np.array([1.0, 0.0, 0.0]))))
+
+    def test_non_unit_rays_rejected(self):
+        with pytest.raises(ValueError):
+            RaySet((ComplexVector(np.array([2.0, 0.0])),))
 
     def test_orthogonal_predicate(self):
         rs = RaySet.from_vectors(dim2_rays([0.0, np.pi / 2, np.pi / 4]))
@@ -382,6 +395,15 @@ class TestLocalMapSearch:
                 tbl[i, j, fa[i], fb[j]] += w
         out = local_map_search(rs_a, rs_b, tbl)
         assert isinstance(out, Satisfiable)
+
+    def test_more_than_four_settings_rejected(self):
+        # five orthonormal pairs in dim 2: five contexts on side a
+        thetas = np.linspace(0.0, np.pi / 2, 5, endpoint=False)
+        rs_a = RaySet.from_vectors(dim2_rays(np.concatenate((thetas, thetas + np.pi / 2))))
+        rs_b = setting_ray_sets(ChshSetting.optimal())[1]
+        assert len(rs_a.contexts) == 5
+        with pytest.raises(ValueError, match="4 settings"):
+            local_map_search(rs_a, rs_b, np.zeros((5, 2, 2, 2)))
 
     def test_wrong_shape_rejected(self):
         setting = ChshSetting.optimal()
