@@ -6,7 +6,10 @@ Times, best of ``--repeat``:
   uncolourable set whose search also extracts a deletion-minimal core;
 - ``_two_valued`` on the last relation table that ``extend_and_check``
   searches for the (4, 1) maximality probe of ``bench_closure.py`` (seed
-  ``SEED``, budget 512), with the extension check's preference and node cap.
+  ``SEED``, budget 512), with the extension check's preference and node cap;
+- ``local_map_search`` (the CHSH linear program) on the singlet's table at
+  the default ``qpt chsh`` angles and at ``0,π/2,0,π/2``. scipy is imported
+  before the clock starts.
 
 Usage:
     python benchmarks/bench_nogo.py [--repeat 5]
@@ -18,11 +21,13 @@ import argparse
 import time
 from pathlib import Path
 
+import numpy as np
 from bench_closure import SEED, probe_generators
 
 from qpt import RaySet, find_assignment
 from qpt.lattice import _ClosureRun, _two_valued
 from qpt.linalg import DEFAULT_TOL
+from qpt.nogo import ChshSetting, correlation_table, local_map_search, setting_ray_sets, singlet
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qpt" / "fixtures"
 
@@ -67,6 +72,18 @@ def main() -> None:
     result = "map" if found else {False: "none", None: "capped"}[found]
     t = best_of(lambda: _two_valued(n, rels, first=1, node_cap=100000), args.repeat)
     print(f"{n:>8}  {len(rels):>9}  {result:>8}  {t * 1e3:>9.3f}")
+
+    print("local_map_search, singlet tables")
+    print(f"{'angles':>28}  {'result':>13}  {'time (ms)':>9}")
+    for name, setting in (
+        ("default", ChshSetting.optimal()),
+        ("0,pi/2,0,pi/2", ChshSetting((0.0, np.pi / 2), (0.0, np.pi / 2))),
+    ):
+        rs_a, rs_b = setting_ray_sets(setting)
+        table = correlation_table(singlet(), setting)
+        result = type(local_map_search(rs_a, rs_b, table)).__name__
+        t = best_of(lambda: local_map_search(rs_a, rs_b, table), args.repeat)
+        print(f"{name:>28}  {result:>13}  {t * 1e3:>9.3f}")
 
 
 if __name__ == "__main__":

@@ -53,6 +53,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+        vectors = list(vectors)
+        for v in vectors:
+            n = len(getattr(v, "amplitudes", v))
+            if n != ambient_dim:
+                raise ValueError(f"vector of {n} components in ambient dim {ambient_dim}")
         cols = [c.amplitudes for c in orthonormalize(vectors, tol)]
         return cls(ambient_dim, np.column_stack(cols)) if cols else cls.zero(ambient_dim)
 

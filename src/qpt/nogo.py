@@ -185,7 +185,8 @@ def find_assignment(
 
 @dataclass(frozen=True)
 class Satisfiable:
-    """The table is a convex mixture of deterministic local strategies."""
+    """The table is a convex mixture of deterministic local strategies, with
+    these weights per strategy pair."""
 
     weights: tuple[float, ...]
 
@@ -196,6 +197,11 @@ class Unsatisfiable:
 
     residual: float
 
+
+#: the resolution of ``local_map_search``: HiGHS's default primal feasibility
+#: tolerance, per table entry. A table this close to a local one may be
+#: decided either way.
+FEASIBILITY_TOL = 1e-7
 
 #: most deterministic strategies ``_local_strategies`` enumerates per ray set
 _STRATEGY_CAP = 4096
@@ -224,8 +230,11 @@ def local_map_search(
     table: np.ndarray,
 ) -> "Satisfiable | Unsatisfiable":
     """Decide whether the correlation table (settings x settings x outcomes x
-    outcomes) is a convex mixture of deterministic local assignment pairs.
-    Linear feasibility over the enumerated strategy vertices."""
+    outcomes) is a convex mixture of deterministic local assignment pairs, by
+    one linear program at ``FEASIBILITY_TOL``: the least L1 distance from
+    ``[table; 1]`` to ``[A; 1ᵀ] w``, ``w >= 0``, over the strategy-pair columns
+    ``A``. Exactly 0 gives ``Satisfiable`` with the optimal ``w``, a positive
+    optimum ``Unsatisfiable`` with it as the residual."""
     # imported here, not at module level: loading scipy.optimize would
     # dominate `import qpt`, and only this function needs it
     from scipy.optimize import linprog
@@ -244,32 +253,23 @@ def local_map_search(
     strat_b = _local_strategies(rs_b)
     if not strat_a or not strat_b:
         return Unsatisfiable(residual=float(np.abs(table).sum()))
-    cols = []
-    for sa in strat_a:
-        for sb in strat_b:
-            v = np.zeros(expect)
-            for x in range(na):
-                for y in range(nb):
-                    v[x, y, sa[x], sb[y]] = 1.0
-            cols.append(v.ravel())
-    a_eq = np.column_stack(cols)
-    b_eq = table.ravel()
-    nvar = a_eq.shape[1]
-    a_full = np.vstack([a_eq, np.ones((1, nvar))])
-    b_full = np.concatenate([b_eq, [1.0]])
-    res = linprog(np.zeros(nvar), A_eq=a_full, b_eq=b_full,
-                  bounds=[(0, None)] * nvar, method="highs")
-    if res.status == 0:
-        weights = np.maximum(res.x, 0.0)
-        return Satisfiable(weights=tuple(float(w) for w in weights))
-    # measure the infeasibility: minimal L1 residual with slack variables
-    nrow = a_full.shape[0]
-    a_slack = np.hstack([a_full, np.eye(nrow), -np.eye(nrow)])
+    # one column per strategy pair, a's strategy major: the table of outcomes
+    # it fixes, entry [x, y, sa[x], sb[y]] = 1
+    one_a = np.eye(rs_a.dim)[np.array(strat_a)]
+    one_b = np.eye(rs_b.dim)[np.array(strat_b)]
+    vertices = np.einsum("ixa,jyb->ijxyab", one_a, one_b).reshape(-1, table.size)
+    nvar, nrow = len(vertices), table.size + 1
+    a_eq = np.vstack([vertices.T, np.ones((1, nvar))])
+    a_slack = np.hstack([a_eq, np.eye(nrow), -np.eye(nrow)])
     cost = np.concatenate([np.zeros(nvar), np.ones(2 * nrow)])
-    res2 = linprog(cost, A_eq=a_slack, b_eq=b_full,
-                   bounds=[(0, None)] * (nvar + 2 * nrow), method="highs")
-    residual = float(res2.fun) if res2.status == 0 else float("inf")
-    return Unsatisfiable(residual=residual)
+    res = linprog(cost, A_eq=a_slack, b_eq=np.append(table.ravel(), 1.0), method="highs",
+                  options={"primal_feasibility_tolerance": FEASIBILITY_TOL})
+    if res.status != 0:
+        return Unsatisfiable(residual=float("inf"))
+    if res.fun == 0.0:
+        weights = np.maximum(res.x[:nvar], 0.0)
+        return Satisfiable(weights=tuple(float(w) for w in weights))
+    return Unsatisfiable(residual=float(res.fun))
 
 
 @dataclass(frozen=True)

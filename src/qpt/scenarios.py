@@ -40,6 +40,7 @@ from .linalg import (
     tensor,
 )
 from .nogo import (
+    FEASIBILITY_TOL,
     ChshSetting,
     NoAssignment,
     RaySet,
@@ -48,6 +49,7 @@ from .nogo import (
     chsh_lhv_bound,
     chsh_value,
     correlation_table,
+    correlator,
     find_assignment,
     local_map_search,
     setting_ray_sets,
@@ -642,17 +644,26 @@ def chsh_scenario(angles: "tuple[float, float, float, float] | None" = None) -> 
     table = correlation_table(state, setting)
     lp = local_map_search(rs_a, rs_b, table)
 
-    if value > bound + 1e-9:
-        lp_ok = isinstance(lp, Unsatisfiable) and lp.residual > 1e-9
-        lp_note = "value above the classical bound: no local model may exist"
+    # Fine's theorem: the table has a local model iff each of the four CHSH
+    # sums |Σ − 2E_xy| is at most 2 (``value`` is the one with xy = 22). A
+    # sum is a ±1 combination of the 16 table entries, so the program's
+    # per-entry resolution blurs it by up to 16 of them.
+    corr = [correlator(state, ta, tb) for ta in (a1, a2) for tb in (b1, b2)]
+    largest = max(abs(sum(-e if k == xy else e for k, e in enumerate(corr))) for xy in range(4))
+    subject = "value" if largest == value else f"largest CHSH sum {largest:.10g}"
+    band = 16 * FEASIBILITY_TOL
+    if largest > bound + band:
+        lp_ok = isinstance(lp, Unsatisfiable)
+        lp_note = f"{subject} above the classical bound: no local model may exist"
         lp_expected = "Unsatisfiable"
-    elif value < bound - 1e-9:
+    elif largest < bound - band:
         lp_ok = isinstance(lp, Satisfiable)
-        lp_note = "value below the classical bound: a local model must exist"
+        lp_note = f"{subject} below the classical bound: a local model must exist"
         lp_expected = "Satisfiable"
     else:
         lp_ok = True
-        lp_note = "value at the classical boundary: either outcome is consistent"
+        lp_note = (f"{subject} at the classical boundary, within {band:g}: "
+                   "either outcome is consistent")
         lp_expected = type(lp).__name__
 
     checks = (
@@ -790,6 +801,8 @@ def determinate_scenario(
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    if observable not in ("maximal", "identity"):
+        raise ValueError(f"observable must be 'maximal' or 'identity', got {observable!r}")
     rng = np.random.default_rng(seed)
     psi = random_state(dim, rng)
     if observable == "identity":

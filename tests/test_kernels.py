@@ -384,3 +384,4 @@ class TestBenchmarkScript:
         assert out.returncode == 0, out.stderr
         assert "find_assignment, bundled fixtures" in out.stdout
         assert "two-valued search, last relation table of the (4, 1) extension probe" in out.stdout
+        assert "local_map_search, singlet tables" in out.stdout

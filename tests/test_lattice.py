@@ -53,6 +53,10 @@ class TestSubspaceBasics:
         with pytest.raises(ValueError):
             Subspace.from_vectors([np.ones(3)], ambient_dim=4)
 
+    def test_from_vectors_rejects_vanishing_vectors_of_another_dim(self):
+        with pytest.raises(ValueError):
+            Subspace.from_vectors([np.zeros(3)], ambient_dim=4)
+
     def test_from_vectors_takes_a_generator(self, rng):
         for vecs, rank in (([random_vector(4, rng).amplitudes for _ in range(2)], 2),
                            ([np.zeros(4)], 0)):

@@ -34,7 +34,7 @@ from qpt import (
     singlet,
     spin_observable,
 )
-from qpt.nogo import _dim_cliques, _local_strategies
+from qpt.nogo import FEASIBILITY_TOL, _dim_cliques, _local_strategies
 from conftest import random_unitary
 
 FIXTURES = Path(qpt.__file__).resolve().parent / "fixtures"
@@ -417,3 +417,78 @@ class TestLocalMapSearch:
         tbl = correlation_table(singlet(), setting)
         rs_a, rs_b = setting_ray_sets(setting)
         assert isinstance(local_map_search(rs_a, rs_b, tbl), Satisfiable)
+
+
+def largest_chsh_sum(a1, a2, b1, b2) -> float:
+    """max |Σ − 2E_xy| over the singlet's closed-form correlators -cos(a - b)."""
+    corr = [-np.cos(a - b) for a in (a1, a2) for b in (b1, b2)]
+    return max(abs(sum(corr) - 2 * e) for e in corr)
+
+
+class TestOneLocalityProgram:
+    """``local_map_search`` against Fine's theorem: a 2x2 no-signalling table
+    has a local model iff all four CHSH sums are at most 2."""
+
+    @given(angles, angles, angles, angles)
+    @settings(max_examples=60, deadline=None)
+    def test_singlet_verdict_follows_the_largest_chsh_sum(self, a1, a2, b1, b2):
+        s = largest_chsh_sum(a1, a2, b1, b2)
+        if abs(s - 2.0) <= 1e-5:
+            return  # within the program's resolution either verdict is right
+        setting = ChshSetting((a1, a2), (b1, b2))
+        try:
+            rs_a, rs_b = setting_ray_sets(setting)
+        except ValueError:
+            return  # nearly coincident draws
+        out = local_map_search(rs_a, rs_b, correlation_table(singlet(), setting))
+        assert isinstance(out, Satisfiable) == (s < 2.0)
+        if isinstance(out, Unsatisfiable):
+            assert 0.0 < out.residual < float("inf")
+
+    @given(angles, angles, angles, angles)
+    @settings(max_examples=40, deadline=None)
+    def test_singlet_table_is_no_signalling(self, a1, a2, b1, b2):
+        tbl = correlation_table(singlet(), ChshSetting((a1, a2), (b1, b2)))
+        alice, bob = tbl.sum(axis=3), tbl.sum(axis=2)
+        assert np.abs(alice[:, 0] - alice[:, 1]).max() <= 1e-12
+        assert np.abs(bob[0] - bob[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_strategy_mixture_weights_reproduce_the_table(self, seed):
+        rng = np.random.default_rng(seed)
+        setting = ChshSetting((0.2, 1.3), (0.7, 2.1))
+        rs_a, rs_b = setting_ray_sets(setting)
+        pairs = list(itertools.product(_local_strategies(rs_a), _local_strategies(rs_b)))
+        assert len(pairs) == 16
+
+        def table_of(weights):
+            tbl = np.zeros((2, 2, 2, 2))
+            for w, (sa, sb) in zip(weights, pairs):
+                for x, y in itertools.product(range(2), repeat=2):
+                    tbl[x, y, sa[x], sb[y]] += w
+            return tbl
+
+        tbl = table_of(rng.dirichlet(np.ones(16)))
+        out = local_map_search(rs_a, rs_b, tbl)
+        assert isinstance(out, Satisfiable)
+        w = np.asarray(out.weights)
+        assert len(w) == 16 and (w >= 0.0).all()
+        assert w.sum() == pytest.approx(1.0, abs=1e-8)
+        assert np.abs(table_of(w) - tbl).max() <= 1e-6
+
+    def test_one_linear_program_per_search(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        solve = scipy.optimize.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        for setting in (ChshSetting.optimal(), ChshSetting((0.0, np.pi / 2), (0.0, np.pi / 2))):
+            calls.clear()
+            local_map_search(*setting_ray_sets(setting), correlation_table(singlet(), setting))
+            assert len(calls) == 1
+            assert calls[0]["options"] == {"primal_feasibility_tolerance": FEASIBILITY_TOL}

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpt import (
     NotNormalized,
@@ -172,6 +174,36 @@ class TestChsh:
         assert abs({q.name: q.value for q in rep.quantities}["chsh_value"] - 2.0) <= 1e-9
         by = {c.name: c for c in rep.checks}
         assert "at the classical boundary" in by["local_model_consistency"].note
+
+    @given(*[st.floats(-np.pi, np.pi, allow_nan=False)] * 4)
+    @settings(max_examples=60, deadline=None)
+    def test_local_model_check_passes_at_any_angles(self, a1, a2, b1, b2):
+        try:
+            rep = chsh_scenario((a1, a2, b1, b2))
+        except ValueError:
+            return  # coincident rays on one side
+        assert rep.all_passed, rep.render_text()
+
+    def test_another_chsh_sum_above_two_expects_no_local_model(self):
+        # the reported sum is 1.732, but |Σ − 2E_11| is 2.218
+        rep = chsh_scenario((0.0, 0.3, 0.2, 1.1))
+        by = {c.name: c for c in rep.checks}
+        assert rep.all_passed, rep.render_text()
+        assert by["local_model_consistency"].expected == "Unsatisfiable"
+        assert "largest CHSH sum 2.218" in by["local_model_consistency"].note
+
+    def test_violation_below_the_resolution_is_at_the_boundary(self):
+        # S − 2 = 1e-8, inside 16 * FEASIBILITY_TOL
+        rep = chsh_scenario((0.0, 1.5707963267948966, 0.42773379081198704, 0.28759495435893545))
+        assert rep.all_passed, rep.render_text()
+        by = {c.name: c for c in rep.checks}
+        assert "at the classical boundary, within 1.6e-06" in by["local_model_consistency"].note
+
+
+class TestDeterminateScenario:
+    def test_unknown_observable_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            determinate_scenario(3, 0, "bogus")
 
 
 class TestDynamicsScenario:
