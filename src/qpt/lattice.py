@@ -53,12 +53,11 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        vectors = list(vectors)
-        for v in vectors:
-            n = len(getattr(v, "amplitudes", v))
-            if n != ambient_dim:
-                raise ValueError(f"vector of {n} components in ambient dim {ambient_dim}")
-        cols = [c.amplitudes for c in orthonormalize(vectors, tol)]
+        vecs = [v.amplitudes if isinstance(v, ComplexVector) else np.asarray(v) for v in vectors]
+        if any(v.shape != (ambient_dim,) for v in vecs):
+            shapes = sorted({v.shape for v in vecs})
+            raise ValueError(f"vectors of shapes {shapes} in ambient dim {ambient_dim}")
+        cols = [c.amplitudes for c in orthonormalize(vecs, tol)]
         return cls(ambient_dim, np.column_stack(cols)) if cols else cls.zero(ambient_dim)
 
     @property

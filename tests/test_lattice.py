@@ -53,9 +53,12 @@ class TestSubspaceBasics:
         with pytest.raises(ValueError):
             Subspace.from_vectors([np.ones(3)], ambient_dim=4)
 
-    def test_from_vectors_rejects_vanishing_vectors_of_another_dim(self):
-        with pytest.raises(ValueError):
-            Subspace.from_vectors([np.zeros(3)], ambient_dim=4)
+    @pytest.mark.parametrize("vecs", [[np.zeros(3)], [np.ones(3), np.ones(4)],
+                                      [np.ones(4), np.zeros(3)]])
+    def test_from_vectors_rejects_vectors_of_another_dim(self, vecs):
+        # vanishing or mixed inputs too: one ValueError for every wrong length
+        with pytest.raises(ValueError, match="ambient dim 4"):
+            Subspace.from_vectors(vecs, ambient_dim=4)
 
     def test_from_vectors_takes_a_generator(self, rng):
         for vecs, rank in (([random_vector(4, rng).amplitudes for _ in range(2)], 2),

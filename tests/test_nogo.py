@@ -425,6 +425,12 @@ def largest_chsh_sum(a1, a2, b1, b2) -> float:
     return max(abs(sum(corr) - 2 * e) for e in corr)
 
 
+def random_bases(settings: int, dim: int, rng) -> RaySet:
+    """A ray set whose contexts are ``settings`` random real orthonormal bases."""
+    return RaySet.from_vectors([v for _ in range(settings)
+                                for v in np.linalg.qr(rng.normal(size=(dim, dim)))[0].T])
+
+
 class TestOneLocalityProgram:
     """``local_map_search`` against Fine's theorem: a 2x2 no-signalling table
     has a local model iff all four CHSH sums are at most 2."""
@@ -453,26 +459,30 @@ class TestOneLocalityProgram:
         assert np.abs(alice[:, 0] - alice[:, 1]).max() <= 1e-12
         assert np.abs(bob[0] - bob[1]).max() <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_strategy_mixture_weights_reproduce_the_table(self, seed):
+    @pytest.mark.parametrize("sides", [((2, 2), (2, 2)), ((3, 2), (2, 2)), ((2, 3), (2, 3)),
+                                       ((3, 3), (3, 2)), ((4, 2), (3, 3))])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strategy_mixture_weights_reproduce_the_table(self, sides, seed):
+        # (settings, outcomes) per side; a local table must give an optimum
+        # of exactly 0, since a round-off residual would read Unsatisfiable
         rng = np.random.default_rng(seed)
-        setting = ChshSetting((0.2, 1.3), (0.7, 2.1))
-        rs_a, rs_b = setting_ray_sets(setting)
+        rs_a, rs_b = (random_bases(n, dim, rng) for n, dim in sides)
         pairs = list(itertools.product(_local_strategies(rs_a), _local_strategies(rs_b)))
-        assert len(pairs) == 16
+        assert len(pairs) == (sides[0][1] ** sides[0][0]) * (sides[1][1] ** sides[1][0])
+        shape = (sides[0][0], sides[1][0], sides[0][1], sides[1][1])
 
         def table_of(weights):
-            tbl = np.zeros((2, 2, 2, 2))
+            tbl = np.zeros(shape)
             for w, (sa, sb) in zip(weights, pairs):
-                for x, y in itertools.product(range(2), repeat=2):
+                for x, y in itertools.product(range(shape[0]), range(shape[1])):
                     tbl[x, y, sa[x], sb[y]] += w
             return tbl
 
-        tbl = table_of(rng.dirichlet(np.ones(16)))
+        tbl = table_of(rng.dirichlet(np.full(len(pairs), 0.1 if seed % 2 else 1.0)))
         out = local_map_search(rs_a, rs_b, tbl)
         assert isinstance(out, Satisfiable)
         w = np.asarray(out.weights)
-        assert len(w) == 16 and (w >= 0.0).all()
+        assert len(w) == len(pairs) and (w >= 0.0).all()
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.abs(table_of(w) - tbl).max() <= 1e-6
 
