@@ -397,6 +397,8 @@ def decoherence_scenario(
     off-diagonal element is suppressed by the product of tag overlaps,
     |cos theta|^n_env; a sample pointer-branch projector is then shown to be
     inadmissible as an extra determinate property via extend_and_check.
+    Raises ValueError when that closure saturates at ``extension_budget``
+    before it decides.
     """
     if n_env < 0:
         raise ValueError(f"n_env must be >= 0, got {n_env}")
@@ -461,6 +463,12 @@ def decoherence_scenario(
             ComplexVector(np.concatenate([e0_eff, np.zeros(2, dtype=np.complex128)]))
         )
         verdict = extend_and_check(d_eff, branch_ray, budget=extension_budget, tol=tol)
+        if verdict.verdict == "inconclusive" and not verdict.reached_fixpoint:
+            # a saturated closure decided nothing: too small a budget is not a failed check
+            raise ValueError(
+                f"extension closure budget {extension_budget} saturated before the "
+                "pointer-branch extension was decided; use a larger budget"
+            )
         checks.append(
             exact_check("pointer_branch_not_addable", "contradiction", verdict.verdict,
                         note="adding the branch ray forces an uncolorable ray set")

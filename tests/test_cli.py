@@ -95,6 +95,15 @@ class TestExitCodes:
             lines = out.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (args, out.stderr)
 
+    def test_saturated_extension_budget_exits_two(self):
+        # budget 64 saturates the closure before a verdict: the budget is too
+        # small to decide, which is bad input, not a failed check
+        out = run("decohere", "--n-env", "2", "--angle", "0.4", "--budget", "64")
+        assert out.returncode == 2 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+        assert "budget 64" in lines[0]
+
     def test_eps_below_the_floor_exits_two(self):
         # below 1e-13 rounding noise counts as rank: join(a, a) of a ray
         # would be the full space, so the lattice would be nonsense
@@ -334,7 +343,8 @@ class TestOutputs:
         assert abs(vals["chsh_value"] - 2 * 2 ** 0.5) < 1e-9
 
     def test_chsh_subclassical_angles_report_satisfiable(self):
-        # shared angle grid gives a CHSH value of 0: a local model must exist
+        # the reported CHSH value is 0, but the largest of the four sums is
+        # exactly 2: on the boundary of the local polytope, still local
         out = run("chsh", "--angles",
                   "0,1.5707963267948966,0,1.5707963267948966", "--format", "json")
         assert out.returncode == 0
@@ -346,7 +356,81 @@ class TestOutputs:
         assert run("chsh", "--angles", "0,0,0,0").returncode == 2
 
 
+#: scripts run each in a fresh interpreter: ``import qpt`` defers every
+#: module to the first use of one of its names
+LAZY_IMPORT_SCRIPTS = {
+    "import_loads_no_module": (
+        "import sys, qpt\n"
+        "assert [m for m in sys.modules if m.startswith('qpt.')] == []\n"
+        "assert 'numpy' not in sys.modules\n"
+    ),
+    "one_name_loads_only_its_home_and_its_imports": (
+        "import sys, qpt\n"
+        "qpt.Subspace\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('qpt.'))\n"
+        "assert loaded == ['qpt.errors', 'qpt.lattice', 'qpt.linalg'], loaded\n"
+    ),
+    "submodule_resolves": (
+        "import sys, qpt\n"
+        "assert qpt._kernels is sys.modules['qpt._kernels']\n"
+    ),
+    "unknown_name_raises_attribute_error": (
+        "import qpt\n"
+        "try:\n"
+        "    qpt.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "assert not hasattr(qpt, 'no.such.module')\n"
+    ),
+    "import_error_inside_a_module_propagates": (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import qpt\n"
+        "try:\n"
+        "    qpt.lattice\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    assert exc.name == 'numpy', exc\n"
+        "else:\n"
+        "    raise AssertionError('import error swallowed')\n"
+    ),
+    "replaced_function_is_read_afresh": (
+        "import qpt, qpt.lattice as home\n"
+        "original = home.meet\n"
+        "def stand_in(a, b):\n"
+        "    return None\n"
+        "home.meet = stand_in\n"
+        "assert qpt.meet is stand_in\n"
+        "home.meet = original\n"
+        "assert qpt.meet is original and 'meet' not in vars(qpt)\n"
+    ),
+}
+
+
 class TestColdStart:
+    @pytest.mark.parametrize("name", sorted(LAZY_IMPORT_SCRIPTS))
+    def test_lazy_package_namespace(self, name):
+        out = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORT_SCRIPTS[name]],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert out.returncode == 0, out.stderr
+
+    def test_star_import_binds_every_public_name_from_its_home(self):
+        import qpt
+
+        namespace: dict = {}
+        exec("from qpt import *", namespace)
+        assert qpt.__all__ == sorted(qpt.__all__)
+        assert "trajectory_rows" in qpt.__all__
+        for name in qpt.__all__:
+            home = sys.modules[f"qpt.{qpt._HOME[name]}"]
+            assert namespace[name] is getattr(home, name), name
+        assert set(qpt.__all__) <= set(dir(qpt))
+
     def test_scipy_free_commands_never_load_scipy(self):
         # a fresh interpreter: this session has scipy loaded already
         script = (

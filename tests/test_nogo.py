@@ -412,8 +412,19 @@ class TestLocalMapSearch:
             local_map_search(rs_a, rs_b, np.zeros((2, 2, 2)))
 
     def test_subclassical_value_still_quantum_table(self):
-        # at equal angles the singlet value is far below 2: a local model exists
+        # at equal angles the reported sum is 0, but the largest of the four
+        # CHSH sums is exactly 2: the table lies on the boundary of the local
+        # polytope, where a local model still exists
         setting = ChshSetting((0.0, np.pi / 2), (0.0, np.pi / 2))
+        tbl = correlation_table(singlet(), setting)
+        rs_a, rs_b = setting_ray_sets(setting)
+        assert isinstance(local_map_search(rs_a, rs_b, tbl), Satisfiable)
+
+    def test_interior_table_is_satisfiable(self):
+        # largest CHSH sum sqrt(2): strictly inside the local polytope
+        angles = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4)
+        assert largest_chsh_sum(*angles) <= 1.9
+        setting = ChshSetting(angles[:2], angles[2:])
         tbl = correlation_table(singlet(), setting)
         rs_a, rs_b = setting_ray_sets(setting)
         assert isinstance(local_map_search(rs_a, rs_b, tbl), Satisfiable)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpt import (
+    ExtensionReport,
     NotNormalized,
     RayFileError,
     correspondence_scenario,
@@ -93,6 +94,17 @@ class TestDecoherence:
         rep = decoherence_scenario(6, np.pi / 3)
         assert rep.all_passed, rep.render_text()
         assert "pointer_branch_not_addable" in check_names(rep)
+
+    def test_inconclusive_at_a_fixpoint_still_fails(self, monkeypatch):
+        # a closed fragment that admits a 2-valued map is a real FAIL
+        import qpt.scenarios
+
+        undecided = ExtensionReport("inconclusive", 3, True, 10, 20, 4)
+        monkeypatch.setattr(qpt.scenarios, "extend_and_check", lambda *a, **k: undecided)
+        rep = decoherence_scenario(2, 0.4)
+        by = {c.name: c for c in rep.checks}
+        assert not by["pointer_branch_not_addable"].passed
+        assert not rep.all_passed
 
     def test_extension_can_be_skipped(self):
         rep = decoherence_scenario(6, np.pi / 3, run_extension=False)
