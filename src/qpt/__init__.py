@@ -30,10 +30,9 @@ _EXPORTS = {
     ),
     "errors": (
         "AlreadyMember", "BudgetExceeded", "DimMismatch", "LabelDiscontinuity",
-        "NonUnitary", "NotClosed", "NotDensityOperator", "NotHermitian",
-        "NotInSublattice", "NotNormalized", "NotResolutionOfIdentity",
-        "QptError", "RayFileError", "TableShapeMismatch", "UnknownFactor",
-        "ZeroVector",
+        "NotClosed", "NotDensityOperator", "NotHermitian", "NotInSublattice",
+        "NotNormalized", "NotResolutionOfIdentity", "QptError", "RayFileError",
+        "TableShapeMismatch", "UnknownFactor", "ZeroVector",
     ),
     "lattice": (
         "Subspace", "SublatticeSet", "closure", "commutes", "is_boolean",
@@ -41,7 +40,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "DEFAULT_TOL", "ComplexVector", "Operator", "RegisterLayout",
-        "Tolerance", "apply", "basis_vector", "canonical_phase", "embed",
+        "Tolerance", "basis_vector", "canonical_phase", "embed",
         "orthonormalize", "partial_trace", "random_state", "reduced_state",
         "tensor",
     ),

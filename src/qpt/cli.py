@@ -7,10 +7,9 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import QptError, RayFileError
 from .linalg import DEFAULT_TOL, EPS_FLOOR, Tolerance
@@ -82,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decohere", parents=[common], help="environment-induced suppression of pointer coherence")
     p.add_argument("--n-env", type=int, default=8)
-    p.add_argument("--angle", type=float, default=float(np.pi / 3), help="per-qubit tag angle (radians)")
+    p.add_argument("--angle", type=float, default=math.pi / 3, help="per-qubit tag angle (radians)")
     p.add_argument("--budget", type=int, default=256, help="closure budget for the extension demo")
 
     p = sub.add_parser("correspond", parents=[common], help="transition frequencies vs orbital-frequency multiples")

@@ -255,10 +255,6 @@ class ExtensionReport:
     n_relations: int
     n_rays: int
 
-    @property
-    def is_contradiction(self) -> bool:
-        return self.verdict == "contradiction"
-
 
 def extend_and_check(
     d: DeterminateSublattice,

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._kernels import sample_index_array, sample_paths
-from .determinate import DeterminateSublattice, ObservableSpec, build_determinate
 from .errors import DimMismatch, LabelDiscontinuity, NotHermitian
 from .linalg import DEFAULT_TOL, ComplexVector, Operator, Tolerance
+
+if TYPE_CHECKING:
+    from .determinate import ObservableSpec
 
 __all__ = [
     "EvolutionSpec",
@@ -87,8 +90,8 @@ class EvolutionSpec:
 class PossibilityTrajectory:
     """Snapshots of the determinate sublattice under unitary evolution.
 
-    ``psis[t]`` is the (unit) state at time ``times[t]``; ``sublattices[t]``
-    is ``D(psis[t], observable)``.  The observable is fixed throughout.
+    ``psis[t]`` is the (unit) state at time ``times[t]``.  The observable is
+    fixed throughout.
     """
 
     spec: EvolutionSpec
@@ -99,15 +102,6 @@ class PossibilityTrajectory:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.observable.labels
-
-    @cached_property
-    def sublattices(self) -> tuple[DeterminateSublattice, ...]:
-        """``D(psis[t], observable)`` for every snapshot, built on first use
-        at the evolution's tolerance ``spec.tol``."""
-        return tuple(
-            build_determinate(ComplexVector(psi), self.observable, tol=self.spec.tol)
-            for psi in self.psis
-        )
 
     @cached_property
     def _projected(self) -> np.ndarray:

@@ -10,10 +10,6 @@ class DimMismatch(QptError):
     """Operands live in different dimensions."""
 
 
-class NonUnitary(QptError):
-    """Operator expected to be unitary is not, within tolerance."""
-
-
 class NotHermitian(QptError):
     """Operator expected to be Hermitian is not, within tolerance."""
 

@@ -66,10 +66,7 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         if not hasattr(self, "_proj"):
-            if self.rank:
-                p = self.basis @ self.basis.conj().T
-            else:
-                p = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
+            p = self.basis @ self.basis.conj().T
             p.setflags(write=False)
             object.__setattr__(self, "_proj", p)
         return self._proj

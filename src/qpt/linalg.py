@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import (
     DimMismatch,
-    NonUnitary,
     NotDensityOperator,
     UnknownFactor,
     ZeroVector,
@@ -29,7 +28,7 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (EPS_FLOOR <= self.eps < 1.0) or not np.isfinite(self.eps):
+        if not EPS_FLOOR <= self.eps < 1.0:
             raise ValueError(f"eps must lie in [{EPS_FLOOR:g}, 1), got {self.eps}")
 
 
@@ -96,10 +95,6 @@ class Operator:
         scale = max(1.0, float(np.abs(self.entries).max()))
         return bool(np.abs(self.entries - self.entries.conj().T).max() <= tol.eps * scale)
 
-    def is_unitary(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        g = self.entries.conj().T @ self.entries
-        return bool(np.abs(g - np.eye(self.dim)).max() <= tol.eps * self.dim)
-
     def spectral_norm(self) -> float:
         return float(np.linalg.norm(self.entries, 2))
 
@@ -165,15 +160,6 @@ def tensor(*factors):
             out = np.kron(out, f.entries)
         return Operator(out)
     raise TypeError("tensor needs all vectors or all operators")
-
-
-def apply(u: Operator, psi: ComplexVector, tol: Tolerance = DEFAULT_TOL) -> ComplexVector:
-    """Apply a unitary to a state."""
-    if u.dim != psi.dim:
-        raise DimMismatch(f"operator dim {u.dim} vs vector dim {psi.dim}")
-    if not u.is_unitary(tol):
-        raise NonUnitary("operator is not unitary within eps")
-    return ComplexVector(u.entries @ psi.amplitudes)
 
 
 def _axes_for(layout: RegisterLayout, keep) -> tuple[list[int], list[int]]:

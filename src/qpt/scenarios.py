@@ -408,7 +408,7 @@ def decoherence_scenario(
     c = float(np.cos(overlap_angle))
 
     # product of per-qubit tag overlaps, computed as an actual product
-    overlap = float(np.prod(np.full(n_env, c))) if n_env else 1.0
+    overlap = float(np.prod(np.full(n_env, c)))
     off_diag = abs(alpha * beta) * abs(overlap)
     suppression = abs(overlap)
     closed_form = abs(c) ** n_env

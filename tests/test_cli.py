@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -288,6 +289,30 @@ class TestDeterminism:
         assert stray.stdout == plain.stdout
         assert stray.stderr == ""
 
+    def test_blas_threads_and_hash_seed_leave_bytes_unchanged(self):
+        for args in (
+            ("decohere", "--n-env", "3"),
+            ("determinate", "--dim", "6"),
+            ("ks", "--rays", "src/qpt/fixtures/ks33-d3.rays"),
+        ):
+            outputs = set()
+            for threads, hash_seed in itertools.product(("1", "2"), ("0", "1")):
+                env = {
+                    **os.environ,
+                    "OPENBLAS_NUM_THREADS": threads,
+                    "OMP_NUM_THREADS": threads,
+                    "PYTHONHASHSEED": hash_seed,
+                }
+                out = subprocess.run(
+                    [sys.executable, "-m", "qpt", *args, "--format", "json"],
+                    capture_output=True,
+                    cwd=REPO,
+                    env=env,
+                )
+                assert out.returncode == 0, (args, env, out.stderr)
+                outputs.add(out.stdout)
+            assert len(outputs) == 1, args
+
     def test_different_seeds_change_sampled_output(self):
         a = run("teleport", "--seed", "1", "--samples", "400", "--format", "json")
         b = run("teleport", "--seed", "2", "--samples", "400", "--format", "json")
@@ -369,6 +394,12 @@ LAZY_IMPORT_SCRIPTS = {
         "qpt.Subspace\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('qpt.'))\n"
         "assert loaded == ['qpt.errors', 'qpt.lattice', 'qpt.linalg'], loaded\n"
+    ),
+    "dynamics_loads_no_determinate_layer": (
+        "import sys, qpt.dynamics\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'qpt')\n"
+        "assert loaded == ['qpt', 'qpt._kernels', 'qpt.dynamics', 'qpt.errors',"
+        " 'qpt.linalg'], loaded\n"
     ),
     "submodule_resolves": (
         "import sys, qpt\n"

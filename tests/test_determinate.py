@@ -324,7 +324,6 @@ class TestExtendAndCheck:
         v = Subspace.ray(random_vector(dim, rng))
         assert not contains(d, v)
         rep = extend_and_check(d, v)
-        assert rep.is_contradiction
         assert rep.verdict == "contradiction"
         assert rep.n_elements >= 2
         assert rep.closure_depth >= 1

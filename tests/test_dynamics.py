@@ -22,6 +22,7 @@ from qpt import (
     RegisterLayout,
     Subspace,
     basis_vector,
+    build_determinate,
     default_timestep,
     embed,
     evolve_possibility,
@@ -73,7 +74,6 @@ class TestEvolvePossibility:
     def test_norms_and_snapshot_counts(self):
         traj = rabi_trajectory(50)
         assert traj.psis.shape == (51, 2)
-        assert len(traj.sublattices) == 51
         assert np.abs(np.linalg.norm(traj.psis, axis=1) - 1.0).max() < 1e-12
 
     def test_rabi_weights_match_closed_form(self):
@@ -90,7 +90,8 @@ class TestEvolvePossibility:
         traj = evolve_possibility(psi0, z_observable(), spec)
         assert traj.labels == ("up", "down")
         assert np.abs(traj.weights - traj.weights[0]).max() < 1e-12
-        for d in traj.sublattices:
+        for psi in traj.psis:
+            d = build_determinate(ComplexVector(psi), traj.observable, tol=spec.tol)
             assert [r.label for r in d.projected_rays] == ["up", "down"]
 
     def test_dim_mismatch(self):

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from qpt import (
     ComplexVector,
-    DimMismatch,
-    NonUnitary,
     NotDensityOperator,
     Operator,
     RegisterLayout,
+    Tolerance,
     UnknownFactor,
     ZeroVector,
-    apply,
     basis_vector,
     canonical_phase,
     embed,
@@ -36,6 +34,13 @@ def complex_arrays(dim: int):
     return st.lists(
         st.tuples(elems, elems), min_size=dim, max_size=dim
     ).map(lambda ps: np.array([complex(a, b) for a, b in ps]))
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError):
+            Tolerance(eps)
 
 
 class TestComplexVector:
@@ -185,23 +190,6 @@ class TestRegisterLayout:
         out = (full @ psi.reshape(-1)).reshape(2, 3, 2)
         expect = np.einsum("xyac,amc->xmy", t, psi)
         assert np.abs(out - expect).max() < 1e-12
-
-
-class TestApply:
-    def test_rejects_non_unitary(self, rng):
-        m = Operator(np.diag([1.0, 2.0]).astype(complex))
-        with pytest.raises(NonUnitary):
-            apply(m, basis_vector(2, 0))
-
-    def test_preserves_norm(self, rng):
-        u = Operator(random_unitary(4, rng))
-        v = random_vector(4, rng)
-        assert apply(u, v).norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_dim_mismatch(self, rng):
-        u = Operator(random_unitary(3, rng))
-        with pytest.raises(DimMismatch):
-            apply(u, basis_vector(4, 0))
 
 
 class TestReducedState:
