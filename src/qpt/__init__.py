@@ -52,8 +52,9 @@ _EXPORTS = {
     ),
     "report": ("SCHEMA_VERSION", "Check", "Quantity", "ScenarioReport"),
     "scenarios": (
-        "correspondence_scenario", "decoherence_scenario", "epr_scenario",
-        "teleportation_scenario",
+        "chsh_scenario", "correspondence_scenario", "decoherence_scenario",
+        "determinate_scenario", "dynamics_scenario", "epr_scenario",
+        "ks_scenario", "teleportation_scenario",
     ),
 }
 

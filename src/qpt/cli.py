@@ -1,5 +1,7 @@
-"""Command-line front door: parse arguments, run the subcommand's scenario
-(every report is built in ``scenarios``), emit its report as text or JSON.
+"""Command-line front door: parse arguments, call the subcommand's scenario
+and emit its report as text or JSON.  Each subparser names its scenario and
+each option's ``dest`` is a keyword of it; an option not given is not passed,
+so every default lives in the scenario's signature.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 3 file or parse error.
@@ -7,12 +9,12 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import math
+import inspect
 import sys
 from pathlib import Path
 
 from .errors import QptError, RayFileError
-from .linalg import DEFAULT_TOL, EPS_FLOOR, Tolerance
+from .linalg import EPS_FLOOR, Tolerance
 from .scenarios import (
     chsh_scenario,
     correspondence_scenario,
@@ -46,23 +48,22 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # only the subcommands whose scenario takes ``tol`` accept --eps
+    eps = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    eps.add_argument(
         "--eps",
         type=float,
-        default=None,
         help=f"comparison tolerance in {_EPS_RANGE}; default 1e-9 (below the "
         f"floor {EPS_FLOOR:g}, rounding noise would count as subspace rank)",
     )
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="report format: human-readable text or structured JSON",
     )
-    common.add_argument(
-        "--output", type=Path, default=None, help="write the report to this path"
-    )
+    common.add_argument("--output", type=Path, default=None, help="write the report to this path")
 
     parser = argparse.ArgumentParser(
         prog="qpt",
@@ -71,88 +72,74 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("epr", parents=[common], help="premeasurement on one side of a singlet pair")
+    def command(name, scenario, summary):
+        takes_tol = "tol" in inspect.signature(scenario).parameters
+        p = sub.add_parser(name, parents=[eps, common] if takes_tol else [common],
+                           help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(scenario=scenario)
+        return p
 
-    p = sub.add_parser("teleport", parents=[common], help="spin-state teleportation pipeline")
-    p.add_argument("--c-plus", type=_parse_complex, default=complex(0.6))
-    p.add_argument("--c-minus", type=_parse_complex, default=complex(0.8))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000, help="outcome histogram size")
+    command("epr", epr_scenario, "premeasurement on one side of a singlet pair")
 
-    p = sub.add_parser("decohere", parents=[common], help="environment-induced suppression of pointer coherence")
-    p.add_argument("--n-env", type=int, default=8)
-    p.add_argument("--angle", type=float, default=math.pi / 3, help="per-qubit tag angle (radians)")
-    p.add_argument("--budget", type=int, default=256, help="closure budget for the extension demo")
+    p = command("teleport", teleportation_scenario, "spin-state teleportation pipeline")
+    p.add_argument("--c-plus", type=_parse_complex)
+    p.add_argument("--c-minus", type=_parse_complex)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int, help="outcome histogram size")
 
-    p = sub.add_parser("correspond", parents=[common], help="transition frequencies vs orbital-frequency multiples")
-    p.add_argument("--n-max", type=int, default=100)
+    p = command("decohere", decoherence_scenario,
+                "environment-induced suppression of pointer coherence")
+    p.add_argument("--n-env", type=int)
+    p.add_argument("--angle", type=float, dest="overlap_angle", metavar="ANGLE",
+                   help="per-qubit tag angle (radians)")
+    p.add_argument("--budget", type=int, dest="extension_budget", metavar="BUDGET",
+                   help="closure budget for the extension demo")
 
-    p = sub.add_parser("ks", parents=[common], help="noncontextual assignment search on a ray-set file")
-    p.add_argument("--rays", type=Path, required=True, help="ray-set file (one ray per line, re+imj components)")
+    p = command("correspond", correspondence_scenario,
+                "transition frequencies vs orbital-frequency multiples")
+    p.add_argument("--n-max", type=int)
 
-    p = sub.add_parser("chsh", parents=[common], help="CHSH value, classical bound, and local-model feasibility")
-    p.add_argument(
-        "--angles",
-        type=_parse_angles,
-        default=None,
-        help="a1,a2,b1,b2 in radians (default: the maximizing angles)",
-    )
+    p = command("ks", ks_scenario, "noncontextual assignment search on a ray-set file")
+    p.add_argument("--rays", type=Path, required=True, dest="path", metavar="RAYS",
+                   help="ray-set file (one ray per line, re+imj components)")
 
-    p = sub.add_parser("dynamics", parents=[common], help="two-level jump process against closed-form weights")
-    p.add_argument("--steps", type=int, default=2010)
-    p.add_argument("--trajectories", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trajectory-out", type=Path, default=None, help="write one sampled trajectory as TSV rows")
+    p = command("chsh", chsh_scenario,
+                "CHSH value, classical bound, and local-model feasibility")
+    p.add_argument("--angles", type=_parse_angles,
+                   help="a1,a2,b1,b2 in radians (default: the maximizing angles)")
 
-    p = sub.add_parser("determinate", parents=[common], help="build a determinate sublattice for a random state")
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--observable",
-        choices=("maximal", "identity"),
-        default="maximal",
-        help="maximal: random nondegenerate eigenbasis; identity: single eigenspace",
-    )
+    p = command("dynamics", dynamics_scenario,
+                "two-level jump process against closed-form weights")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--trajectories", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trajectory-out", type=Path, help="write one sampled trajectory as TSV rows")
+
+    p = command("determinate", determinate_scenario,
+                "build a determinate sublattice for a random state")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--observable", choices=("maximal", "identity"),
+                   help="maximal: random nondegenerate eigenbasis; identity: single eigenspace")
     return parser
 
 
-def _resolve_tol(args) -> Tolerance:
-    if args.eps is None:
-        return DEFAULT_TOL
-    if not EPS_FLOOR <= args.eps <= _EPS_CEIL:
-        raise ValueError(f"--eps must lie in {_EPS_RANGE}, got {args.eps}")
-    return Tolerance(eps=args.eps)
+def _resolve_tol(eps: float) -> Tolerance:
+    if not EPS_FLOOR <= eps <= _EPS_CEIL:
+        raise ValueError(f"--eps must lie in {_EPS_RANGE}, got {eps}")
+    return Tolerance(eps=eps)
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(_build_parser().parse_args(argv))
+    scenario = kwargs.pop("scenario")
+    del kwargs["command"]
+    fmt, output = kwargs.pop("format"), kwargs.pop("output")
 
     try:
-        tol = _resolve_tol(args)
-        if args.command == "epr":
-            report = epr_scenario(tol=tol)
-        elif args.command == "teleport":
-            report = teleportation_scenario(
-                args.c_plus, args.c_minus, args.seed, samples=args.samples, tol=tol
-            )
-        elif args.command == "decohere":
-            report = decoherence_scenario(
-                args.n_env, args.angle, extension_budget=args.budget, tol=tol
-            )
-        elif args.command == "correspond":
-            report = correspondence_scenario(args.n_max)
-        elif args.command == "ks":
-            report = ks_scenario(args.rays, tol=tol)
-        elif args.command == "chsh":
-            report = chsh_scenario(args.angles)
-        elif args.command == "dynamics":
-            report = dynamics_scenario(
-                args.steps, args.trajectories, args.seed,
-                trajectory_out=args.trajectory_out, tol=tol,
-            )
-        else:
-            report = determinate_scenario(args.dim, args.seed, args.observable, tol=tol)
+        if "eps" in kwargs:
+            kwargs["tol"] = _resolve_tol(kwargs.pop("eps"))
+        report = scenario(**kwargs)
     except (RayFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
@@ -163,10 +150,10 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
-    payload = report.to_json() if args.format == "json" else report.render_text()
-    if args.output is not None:
+    payload = report.to_json() if fmt == "json" else report.render_text()
+    if output is not None:
         try:
-            args.output.write_text(payload)
+            output.write_text(payload)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FILE

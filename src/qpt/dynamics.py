@@ -29,18 +29,6 @@ from .linalg import DEFAULT_TOL, ComplexVector, Operator, Tolerance
 if TYPE_CHECKING:
     from .determinate import ObservableSpec
 
-__all__ = [
-    "EvolutionSpec",
-    "PossibilityTrajectory",
-    "PropertyTrajectory",
-    "MarginalSample",
-    "default_timestep",
-    "evolve_possibility",
-    "jump_process",
-    "sample_marginals",
-    "trajectory_rows",
-]
-
 # PRESENCE_CUTOFF and MIN_RAY_OVERLAP_SQ are fixed structural constants of the
 # jump chain, not comparison tolerances: ``--eps`` (``Tolerance``) governs
 # neither.  They decide which labels get placeholder rows and which

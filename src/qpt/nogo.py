@@ -359,7 +359,13 @@ def correlation_table(state: ComplexVector, setting: ChshSetting) -> np.ndarray:
 def setting_ray_sets(setting: ChshSetting) -> tuple[RaySet, RaySet]:
     """Per-side ray sets whose derived contexts are the two measurement bases,
     ordered to match the correlation table axes."""
-    ra = [r for t in setting.alice_angles for r in measurement_rays(t)]
-    rb = [r for t in setting.bob_angles for r in measurement_rays(t)]
-    rs_a, rs_b = RaySet.from_vectors(ra), RaySet.from_vectors(rb)
-    return rs_a, rs_b
+    ray_sets = []
+    for side, (t1, t2) in (("alice", setting.alice_angles), ("bob", setting.bob_angles)):
+        try:
+            ray_sets.append(RaySet.from_vectors([*measurement_rays(t1), *measurement_rays(t2)]))
+        except ValueError as exc:  # finite angles give unit rays: two rays coincide
+            raise ValueError(
+                f"{side}'s angles {t1:.12g} and {t2:.12g} name one observable up to "
+                "phase: they lie within about 1e-4 rad of each other, modulo pi"
+            ) from exc
+    return ray_sets[0], ray_sets[1]

@@ -12,16 +12,6 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "Check",
-    "Quantity",
-    "ScenarioReport",
-    "close_check",
-    "exact_check",
-    "format_complex",
-]
-
 
 def format_complex(z: complex) -> str:
     """Render a complex number in the same ``re+imj`` notation the ray-file
@@ -49,13 +39,10 @@ def _jsonable(value: Any) -> Any:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.10g}"
-    if isinstance(value, (complex, np.complexfloating)):
-        return format_complex(complex(value))
-    if isinstance(value, (list, tuple, np.ndarray)):
+    """Text form of a value ``_jsonable`` has already returned."""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    if isinstance(value, list):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
 
@@ -91,8 +78,8 @@ class Check:
     def render(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         line = (
-            f"[{tag}] {self.name}: actual={_fmt(self.actual)} "
-            f"expected={_fmt(self.expected)}"
+            f"[{tag}] {self.name}: actual={_fmt(_jsonable(self.actual))} "
+            f"expected={_fmt(_jsonable(self.expected))}"
         )
         if self.tolerance is not None:
             line += f" tol={self.tolerance:.3g}"
@@ -151,11 +138,11 @@ class ScenarioReport:
     def render_text(self) -> str:
         lines = [f"scenario: {self.scenario}"]
         for key in sorted(self.parameters):
-            lines.append(f"  {key} = {_fmt(self.parameters[key])}")
+            lines.append(f"  {key} = {_fmt(_jsonable(self.parameters[key]))}")
         if self.quantities:
             lines.append("quantities:")
             for q in self.quantities:
-                entry = f"  {q.name} = {_fmt(q.value)}"
+                entry = f"  {q.name} = {_fmt(_jsonable(q.value))}"
                 if q.note:
                     entry += f"  ({q.note})"
                 lines.append(entry)

@@ -56,17 +56,6 @@ from .nogo import (
 )
 from .report import Check, Quantity, ScenarioReport, close_check, exact_check, format_complex
 
-__all__ = [
-    "chsh_scenario",
-    "correspondence_scenario",
-    "decoherence_scenario",
-    "determinate_scenario",
-    "dynamics_scenario",
-    "epr_scenario",
-    "ks_scenario",
-    "teleportation_scenario",
-]
-
 _UP = np.array([1.0, 0.0], dtype=np.complex128)
 _DOWN = np.array([0.0, 1.0], dtype=np.complex128)
 
@@ -217,9 +206,9 @@ _CORRECTIONS = (
 
 
 def teleportation_scenario(
-    c_plus: complex,
-    c_minus: complex,
-    seed: int,
+    c_plus: complex = 0.6,
+    c_minus: complex = 0.8,
+    seed: int = 0,
     *,
     samples: int = 10_000,
     tol: Tolerance = DEFAULT_TOL,
@@ -385,8 +374,8 @@ def teleportation_scenario(
 
 
 def decoherence_scenario(
-    n_env: int,
-    overlap_angle: float,
+    n_env: int = 8,
+    overlap_angle: float = np.pi / 3,
     *,
     extension_budget: int = 256,
     run_extension: bool = True,
@@ -490,7 +479,7 @@ def _ratio(n: int, m: int) -> float:
     return nu / (m * 2.0 / n**3)
 
 
-def correspondence_scenario(n_max: int) -> ScenarioReport:
+def correspondence_scenario(n_max: int = 100) -> ScenarioReport:
     """Tabulate transition frequencies against integer multiples of the
     orbital frequency: they disagree grossly at small level number and
     approach equality as the level number grows.
@@ -728,9 +717,9 @@ def chsh_scenario(angles: "tuple[float, float, float, float] | None" = None) -> 
 
 
 def dynamics_scenario(
-    steps: int,
-    trajectories: int,
-    seed: int,
+    steps: int = 2010,
+    trajectories: int = 20_000,
+    seed: int = 0,
     *,
     trajectory_out=None,
     tol: Tolerance = DEFAULT_TOL,
@@ -802,8 +791,8 @@ def dynamics_scenario(
 
 
 def determinate_scenario(
-    dim: int,
-    seed: int,
+    dim: int = 4,
+    seed: int = 0,
     observable: str = "maximal",
     *,
     tol: Tolerance = DEFAULT_TOL,

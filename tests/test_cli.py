@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -502,3 +505,100 @@ class TestColdStart:
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
             "b7f9468544d9d462de5840d4cec69e309eaa0e1d7f30fcc632ca1242ad912b42"
         )
+
+
+def _subcommands() -> dict:
+    """Subcommand name -> its subparser, as ``cli`` builds them."""
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+#: every option of every subcommand, besides --help, --format and --output
+SUBCOMMAND_OPTIONS = {
+    "epr": {"--eps"},
+    "teleport": {"--eps", "--c-plus", "--c-minus", "--seed", "--samples"},
+    "decohere": {"--eps", "--n-env", "--angle", "--budget"},
+    "correspond": {"--n-max"},
+    "ks": {"--eps", "--rays"},
+    "chsh": {"--angles"},
+    "dynamics": {"--eps", "--steps", "--trajectories", "--seed", "--trajectory-out"},
+    "determinate": {"--eps", "--dim", "--seed", "--observable"},
+}
+
+KS18 = str(REPO / "src" / "qpt" / "fixtures" / "ks18-d4.rays")
+
+
+class TestSubcommandScenarios:
+    """``cli.main`` calls the scenario each subparser names with the options
+    given, so every default lives in the scenario's signature."""
+
+    def test_every_option_is_a_keyword_of_its_scenario(self):
+        for name, sub in _subcommands().items():
+            params = inspect.signature(sub.get_default("scenario")).parameters
+            dests = {a.dest for a in sub._actions} - {"help", "format", "output"}
+            assert {"tol" if d == "eps" else d for d in dests} <= set(params), name
+            assert ("eps" in dests) == ("tol" in params), name
+
+    def test_scenario_defaults_are_the_command_defaults(self):
+        for name, sub in _subcommands().items():
+            scenario = sub.get_default("scenario")
+            argv, args = ([name, "--rays", KS18], (KS18,)) if name == "ks" else ([name], ())
+            out = run(*argv, "--format", "json")
+            assert out.stdout == scenario(*args).to_json(), name
+
+    @pytest.mark.parametrize("command", ["chsh", "correspond"])
+    def test_eps_is_a_usage_error_where_the_scenario_takes_no_tolerance(self, command):
+        out = run(command, "--eps", "1e-6")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("usage: ")
+        assert "unrecognized arguments: --eps" in out.stderr
+
+    def test_every_scenario_is_a_public_name(self):
+        import qpt
+        from qpt import scenarios
+
+        names = [n for n, obj in vars(scenarios).items()
+                 if n.endswith("_scenario") and inspect.isfunction(obj)]
+        assert len(names) == 8
+        for name in names:
+            assert name in qpt.__all__, name
+            assert getattr(qpt, name) is getattr(scenarios, name), name
+
+    @pytest.mark.parametrize("angles, side, pair", [
+        ("0,0.0001,0.3,0.5", "alice", "0 and 0.0001"),
+        ("0,1.5,0.3,0.30001", "bob", "0.3 and 0.30001"),
+        ("0,3.14159265,0.3,0.5", "alice", "0 and 3.14159265"),
+    ])
+    def test_near_coincident_chsh_angles_name_the_side(self, angles, side, pair):
+        out = run("chsh", "--angles", angles)
+        assert out.returncode == 2 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {side}'s angles {pair} "), out.stderr
+
+
+class TestHelpSmoke:
+    def test_top_level_help_names_every_subcommand(self):
+        out = spawn("--help")
+        assert out.returncode == 0, out.stderr
+        for name in SUBCOMMAND_OPTIONS:
+            assert name in out.stdout, name
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+    def test_subcommand_help_names_every_option(self, command):
+        out = run(command, "--help")
+        assert out.returncode == 0, out.stderr
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out.stdout))
+        assert named == SUBCOMMAND_OPTIONS[command] | {"--help", "--format", "--output"}
+
+    def test_the_package_holds_the_one_list_of_public_names(self):
+        # qpt._EXPORTS gives qpt.__all__; a module's own __all__ would be a
+        # second list that can disagree with it
+        for path in sorted((REPO / "src" / "qpt").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            bound = {
+                node.id
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+            assert "__all__" not in bound, path.name
