@@ -1,8 +1,9 @@
 """Benchmark the stochastic jump kernel.
 
 Builds two evolutions, converts each to per-step cumulative transition
-matrices, and times ``sample_paths`` (best of ``--repeat``) for a few
-trajectory counts:
+matrices (printing the time of ``_transition_cumulatives`` and its
+``tracemalloc`` peak), and times ``sample_paths`` (best of ``--repeat``) for
+a few trajectory counts:
 
 - ``rabi``: a two-level Rabi period (k = 2), where each step compares all
   uniforms with two scalar thresholds and selects each walker's bit;
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -57,11 +59,22 @@ def dim6_spec(steps: int, seed: int):
     return psi0, obs, EvolutionSpec(hamiltonian=h, dt=default_timestep(h), steps=steps)
 
 
-def build_inputs(psi0, obs, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_inputs(psi0, obs, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+    """The chain's rows, its sample indices, the time of the first build of
+    the rows (the weights included) and the traced peak (bytes) of building
+    them again from the cached weights."""
     traj = evolve_possibility(psi0, obs, spec)
+    t0 = time.perf_counter()
     cum, p0 = _transition_cumulatives(traj)
+    build_s = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        _transition_cumulatives(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     sample_idx = np.arange(0, spec.steps + 1, max(1, spec.steps // 10), dtype=np.int64)
-    return cum, p0, sample_idx
+    return cum, p0, sample_idx, build_s, peak
 
 
 def time_kernel(
@@ -92,8 +105,10 @@ def main() -> None:
     print(f"{'chain':>6}  {'labels':>6}  {'walkers':>10}  {'time (s)':>10}  {'walker-steps/s':>14}")
     chains = (("rabi", rabi_spec(args.steps)), ("dim6", dim6_spec(args.steps, args.seed)))
     for name, chain in chains:
-        cum, p0, sample_idx = build_inputs(*chain)
+        cum, p0, sample_idx, build_s, peak = build_inputs(*chain)
         k = cum.shape[1]
+        print(f"{name:>6}  _transition_cumulatives {build_s:.4f} s, "
+              f"tracemalloc peak {peak / 2**20:.2f} MiB (cum {cum.nbytes / 2**20:.2f} MiB)")
         for n in args.walkers:
             t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx)
             print(f"{name:>6}  {k:>6}  {n:>10}  {t:>10.4f}  {n * args.steps / t:>14.3g}")

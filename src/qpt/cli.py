@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import QptError, RayFileError
-from .linalg import EPS_FLOOR, Tolerance
+from .linalg import DEFAULT_TOL, EPS_FLOOR, Tolerance
 from .scenarios import (
     chsh_scenario,
     correspondence_scenario,
@@ -47,13 +47,24 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
     return tuple(parts)  # type: ignore[return-value]
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It reports unrecognized arguments itself, so
+    the usage printed is the subcommand's, with its options, not the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # only the subcommands whose scenario takes ``tol`` accept --eps
     eps = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     eps.add_argument(
         "--eps",
         type=float,
-        help=f"comparison tolerance in {_EPS_RANGE}; default 1e-9 (below the "
+        help=f"comparison tolerance in {_EPS_RANGE}; default {DEFAULT_TOL.eps:g} (below the "
         f"floor {EPS_FLOOR:g}, rounding noise would count as subspace rank)",
     )
     common = argparse.ArgumentParser(add_help=False)
@@ -70,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="finite-dimensional quantum-logic toolkit: determinate "
         "sublattices, property states, no-go checks, dual dynamics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def command(name, scenario, summary):
         takes_tol = "tol" in inspect.signature(scenario).parameters

@@ -42,6 +42,11 @@ PRESENCE_CUTOFF = 1e-9
 #: projected ray before the step is rejected as discontinuous
 MIN_RAY_OVERLAP_SQ = 0.5
 
+#: the weights and transition rows are built this many steps at a time, so
+#: their temporaries are (_BLOCK, k, ·) arrays, not full-length ones; every
+#: step's arithmetic is the same at any block length
+_BLOCK = 256
+
 
 def default_timestep(hamiltonian: Operator) -> float:
     """A step small on the scale set by the generator: 0.01 / ||H||."""
@@ -91,17 +96,27 @@ class PossibilityTrajectory:
     def labels(self) -> tuple[str, ...]:
         return self.observable.labels
 
-    @cached_property
+    @property
     def _projected(self) -> np.ndarray:
-        """(steps + 1, k, dim) projected states x[t, i] = P_i psi_t."""
+        """(steps + 1, k, dim) projected states x[t, i] = P_i psi_t, built
+        anew on each read: nothing keeps this array, the largest of the chain's
+        inputs.  Each label takes one full-length product; a product split by
+        rows can round differently."""
         projs = [s.projector() for s in self.observable.eigenprojectors]
-        return np.stack([self.psis @ p.T for p in projs], axis=1)
+        x = np.empty((len(self.psis), len(projs), self.psis.shape[1]), dtype=np.complex128)
+        for i, p in enumerate(projs):
+            x[:, i] = self.psis @ p.T
+        return x
 
     @cached_property
     def weights(self) -> np.ndarray:
         """(steps + 1, k) array of ||P_i psi_t||^2, aligned with labels."""
         x = self._projected
-        return np.einsum("tid,tid->ti", x, x.conj()).real
+        w = np.empty(x.shape[:2])
+        for lo in range(0, len(x), _BLOCK):
+            xb = x[lo:lo + _BLOCK]
+            w[lo:lo + _BLOCK] = np.einsum("tid,tid->ti", xb, xb.conj()).real
+        return w
 
 
 def evolve_possibility(
@@ -126,9 +141,8 @@ def evolve_possibility(
 
 
 def _currents(traj: PossibilityTrajectory, x: np.ndarray) -> np.ndarray:
-    """(steps, k, k) antisymmetric currents J[t, i, j] at the left endpoint of
-    each step, from the projected states ``x`` of ``traj._projected``."""
-    x = x[: traj.spec.steps]
+    """(len(x), k, k) antisymmetric currents J[t, i, j] at the projected
+    states ``x``, a run of time slices of ``traj._projected``."""
     hx = x @ traj.spec.hamiltonian.entries.T  # hx[t, j] = H @ x[t, j]
     inner = np.einsum("tid,tjd->tij", x.conj(), hx)
     return 2.0 * inner.imag
@@ -144,10 +158,26 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
     label, a turn-over going before a vanishing label.
     Labels may appear (weight rising from zero) or vanish through a positive
     outflow; absent labels get frozen placeholder rows, which no walker can
-    occupy.
+    occupy.  The rows are built _BLOCK steps at a time, in step order.
     """
     w, x = traj.weights, traj._projected
-    j = _currents(traj, x)
+    steps, k = w.shape[0] - 1, w.shape[1]
+    cum = np.empty((steps, k, k))
+    for lo in range(0, steps, _BLOCK):
+        hi = min(lo + _BLOCK, steps)
+        _block_cumulatives(traj, x[lo:hi + 1], w[lo:hi + 1], lo, cum[lo:hi])
+    p0 = np.where(w[0] >= PRESENCE_CUTOFF, w[0], 0.0)
+    return cum, p0 / p0.sum()
+
+
+def _block_cumulatives(
+    traj: PossibilityTrajectory, x: np.ndarray, w: np.ndarray, first: int, out: np.ndarray
+) -> None:
+    """Write into ``out`` the cumulative rows of the steps ``first`` to
+    ``first + len(out) - 1``, from the projected states ``x`` and weights
+    ``w`` at their ``len(out) + 1`` instants; raise as
+    ``_transition_cumulatives`` does, with the trajectory's step number."""
+    j = _currents(traj, x[:-1])
     k = w.shape[1]
     present = w >= PRESENCE_CUTOFF
     now, nxt = present[:-1], present[1:]
@@ -173,12 +203,12 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
             raise LabelDiscontinuity(
                 f"projected ray for label {traj.labels[i]!r} turned over "
                 f"between steps (squared overlap {ovl[t, i]:.3g})",
-                step=t + 1,
+                step=first + t + 1,
             )
         col = int(np.argmax(stuck[t]))
         raise LabelDiscontinuity(
             f"label {traj.labels[col]!r} vanishes with no outgoing current",
-            step=t + 1,
+            step=first + t + 1,
         )
     # a vanishing label sends all its weight away; a step too coarse to stay
     # (total > 1) is the forced-jump regime; both rescale the row to sum 1
@@ -189,10 +219,8 @@ def _transition_cumulatives(traj: PossibilityTrajectory) -> tuple[np.ndarray, np
     # a row total may round one ulp above 1: clip so that the row is a
     # cumulative distribution, every transition diff(cum) >= 0.  A walker's
     # uniform is below 1, so the clip moves no sampled path
-    cum = np.minimum(np.cumsum(move, axis=-1), 1.0)
-    cum[..., -1] = 1.0
-    p0 = np.where(present[0], w[0], 0.0)
-    return cum, p0 / p0.sum()
+    np.minimum(np.cumsum(move, axis=-1, out=out), 1.0, out=out)
+    out[..., -1] = 1.0
 
 
 def _forward_marginals(cum: np.ndarray, p0: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpt import _kernels, cli
+from qpt.linalg import DEFAULT_TOL
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -589,6 +590,20 @@ class TestHelpSmoke:
         assert out.returncode == 0, out.stderr
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out.stdout))
         assert named == SUBCOMMAND_OPTIONS[command] | {"--help", "--format", "--output"}
+
+    @pytest.mark.parametrize("command, option", [
+        ("chsh", "--eps"), ("correspond", "--eps"), ("epr", "--bogus"),
+    ])
+    def test_unrecognized_arguments_show_the_subcommand_usage(self, command, option):
+        out = run(command, option, "1e-6")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith(f"usage: qpt {command} [-h]")
+        errors = [line for line in out.stderr.splitlines() if "error:" in line]
+        assert errors == [f"qpt {command}: error: unrecognized arguments: {option} 1e-6"]
+
+    def test_eps_help_states_the_default_tolerance(self):
+        out = run("epr", "--help")
+        assert f"default {DEFAULT_TOL.eps:g} " in " ".join(out.stdout.split())
 
     def test_the_package_holds_the_one_list_of_public_names(self):
         # qpt._EXPORTS gives qpt.__all__; a module's own __all__ would be a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpt.dynamics
 from qpt import (
     ComplexVector,
     DimMismatch,
@@ -402,3 +404,87 @@ class TestEntanglingPremeasurement:
         assert paths_sha256(paths) == (
             "2a9dc4edf8caecaca7f7b553d5fe2f34f222f95fbc3fec56586ca5c3fdd87f87"
         )
+
+
+#: the block length patched in below: small, so that short chains cross blocks
+B = 8
+
+
+def chain_bytes(traj: PossibilityTrajectory) -> tuple[bytes, bytes, bytes]:
+    cum, p0 = _transition_cumulatives(traj)
+    return cum.tobytes(), p0.tobytes(), traj.weights.tobytes()
+
+
+CHAINS = {
+    "rabi": rabi_trajectory,
+    "multilevel": lambda steps: multilevel_trajectory(3, steps),
+    "entangling": entangling_trajectory,
+}
+
+
+class TestTimeBlocks:
+    """``weights`` and ``_transition_cumulatives`` work ``_BLOCK`` steps at a
+    time; where the blocks fall moves no byte and no reported step."""
+
+    @pytest.mark.parametrize("steps", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_bytes_match_a_single_block(self, monkeypatch, chain, steps):
+        monkeypatch.setattr(qpt.dynamics, "_BLOCK", steps + 1)
+        whole = chain_bytes(CHAINS[chain](steps))
+        monkeypatch.setattr(qpt.dynamics, "_BLOCK", B)
+        assert chain_bytes(CHAINS[chain](steps)) == whole
+
+    @staticmethod
+    def discontinuity(rows, order) -> tuple[int, str]:
+        obs = TestLabelDiscontinuity.plane_and_ray(order)
+        with pytest.raises(LabelDiscontinuity) as exc:
+            _transition_cumulatives(frozen_trajectory(rows, obs))
+        return exc.value.step, str(exc.value)
+
+    @pytest.mark.parametrize(
+        "rows, order, message",
+        [
+            # r vanishes at step 10, in the second block
+            ([[1, 0, 1]] * 10 + [[1, 0, 0]], ("p", "r"),
+             "label 'r' vanishes with no outgoing current"),
+            # p turns over at step 10
+            ([[1, 0, 1]] * 10 + [[0, 1, 1]], ("p", "r"),
+             "projected ray for label 'p' turned over between steps (squared overlap 0)"),
+            # r vanishes at step 10; p turns over only at step 20, a block later
+            ([[1, 0, 1]] * 10 + [[1, 0, 0]] * 10 + [[0, 1, 0]], ("p", "r"),
+             "label 'r' vanishes with no outgoing current"),
+            # both at step 10: the turn-over goes first
+            ([[1, 0, 1]] * 10 + [[0, 1, 0]], ("r", "p"),
+             "projected ray for label 'p' turned over between steps (squared overlap 0)"),
+        ],
+        ids=["vanishing", "turn_over", "vanishing_a_block_before_turn_over", "same_step"],
+    )
+    def test_discontinuity_in_the_second_block(self, monkeypatch, rows, order, message):
+        monkeypatch.setattr(qpt.dynamics, "_BLOCK", len(rows))
+        whole = self.discontinuity(rows, order)
+        monkeypatch.setattr(qpt.dynamics, "_BLOCK", B)
+        assert self.discontinuity(rows, order) == whole == (10, message)
+
+
+class TestBoundedMemory:
+    def test_chain_holds_no_full_length_temporaries(self):
+        """Building the weights and the transition rows of a k = 2 chain of
+        200,000 steps peaks at what outlives the call (``cum`` and the cached
+        weights) plus one projected-state array and 1 MB for the per-block
+        temporaries; after it, no projected-state array is kept."""
+        steps = 200_000
+        spec = EvolutionSpec(hamiltonian=Operator(SX / 2), dt=2 * np.pi / steps, steps=steps)
+        times = spec.dt * np.arange(steps + 1)
+        psis = np.stack([np.cos(times / 2), -1j * np.sin(times / 2)], axis=1)
+        traj = PossibilityTrajectory(spec, z_observable(), times, psis)
+        projected_nbytes = psis.nbytes * 2  # (steps + 1, k, dim) complex, k = dim = 2
+        tracemalloc.start()
+        try:
+            traj.weights
+            cum, _ = _transition_cumulatives(traj)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = cum.nbytes + traj.weights.nbytes
+        assert peak < kept + projected_nbytes + 2**20
+        assert current < kept + 2**20

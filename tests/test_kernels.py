@@ -370,6 +370,7 @@ class TestBenchmarkScript:
                          "--steps", "50", "--walkers", "100", "--repeat", "1")
         assert out.returncode == 0, out.stderr
         assert "walker-steps/s" in out.stdout
+        assert "_transition_cumulatives" in out.stdout and "tracemalloc peak" in out.stdout
 
     def test_bench_closure_runs(self):
         out = run_script("benchmarks/bench_closure.py", "--repeat", "1")
