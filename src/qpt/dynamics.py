@@ -16,6 +16,7 @@ J. S. Bell, "Beables for quantum field theory" (1984), and J. C. Vink,
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -70,21 +71,13 @@ class EvolutionSpec:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
-    def step_unitary(self) -> Operator:
-        # imported here so that `import qpt` does not load scipy. expm stays:
-        # an eigh-based V·diag(e^{-i·dt·λ})·V† moves the last bits of the
-        # evolved states and with them the seeded report bytes.
-        import scipy.linalg
-
-        return Operator(scipy.linalg.expm(-1j * self.dt * self.hamiltonian.entries))
-
 
 @dataclass(frozen=True)
 class PossibilityTrajectory:
     """Snapshots of the determinate sublattice under unitary evolution.
 
-    ``psis[t]`` is the (unit) state at time ``times[t]``.  The observable is
-    fixed throughout.
+    ``psis[t]`` is the state at time ``times[t]``, of unit norm up to
+    rounding.  The observable is fixed throughout.
     """
 
     spec: EvolutionSpec
@@ -124,19 +117,29 @@ def evolve_possibility(
     observable: ObservableSpec,
     spec: EvolutionSpec,
 ) -> PossibilityTrajectory:
+    """Evolve ``psi0`` (normalised first) under ``spec`` from one
+    eigendecomposition ``H = V diag(lam) V^H``:
+    ``psis[t] = V (exp(-i lam times[t]) * V^H psi0)``, with no step-by-step
+    propagation, so rounding does not accumulate over the steps.  ``H`` is
+    replaced by its Hermitian part ``(H + H^H) / 2``, which is ``H`` itself
+    when it is exactly Hermitian.  Each entry of ``psis`` is a sum over the
+    eigen-index in index order, so filling ``_BLOCK`` times at a time moves
+    no byte."""
     dim = observable.eigenprojectors[0].ambient_dim
-    if psi0.dim != dim or spec.hamiltonian.entries.shape[0] != dim:
+    h = spec.hamiltonian.entries
+    if psi0.dim != dim or h.shape[0] != dim:
         raise DimMismatch(
-            f"state dim {psi0.dim}, generator dim "
-            f"{spec.hamiltonian.entries.shape[0]}, observable dim {dim}"
+            f"state dim {psi0.dim}, generator dim {h.shape[0]}, observable dim {dim}"
         )
-    u = spec.step_unitary().entries
-    psis = np.empty((spec.steps + 1, dim), dtype=np.complex128)
-    psis[0] = psi0.normalized().amplitudes
-    for t in range(spec.steps):
-        nxt = u @ psis[t]
-        psis[t + 1] = nxt / np.linalg.norm(nxt)
+    lam, v = np.linalg.eigh((h + h.conj().T) / 2)
+    c = v.conj().T @ psi0.normalized().amplitudes
     times = spec.dt * np.arange(spec.steps + 1)
+    psis = np.zeros((spec.steps + 1, dim), dtype=np.complex128)
+    for lo in range(0, len(times), _BLOCK):
+        ph = np.exp(-1j * np.multiply.outer(times[lo:lo + _BLOCK], lam))
+        blk = psis[lo:lo + _BLOCK]
+        for j in range(dim):
+            blk += (ph[:, j] * c[j])[:, None] * v[:, j]
     return PossibilityTrajectory(spec, observable, times, psis)
 
 
@@ -266,7 +269,14 @@ class MarginalSample:
 
 def jump_process(traj: PossibilityTrajectory, seed: int) -> PropertyTrajectory:
     """Sample a single property-state trajectory over the full time grid."""
-    cum, p0 = _transition_cumulatives(traj)
+    return _jump_process(traj, _transition_cumulatives(traj), seed)
+
+
+def _jump_process(
+    traj: PossibilityTrajectory, chain: tuple[np.ndarray, np.ndarray], seed: int
+) -> PropertyTrajectory:
+    """``jump_process`` on the chain ``(cum, p0)`` already built for ``traj``."""
+    cum, p0 = chain
     idx = np.arange(traj.spec.steps + 1, dtype=np.int64)
     path = sample_paths(cum, p0, 1, seed, idx)[:, 0]
     labels = tuple(traj.labels[int(i)] for i in path)
@@ -281,7 +291,21 @@ def sample_marginals(
 ) -> MarginalSample:
     """Sample an ensemble and tabulate label counts at the given time indices
     (default: every step)."""
-    cum, p0 = _transition_cumulatives(traj)
+    return _sample_marginals(
+        traj, _transition_cumulatives(traj), seed, n_trajectories, sample_indices
+    )
+
+
+def _sample_marginals(
+    traj: PossibilityTrajectory,
+    chain: tuple[np.ndarray, np.ndarray],
+    seed: int,
+    n_trajectories: int,
+    sample_indices: "np.ndarray | None",
+) -> MarginalSample:
+    """``sample_marginals`` on the chain ``(cum, p0)`` already built for
+    ``traj``."""
+    cum, p0 = chain
     k = cum.shape[1]
     if sample_indices is None:
         idx = np.arange(traj.spec.steps + 1, dtype=np.int64)
@@ -304,8 +328,14 @@ def trajectory_rows(
     ptraj: PropertyTrajectory, traj: PossibilityTrajectory
 ) -> list[str]:
     """Tab-separated rows (time, selected label, comma-joined weight vector)."""
-    rows = []
-    for t in range(len(ptraj.times)):
-        probs = ",".join(f"{p:.10g}" for p in traj.weights[t])
-        rows.append(f"{ptraj.times[t]:.10g}\t{ptraj.selected_labels[t]}\t{probs}")
-    return rows
+    return list(_iter_trajectory_rows(ptraj, traj))
+
+
+def _iter_trajectory_rows(
+    ptraj: PropertyTrajectory, traj: PossibilityTrajectory
+) -> Iterator[str]:
+    """The rows of ``trajectory_rows``, one at a time, so that a writer holds
+    one row, not all of them."""
+    for t, label, w in zip(ptraj.times, ptraj.selected_labels, traj.weights):
+        probs = ",".join(f"{p:.10g}" for p in w)
+        yield f"{t:.10g}\t{label}\t{probs}"

@@ -20,10 +20,11 @@ from .determinate import (
 )
 from .dynamics import (
     EvolutionSpec,
+    _iter_trajectory_rows,
+    _jump_process,
+    _sample_marginals,
+    _transition_cumulatives,
     evolve_possibility,
-    jump_process,
-    sample_marginals,
-    trajectory_rows,
 )
 from .errors import NotNormalized
 from .lattice import Subspace
@@ -745,12 +746,14 @@ def dynamics_scenario(
 
     stride = steps // 10
     idx = np.arange(1, 11) * stride
-    marg = sample_marginals(traj, seed, trajectories, idx)
+    chain = _transition_cumulatives(traj)  # one build for both samplers
+    marg = _sample_marginals(traj, chain, seed, trajectories, idx)
     tv = marg.total_variation()
 
     if trajectory_out is not None:
-        path_rows = trajectory_rows(jump_process(traj, seed + 1), traj)
-        trajectory_out.write_text("\n".join(path_rows) + "\n")
+        ptraj = _jump_process(traj, chain, seed + 1)
+        with trajectory_out.open("w") as f:
+            f.writelines(row + "\n" for row in _iter_trajectory_rows(ptraj, traj))
 
     sigma = 0.5 / np.sqrt(trajectories)
     tv_tol = max(0.02, 4.0 * sigma + 0.01)

@@ -466,7 +466,7 @@ class TestColdStart:
             assert namespace[name] is getattr(home, name), name
         assert set(qpt.__all__) <= set(dir(qpt))
 
-    def test_scipy_free_commands_never_load_scipy(self):
+    def test_scipy_free_commands_never_load_scipy(self, tmp_path):
         # a fresh interpreter: this session has scipy loaded already
         script = (
             "import contextlib, io, json, sys\n"
@@ -487,6 +487,9 @@ class TestColdStart:
             ["correspond", "--n-max", "30"],
             ["ks", "--rays", "src/qpt/fixtures/ks18-d4.rays"],
             ["determinate", "--dim", "3"],
+            ["dynamics", "--steps", "200", "--trajectories", "2000"],
+            ["dynamics", "--steps", "200", "--trajectories", "2000",
+             "--trajectory-out", str(tmp_path / "path.tsv")],
         ]
         out = subprocess.run(
             [sys.executable, "-c", script, json.dumps(commands)],
@@ -499,12 +502,13 @@ class TestColdStart:
         assert json.loads(out.stdout) == expected
 
     def test_dynamics_report_bytes_pinned(self):
-        # captured with the step unitary from scipy.linalg.expm; an eigh-based
-        # unitary moves the evolved states in their last bits and changes these bytes
+        # captured with the states evolved from one eigendecomposition of H; a
+        # step-by-step propagation moves them in their last bits and changes
+        # the float fields of this report
         out = spawn("dynamics", "--steps", "200", "--trajectories", "2000", "--format", "json")
         assert out.returncode == 0, out.stderr
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "b7f9468544d9d462de5840d4cec69e309eaa0e1d7f30fcc632ca1242ad912b42"
+            "307c93530f5c64051663998b019f22da0a5faa002db4eda1f39aa77075004ae0"
         )
 
 

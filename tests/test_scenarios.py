@@ -3,6 +3,7 @@ reports must be deterministic for fixed parameters."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpt.dynamics
+import qpt.scenarios
 from qpt import (
     ExtensionReport,
     NotNormalized,
@@ -228,6 +231,31 @@ class TestDynamicsScenario:
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             dynamics_scenario(4, 100, 0)
+
+    def test_default_trajectory_tsv_bytes_pinned(self, tmp_path):
+        # a seed fixes the written path and the weights beside it
+        out = tmp_path / "paths.tsv"
+        dynamics_scenario(trajectory_out=out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fd4dee360311636cdb84b0d44871a1be9d3e127a6ba7e99f69ef87e1f60d58a8"
+        )
+
+    def test_trajectory_out_builds_the_chain_once(self, tmp_path, monkeypatch):
+        calls = {"_transition_cumulatives": 0, "sample_paths": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        chain = counted(qpt.dynamics._transition_cumulatives)
+        monkeypatch.setattr(qpt.dynamics, "_transition_cumulatives", chain)
+        monkeypatch.setattr(qpt.scenarios, "_transition_cumulatives", chain)
+        monkeypatch.setattr(qpt.dynamics, "sample_paths", counted(qpt.dynamics.sample_paths))
+        dynamics_scenario(40, 400, 0, trajectory_out=tmp_path / "paths.tsv")
+        # one build, walked by the ensemble and by the written path
+        assert calls == {"_transition_cumulatives": 1, "sample_paths": 2}
 
 
 class TestReportShape:
