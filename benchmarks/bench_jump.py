@@ -2,8 +2,9 @@
 
 Builds two evolutions, converts each to per-step cumulative transition
 matrices (printing the time of ``_transition_cumulatives`` and its
-``tracemalloc`` peak), and times ``sample_paths`` (best of ``--repeat``) for
-a few trajectory counts:
+``tracemalloc`` peak), prints the time and ``tracemalloc`` peak of the walk
+``jump_process`` makes (one walker over every step), and times
+``sample_paths`` (best of ``--repeat``) for a few trajectory counts:
 
 - ``rabi``: a two-level Rabi period (k = 2), where each step compares all
   uniforms with two scalar thresholds and selects each walker's bit;
@@ -77,6 +78,22 @@ def build_inputs(psi0, obs, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     return cum, p0, sample_idx, build_s, peak
 
 
+def one_walk(cum: np.ndarray, p0: np.ndarray, seed: int) -> tuple[float, int]:
+    """Time and traced peak (bytes) of one walker over every step, the walk
+    of ``jump_process``; the peak comes from a second, traced walk."""
+    idx = np.arange(cum.shape[0] + 1, dtype=np.int64)
+    t0 = time.perf_counter()
+    sample_paths(cum, p0, 1, seed, idx)
+    secs = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        sample_paths(cum, p0, 1, seed, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return secs, peak
+
+
 def time_kernel(
     cum: np.ndarray,
     p0: np.ndarray,
@@ -109,6 +126,9 @@ def main() -> None:
         k = cum.shape[1]
         print(f"{name:>6}  _transition_cumulatives {build_s:.4f} s, "
               f"tracemalloc peak {peak / 2**20:.2f} MiB (cum {cum.nbytes / 2**20:.2f} MiB)")
+        walk_s, walk_peak = one_walk(cum, p0, args.seed)
+        print(f"{name:>6}  jump_process walk {walk_s:.4f} s, "
+              f"tracemalloc peak {walk_peak / 2**20:.2f} MiB (cum {cum.nbytes / 2**20:.2f} MiB)")
         for n in args.walkers:
             t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx)
             print(f"{name:>6}  {k:>6}  {n:>10}  {t:>10.4f}  {n * args.steps / t:>14.3g}")

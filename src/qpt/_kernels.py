@@ -86,12 +86,18 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
     u0 = np.zeros((n_chunks, width))
     sizes = [width] * (n_chunks - 1) + [n_walkers - (n_chunks - 1) * width]
     gens = _chunk_streams(seed, steps, n_chunks)
-    where = {int(t): i for i, t in enumerate(sample_idx)}
+    # sample_idx strictly increases, so the sampled times fill the rows of
+    # out in order; the mask is a list, since it is read one step at a time
+    sampled = np.zeros(steps + 1, dtype=bool)
+    sampled[sample_idx] = True
+    sampled = sampled.tolist()
     for g, slab, c in zip(gens, u0, sizes):
         _fill(g, slab, c)
     lab = np.minimum((u0[..., None] >= cum_p0).sum(axis=-1), k - 1)
-    if 0 in where:
-        out[where[0]] = lab.reshape(-1)[:n_walkers]
+    row = 0
+    if sampled[0]:
+        out[row] = lab.reshape(-1)[:n_walkers]
+        row += 1
     if k == 2:
         lab = lab.astype(bool)
         from0, from1 = np.empty_like(lab), np.empty_like(lab)
@@ -119,8 +125,9 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
                 leave = u < lo[t].take(lab)
                 leave |= u >= hi[t].take(lab)
                 lab[leave] = _sweep(u[leave], cols[t], lab[leave])
-            if t + 1 in where:
-                out[where[t + 1]] = lab.reshape(-1)[:n_walkers]
+            if sampled[t + 1]:
+                out[row] = lab.reshape(-1)[:n_walkers]
+                row += 1
     return out
 
 

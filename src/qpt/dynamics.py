@@ -111,6 +111,12 @@ class PossibilityTrajectory:
             w[lo:lo + _BLOCK] = np.einsum("tid,tid->ti", xb, xb.conj()).real
         return w
 
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, np.ndarray]:
+        """The jump chain ``(cum, p0)`` of ``_transition_cumulatives``, built
+        once and walked by every sampler of this trajectory."""
+        return _transition_cumulatives(self)
+
 
 def evolve_possibility(
     psi0: ComplexVector,
@@ -269,14 +275,7 @@ class MarginalSample:
 
 def jump_process(traj: PossibilityTrajectory, seed: int) -> PropertyTrajectory:
     """Sample a single property-state trajectory over the full time grid."""
-    return _jump_process(traj, _transition_cumulatives(traj), seed)
-
-
-def _jump_process(
-    traj: PossibilityTrajectory, chain: tuple[np.ndarray, np.ndarray], seed: int
-) -> PropertyTrajectory:
-    """``jump_process`` on the chain ``(cum, p0)`` already built for ``traj``."""
-    cum, p0 = chain
+    cum, p0 = traj._chain
     idx = np.arange(traj.spec.steps + 1, dtype=np.int64)
     path = sample_paths(cum, p0, 1, seed, idx)[:, 0]
     labels = tuple(traj.labels[int(i)] for i in path)
@@ -291,21 +290,7 @@ def sample_marginals(
 ) -> MarginalSample:
     """Sample an ensemble and tabulate label counts at the given time indices
     (default: every step)."""
-    return _sample_marginals(
-        traj, _transition_cumulatives(traj), seed, n_trajectories, sample_indices
-    )
-
-
-def _sample_marginals(
-    traj: PossibilityTrajectory,
-    chain: tuple[np.ndarray, np.ndarray],
-    seed: int,
-    n_trajectories: int,
-    sample_indices: "np.ndarray | None",
-) -> MarginalSample:
-    """``sample_marginals`` on the chain ``(cum, p0)`` already built for
-    ``traj``."""
-    cum, p0 = chain
+    cum, p0 = traj._chain
     k = cum.shape[1]
     if sample_indices is None:
         idx = np.arange(traj.spec.steps + 1, dtype=np.int64)
@@ -326,16 +311,9 @@ def _sample_marginals(
 
 def trajectory_rows(
     ptraj: PropertyTrajectory, traj: PossibilityTrajectory
-) -> list[str]:
-    """Tab-separated rows (time, selected label, comma-joined weight vector)."""
-    return list(_iter_trajectory_rows(ptraj, traj))
-
-
-def _iter_trajectory_rows(
-    ptraj: PropertyTrajectory, traj: PossibilityTrajectory
 ) -> Iterator[str]:
-    """The rows of ``trajectory_rows``, one at a time, so that a writer holds
-    one row, not all of them."""
+    """Tab-separated rows (time, selected label, comma-joined weight vector),
+    yielded one at a time, so that a writer holds one row, not all of them."""
     for t, label, w in zip(ptraj.times, ptraj.selected_labels, traj.weights):
         probs = ",".join(f"{p:.10g}" for p in w)
         yield f"{t:.10g}\t{label}\t{probs}"

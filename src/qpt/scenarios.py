@@ -20,11 +20,10 @@ from .determinate import (
 )
 from .dynamics import (
     EvolutionSpec,
-    _iter_trajectory_rows,
-    _jump_process,
-    _sample_marginals,
-    _transition_cumulatives,
     evolve_possibility,
+    jump_process,
+    sample_marginals,
+    trajectory_rows,
 )
 from .errors import NotNormalized
 from .lattice import Subspace
@@ -746,14 +745,13 @@ def dynamics_scenario(
 
     stride = steps // 10
     idx = np.arange(1, 11) * stride
-    chain = _transition_cumulatives(traj)  # one build for both samplers
-    marg = _sample_marginals(traj, chain, seed, trajectories, idx)
+    marg = sample_marginals(traj, seed, trajectories, idx)
     tv = marg.total_variation()
 
     if trajectory_out is not None:
-        ptraj = _jump_process(traj, chain, seed + 1)
+        ptraj = jump_process(traj, seed + 1)  # walks the chain the ensemble did
         with trajectory_out.open("w") as f:
-            f.writelines(row + "\n" for row in _iter_trajectory_rows(ptraj, traj))
+            f.writelines(row + "\n" for row in trajectory_rows(ptraj, traj))
 
     sigma = 0.5 / np.sqrt(trajectories)
     tv_tol = max(0.02, 4.0 * sigma + 0.01)

@@ -32,7 +32,7 @@ from qpt import (
     sample_marginals,
     tensor,
 )
-from qpt._kernels import CHUNK, sample_paths
+from qpt._kernels import BLOCK_DOUBLES, CHUNK, sample_paths
 from qpt.dynamics import (
     PRESENCE_CUTOFF,
     _forward_marginals,
@@ -157,7 +157,7 @@ class TestJumpProcess:
     def test_trajectory_rows_format(self):
         traj = rabi_trajectory(20)
         pt = jump_process(traj, seed=1)
-        rows = trajectory_rows(pt, traj)
+        rows = list(trajectory_rows(pt, traj))
         assert len(rows) == 21
         first = rows[0].split("\t")
         assert len(first) == 3
@@ -358,6 +358,23 @@ class TestMeshing:
         assert len(seen) == 1 and seen[0].shape == (2, 50)
         assert np.array_equal([np.bincount(r, minlength=2) for r in seen[0]], marg.counts)
 
+    def test_samplers_share_one_chain_per_trajectory(self, monkeypatch):
+        # the trajectory builds its chain once, for every sampler that walks it
+        builds = []
+        build = qpt.dynamics._transition_cumulatives
+        monkeypatch.setattr(qpt.dynamics, "_transition_cumulatives",
+                            lambda traj: builds.append(1) or build(traj))
+        traj, idx = rabi_trajectory(100), [10, 50, 90]
+        shared = [sample_marginals(traj, seed=s, n_trajectories=300, sample_indices=idx)
+                  for s in (0, 1)]
+        path = jump_process(traj, seed=2)
+        assert len(builds) == 1
+        for s, marg in zip((0, 1), shared):
+            fresh = sample_marginals(rabi_trajectory(100), seed=s, n_trajectories=300,
+                                     sample_indices=idx)
+            assert np.array_equal(marg.counts, fresh.counts)
+        assert path.selected_labels == jump_process(rabi_trajectory(100), seed=2).selected_labels
+
     def test_empty_indices_give_no_counts(self):
         marg = sample_marginals(rabi_trajectory(100), seed=0, n_trajectories=100,
                                 sample_indices=[])
@@ -514,3 +531,21 @@ class TestBoundedMemory:
         kept = cum.nbytes + traj.weights.nbytes
         assert peak < kept + projected_nbytes + 2**20
         assert current < kept + 2**20
+
+    def test_one_walker_walk_keeps_no_per_step_index(self):
+        """Walking one walker over every step of a k = 2 chain of 20,000
+        steps peaks at the walk's own arrays (the threshold columns, the
+        sampled rows and the draw buffer) plus 0.5 MiB."""
+        steps = 20_000
+        cum, p0 = _transition_cumulatives(rabi_trajectory(steps))
+        idx = np.arange(steps + 1)
+        tracemalloc.start()
+        try:
+            sample_paths(cum, p0, 1, 0, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cols = cum.nbytes  # the rows, transposed to contiguous columns
+        out = (steps + 1) * 8  # one int64 label per sampled time
+        buf = min(steps, BLOCK_DOUBLES) * 8  # one walker's uniforms for a block of steps
+        assert peak < cols + out + buf + 2**19

@@ -371,6 +371,7 @@ class TestBenchmarkScript:
         assert out.returncode == 0, out.stderr
         assert "walker-steps/s" in out.stdout
         assert "_transition_cumulatives" in out.stdout and "tracemalloc peak" in out.stdout
+        assert out.stdout.count("jump_process walk") == 2  # one line per chain
 
     def test_bench_closure_runs(self):
         out = run_script("benchmarks/bench_closure.py", "--repeat", "1")

@@ -249,9 +249,8 @@ class TestDynamicsScenario:
                 return fn(*args, **kwargs)
             return wrapper
 
-        chain = counted(qpt.dynamics._transition_cumulatives)
-        monkeypatch.setattr(qpt.dynamics, "_transition_cumulatives", chain)
-        monkeypatch.setattr(qpt.scenarios, "_transition_cumulatives", chain)
+        monkeypatch.setattr(qpt.dynamics, "_transition_cumulatives",
+                            counted(qpt.dynamics._transition_cumulatives))
         monkeypatch.setattr(qpt.dynamics, "sample_paths", counted(qpt.dynamics.sample_paths))
         dynamics_scenario(40, 400, 0, trajectory_out=tmp_path / "paths.tsv")
         # one build, walked by the ensemble and by the written path
