@@ -25,18 +25,13 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _chunk_streams(seed, steps: int, n_chunks: int) -> list:
-    """One generator per chunk, positioned at the chunk's first draw.  Every
-    chunk but the last consumes ``CHUNK * (steps + 1)`` doubles, and
-    ``random()`` takes one 64-bit PCG64 output per double, so chunk m starts
-    ``m * CHUNK * (steps + 1)`` outputs into the stream of ``PCG64(seed)``."""
-    state = np.random.PCG64(seed).state
-    gens = []
-    for m in range(n_chunks):
-        bitgen = np.random.PCG64()
-        bitgen.state = state
-        gens.append(np.random.Generator(bitgen.advance(m * CHUNK * (steps + 1))))
-    return gens
+def _chunk_streams(seed, rows: int, n_chunks: int) -> list:
+    """One generator per chunk, ``rows * CHUNK`` outputs apart in the stream
+    of ``PCG64(seed)`` (see ``sample_paths``)."""
+    return [
+        np.random.Generator(np.random.PCG64(seed).advance(m * CHUNK * rows))
+        for m in range(n_chunks)
+    ]
 
 
 def _fill(gen, slab, c):
@@ -57,16 +52,11 @@ def _sweep(u, ct, lab):
     return nxt
 
 
-def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
-    """Walk all chunks side by side through ``cols`` (steps, k, k), where
-    ``cols[t, j, i]`` is the cumulative probability of jumping from label i
-    to a label <= j.  Walkers sit in a (chunks, width) grid; the short last
-    chunk is padded, and its padding walks on zeros and is dropped.  Each
-    chunk draws its start uniforms, then its step uniforms a block of steps
-    at a time into its own slab of one reused buffer.  The chunk streams are
-    built only once the output and start arrays are allocated, so a walker
-    count too large to hold fails at once with ``MemoryError``.
-
+def _walk(cols, n_walkers, seed, sample_idx):
+    """Walk all chunks side by side through ``cols`` (rows, k, k), where
+    ``cols[t, j, i]`` is threshold j of row t for a walker on label i.
+    Walkers sit in a (chunks, width) grid, all on label 0; the short last
+    chunk is padded, and its padding walks on zeros and is dropped.
     Two routes, both exactly the selection rule of ``_sweep``:
 
     - k = 2: the labels are a boolean grid.  A step compares every uniform
@@ -80,36 +70,31 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
       and above for i = k - 1); since the thresholds are nondecreasing, that
       is exactly when ``_sweep`` would count i.  Each step tests the slot
       and sweeps the thresholds only for the walkers that leave it."""
-    steps, k, _ = cols.shape
+    rows, k, _ = cols.shape
     n_chunks, width = -(-n_walkers // CHUNK), min(n_walkers, CHUNK)
-    out = np.empty((sample_idx.shape[0], n_walkers), dtype=np.int64)
-    u0 = np.zeros((n_chunks, width))
     sizes = [width] * (n_chunks - 1) + [n_walkers - (n_chunks - 1) * width]
-    gens = _chunk_streams(seed, steps, n_chunks)
+    out = np.empty((sample_idx.shape[0], n_walkers), dtype=np.int64)
+    lab = np.zeros((n_chunks, width), dtype=bool if k == 2 else np.int64)
+    # the streams come after the walker arrays, so a walker count too large
+    # to hold fails at once with MemoryError
+    gens = _chunk_streams(seed, rows, n_chunks)
     # sample_idx strictly increases, so the sampled times fill the rows of
     # out in order; the mask is a list, since it is read one step at a time
-    sampled = np.zeros(steps + 1, dtype=bool)
+    sampled = np.zeros(rows, dtype=bool)
     sampled[sample_idx] = True
     sampled = sampled.tolist()
-    for g, slab, c in zip(gens, u0, sizes):
-        _fill(g, slab, c)
-    lab = np.minimum((u0[..., None] >= cum_p0).sum(axis=-1), k - 1)
-    row = 0
-    if sampled[0]:
-        out[row] = lab.reshape(-1)[:n_walkers]
-        row += 1
     if k == 2:
-        lab = lab.astype(bool)
         from0, from1 = np.empty_like(lab), np.empty_like(lab)
     else:
         hi = np.diagonal(cols, axis1=1, axis2=2).copy()
         hi[:, -1] = np.inf
         lo = np.full_like(hi, -np.inf)
         lo[:, 1:] = np.diagonal(cols, offset=1, axis1=1, axis2=2)
-    block = max(1, min(steps, BLOCK_DOUBLES // lab.size))
+    block = max(1, min(rows, BLOCK_DOUBLES // lab.size))
     buf = np.zeros((n_chunks, block, width))
-    for t0 in range(0, steps, block):
-        b = min(block, steps - t0)
+    row = 0
+    for t0 in range(0, rows, block):
+        b = min(block, rows - t0)
         for g, slab, c in zip(gens, buf, sizes):
             _fill(g, slab[:b], c)
         for s in range(b):
@@ -125,7 +110,7 @@ def _walk(cols, cum_p0, n_walkers, seed, sample_idx):
                 leave = u < lo[t].take(lab)
                 leave |= u >= hi[t].take(lab)
                 lab[leave] = _sweep(u[leave], cols[t], lab[leave])
-            if sampled[t + 1]:
+            if sampled[t]:
                 out[row] = lab.reshape(-1)[:n_walkers]
                 row += 1
     return out
@@ -145,7 +130,7 @@ def sample_index_array(sample_idx, steps: int) -> np.ndarray:
         raise ValueError("sample indices must be integers")
     if raw.size and (raw.min() < 0 or raw.max() > steps):
         raise ValueError("sample indices outside [0, steps]")
-    idx = raw.astype(np.int64)
+    idx = raw.astype(np.int64, copy=False)
     if (np.diff(idx) <= 0).any():
         raise ValueError("sample indices must be strictly increasing")
     return idx
@@ -162,12 +147,14 @@ def sample_paths(
     matrices ``cum`` (steps, k, k), starting from the distribution ``p0``.
     Returns labels with shape (len(sample_idx), n_walkers).
 
-    Precondition: every row ``cum[t, i]`` is a cumulative distribution whose
-    last entry is exactly 1.0 and whose thresholds ``cum[t, i, :k - 1]`` are
-    nondecreasing (``_transition_cumulatives`` sets the one, and its cumsum
-    of non-negative entries, clipped at 1, gives the other).  The next label is
-    then the first j with ``u < cum[t, i, j]``, a uniform ``u < 1`` never
-    runs past the last label, and the stay test of ``_walk`` is exact.
+    The walk rule: the start distribution is the chain's step 0, the row
+    ``cumsum(p0)`` taken from label 0, and each of the ``steps + 1`` rows
+    moves a walker on label i with its uniform ``u`` to the first label
+    j < k - 1 with ``u < row[i, j]``, else to the last label.  No route
+    reads a row's last threshold.  Precondition: the thresholds
+    ``cum[t, i, :k - 1]`` and ``cumsum(p0)[:k - 1]`` are nondecreasing
+    (each is a cumsum of non-negative entries), so the stay test of
+    ``_walk`` is exact.
 
     Two routes give these paths (see ``_walk``): with two labels, each step
     is two scalar compares over all walkers and an in-place bit select; with
@@ -178,17 +165,19 @@ def sample_paths(
 
     A seed fixes the paths.  The stream layout: walkers fall into chunks of
     ``CHUNK`` (the last one may be shorter), and chunk m consumes, from the
-    one stream of ``PCG64(seed)``, one start uniform per walker and then one
-    per (step, walker), step-major, starting at raw output
-    ``m * CHUNK * (steps + 1)``.  Each chunk's generator is a copy of that
-    state advanced to its offset.  ``CHUNK`` fixes only this layout: all
-    chunks are walked side by side in one pass.
+    one stream of ``PCG64(seed)``, one uniform per (row, walker), row-major,
+    starting at raw output ``m * CHUNK * (steps + 1)``; ``random()`` takes
+    one 64-bit output per double, so each chunk's generator is
+    ``PCG64(seed)`` advanced to its offset.  ``CHUNK`` fixes only this
+    layout: all chunks are walked side by side in one pass.
     """
     if n_walkers < 1:
         raise ValueError("n_walkers must be positive")
-    sample_idx = sample_index_array(sample_idx, cum.shape[0])
+    cum = np.asarray(cum, dtype=np.float64)
+    steps, k, _ = cum.shape
+    sample_idx = sample_index_array(sample_idx, steps)
     # thresholds as contiguous columns, so each step gathers 1-D arrays
-    cols = np.ascontiguousarray(np.asarray(cum, dtype=np.float64).transpose(0, 2, 1))
-    cum_p0 = np.cumsum(np.asarray(p0, dtype=np.float64))
-    cum_p0[-1] = 1.0
-    return _walk(cols, cum_p0, n_walkers, seed, sample_idx)
+    cols = np.empty((steps + 1, k, k))
+    cols[0] = np.cumsum(np.asarray(p0, dtype=np.float64))[:, None]
+    cols[1:] = cum.transpose(0, 2, 1)
+    return _walk(cols, n_walkers, seed, sample_idx)

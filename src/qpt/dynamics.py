@@ -138,7 +138,7 @@ def evolve_possibility(
             f"state dim {psi0.dim}, generator dim {h.shape[0]}, observable dim {dim}"
         )
     lam, v = np.linalg.eigh((h + h.conj().T) / 2)
-    c = v.conj().T @ psi0.normalized().amplitudes
+    c = v.conj().T @ psi0.normalized(spec.tol).amplitudes
     times = spec.dt * np.arange(spec.steps + 1)
     psis = np.zeros((spec.steps + 1, dim), dtype=np.complex128)
     for lo in range(0, len(times), _BLOCK):

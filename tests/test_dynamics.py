@@ -23,6 +23,8 @@ from qpt import (
     PossibilityTrajectory,
     RegisterLayout,
     Subspace,
+    Tolerance,
+    ZeroVector,
     basis_vector,
     build_determinate,
     default_timestep,
@@ -112,6 +114,14 @@ class TestEvolvePossibility:
         spec = EvolutionSpec(hamiltonian=Operator(SX), dt=0.1, steps=2)
         with pytest.raises(DimMismatch):
             evolve_possibility(ComplexVector(np.ones(3) / np.sqrt(3)), z_observable(), spec)
+
+    def test_zero_norm_check_uses_the_spec_tolerance(self):
+        spec = EvolutionSpec(hamiltonian=Operator(SX), dt=0.1, steps=2, tol=Tolerance(1e-13))
+        small = ComplexVector(np.array([0.6e-11, 0.8e-11], dtype=complex))
+        traj = evolve_possibility(small, z_observable(), spec)
+        assert np.abs(traj.psis[0] - [0.6, 0.8]).max() < 1e-12
+        with pytest.raises(ZeroVector):
+            evolve_possibility(ComplexVector(np.array([1e-14, 0j])), z_observable(), spec)
 
 
 class TestJumpProcess:

@@ -3,6 +3,7 @@ determinism, and validation."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,12 +22,23 @@ from qpt import (
     evolve_possibility,
     jump_process,
 )
-from qpt._kernels import CHUNK, sample_paths
+from qpt._kernels import CHUNK, sample_index_array, sample_paths
 from qpt.dynamics import _transition_cumulatives
 
 from conftest import rabi_trajectory
 
 REPO = Path(__file__).resolve().parent.parent
+
+#: sha256 of ``sample_paths(cum, p0, 1, 7, full_grid(300))`` on the chain of
+#: ``random_cumulatives(300, k, default_rng(100 + k))`` with ``p0[k // 2]``
+#: set to zero (for k > 1) and the rest renormalised
+ONE_WALKER_PATH_SHA256 = {
+    1: "5d81987966a0197c8a663d8800d87b97c0c5ea4f619d42f44e22bf5321d14cbb",
+    2: "3a5d371213149f4b5d59133d39dc8d60eb25926f82b4c24e08001c4ac2de449c",
+    3: "42ed0e21cf17759e6fc6126f0cd05f7399f95ca4b0c12cb41a7af62452596cfe",
+    6: "976cea36924434a833f31d01d11bf6ada44259841d4d615cb33a407df4d70f3c",
+    9: "68aea3ce362d1619ca1b5028a4476d3c57e317162c51caa7ff93e13c192c3c58",
+}
 
 
 def random_cumulatives(steps: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -253,6 +265,57 @@ class TestLabelCountRoutes:
         assert not out.any()
 
 
+class TestStartDraw:
+    """The start label is drawn as the chain's step 0: zero-probability
+    start labels and start uniforms that land exactly on a threshold of
+    ``cumsum(p0)`` give the reference walker's labels."""
+
+    @given(
+        st.integers(1, 9),
+        st.sampled_from([1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["first", "last", "both", "one-hot", "tie"]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_start_labels_match_reference(self, k, n_walkers, steps, seed, zeros, start_only):
+        rng = np.random.default_rng(seed + 1)
+        cum, p0 = random_cumulatives(steps, k, rng)
+        if zeros == "one-hot":
+            p0 = np.zeros(k)
+            p0[rng.integers(k)] = 1.0
+        elif zeros == "tie" and k > 1:
+            # zeros, then a start uniform of chunk 0, then the rest, so that
+            # cumsum(p0)[j] is exactly that uniform
+            starts = np.random.default_rng(seed).random(min(n_walkers, CHUNK))
+            j = rng.integers(k - 1)
+            p0 = np.zeros(k)
+            p0[j] = rng.choice(starts)
+            p0[j + 1:] = (1.0 - p0[j]) * rng.dirichlet(np.ones(k - 1 - j))
+        else:
+            lo = rng.integers(k) if zeros in ("first", "both") else 0
+            hi = rng.integers(lo + 1, k + 1) if zeros in ("last", "both") else k
+            p0[:lo] = p0[hi:] = 0.0
+            p0 /= p0.sum()
+        idx = np.array([0]) if start_only else full_grid(steps)
+        a = sample_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        b = reference_paths(cum, p0, n_walkers, seed=seed, sample_idx=idx)
+        assert np.array_equal(a, b)
+        # below the last label, a label of zero start probability has an
+        # empty slot [cumsum(p0)[j - 1], cumsum(p0)[j]), so no walker lands there
+        assert not np.isin(a[0], np.flatnonzero(p0[:-1] == 0.0)).any()
+
+    @pytest.mark.parametrize("k", sorted(ONE_WALKER_PATH_SHA256))
+    def test_one_walker_full_grid_path_pinned(self, k):
+        cum, p0 = random_cumulatives(300, k, np.random.default_rng(100 + k))
+        if k > 1:
+            p0[k // 2] = 0.0
+            p0 /= p0.sum()
+        out = sample_paths(cum, p0, 1, 7, full_grid(300))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == ONE_WALKER_PATH_SHA256[k]
+
+
 class TestDeterminismAndShape:
     def test_same_seed_same_paths(self):
         rng = np.random.default_rng(0)
@@ -341,6 +404,13 @@ class TestValidation:
         a = sample_paths(cum, p0, 10, seed=0, sample_idx=[1.0, 4.0])
         b = sample_paths(cum, p0, 10, seed=0, sample_idx=np.array([1, 4]))
         assert np.array_equal(a, b)
+
+    def test_int64_indices_are_used_without_a_copy(self):
+        idx = np.arange(6, dtype=np.int64)
+        assert np.shares_memory(sample_index_array(idx, 5), idx)
+        for other in (idx.astype(np.int32), idx.astype(np.uint16), idx.astype(float)):
+            out = sample_index_array(other, 5)
+            assert out.dtype == np.int64 and np.array_equal(out, idx)
 
     def test_nonpositive_walkers_rejected(self):
         rng = np.random.default_rng(0)
