@@ -11,8 +11,19 @@ Times, best of ``--repeat``:
   ``_emit`` (the dedup lookup and bookkeeping) and in ``_angles`` (the batched
   SVDs), timed by wrapping both functions, since cProfile misattributes time
   here;
+- the ``tracemalloc`` peak of each of those rounds above what was allocated
+  when it began, from one more run of its own (tracing slows the rounds, so
+  the timed runs are untraced), and the time and ``tracemalloc`` peak of
+  ``_distinct_rays`` on the rank-1 elements the probe's closure ends with;
 - the public ``meet`` and ``join`` on ``PAIRS`` random pairs of subspaces of
   random rank in each of dims 3-6, as calls per second.
+
+``large_closure()`` is a closure far larger than the extension workload
+reaches: the public ``closure`` of ``LARGE_GENERATORS`` random dim-4
+subspaces of rank 1 or 2 (seed ``LARGE_SEED``) at budget ``LARGE_BUDGET``,
+4,096 elements and 268,296 relations. It takes seconds, so ``main`` does not
+run it; trace it with ``cost_of`` and its rounds with
+``traced_rounds(large_generators(), LARGE_BUDGET)``.
 
 Usage:
     python benchmarks/bench_closure.py [--repeat 5]
@@ -22,17 +33,32 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 
-from qpt import ObservableSpec, Subspace, build_determinate, contains, join, lattice, meet
-from qpt.determinate import complement_probe_rays
+from qpt import (
+    BudgetExceeded,
+    ObservableSpec,
+    Subspace,
+    build_determinate,
+    closure,
+    contains,
+    join,
+    lattice,
+    meet,
+)
+from qpt.determinate import _distinct_rays, complement_probe_rays
 from qpt.lattice import _ClosureRun
 from qpt.linalg import DEFAULT_TOL, ComplexVector
 
 SEED = 0
 PAIRS = 200
+LARGE_SEED = 5
+LARGE_GENERATORS = 4
+LARGE_BUDGET = 4096
+MIB = 2**20
 
 
 def random_subspace(dim: int, rank: int, rng: np.random.Generator) -> Subspace:
@@ -99,6 +125,55 @@ def time_rounds(gens: list[Subspace], repeat: int) -> list[list]:
     return best
 
 
+def traced_rounds(gens: list[Subspace], budget: int = 512) -> tuple[list[int], _ClosureRun]:
+    """The ``tracemalloc`` peak of each round, in bytes above what was
+    allocated when the round began, from one run to a fixpoint or a refusal,
+    and the finished run."""
+    run = _ClosureRun(gens, budget, DEFAULT_TOL)
+    peaks, grew = [], True
+    tracemalloc.start()
+    try:
+        while grew and not run.saturated:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            grew = run.step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    return peaks, run
+
+
+def cost_of(call, repeat: int) -> tuple[object, float, int]:
+    """``call()``'s result and ``tracemalloc`` peak in bytes, from a first,
+    traced call, and its best seconds over ``repeat`` more, untraced calls."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return out, best, peak
+
+
+def large_generators() -> list[Subspace]:
+    rng = np.random.default_rng(LARGE_SEED)
+    return [random_subspace(4, int(rng.integers(1, 3)), rng) for _ in range(LARGE_GENERATORS)]
+
+
+def large_closure():
+    """The public closure of ``large_generators()`` at ``LARGE_BUDGET``, or
+    the partial set it carries when the budget stops it."""
+    try:
+        return closure(large_generators(), LARGE_BUDGET)
+    except BudgetExceeded as exc:
+        return exc.partial
+
+
 def time_pairs(op, pairs, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -118,15 +193,23 @@ def main() -> None:
     print("closure rounds, (4, 1) extension probe, budget 512")
     print(f"{'round':>5}  {'elements':>8}  {'pairs':>7}  {'new':>5}  {'results':>7}  "
           f"{'time (s)':>10}  {'cpu (s)':>10}  {'pairs/s':>10}  {'_emit (s)':>10}  "
-          f"{'_angles (s)':>11}")
-    rows = time_rounds(probe_generators(SEED), args.repeat)
-    for r, (before, pairs, after, results, t, cpu, emit, angles) in enumerate(rows):
+          f"{'_angles (s)':>11}  {'peak (MiB)':>10}")
+    gens = probe_generators(SEED)
+    rows = time_rounds(gens, args.repeat)
+    peaks, run = traced_rounds(gens)
+    for r, ((before, pairs, after, results, t, cpu, emit, angles), peak) in enumerate(
+            zip(rows, peaks)):
         print(f"{r:>5}  {before:>8}  {pairs:>7}  {after - before:>5}  {results:>7}  "
-              f"{t:>10.4f}  {cpu:>10.4f}  {pairs / t:>10.3g}  {emit:>10.4f}  {angles:>11.4f}")
+              f"{t:>10.4f}  {cpu:>10.4f}  {pairs / t:>10.3g}  {emit:>10.4f}  {angles:>11.4f}  "
+              f"{peak / MIB:>10.3f}")
     total = [sum(r[c] for r in rows) for c in range(8)]
     print(f"{'all':>5}  {'':>8}  {total[1]:>7}  {'':>5}  {total[3]:>7}  "
           f"{total[4]:>10.4f}  {total[5]:>10.4f}  {'':>10}  {total[6]:>10.4f}  "
-          f"{total[7]:>11.4f}")
+          f"{total[7]:>11.4f}  {max(peaks) / MIB:>10.3f}")
+    cols = run.ray_columns()
+    kept, t, peak = cost_of(lambda: _distinct_rays(cols), args.repeat)
+    print(f"_distinct_rays: {len(cols)} rays, {kept} kept, {t:.6f} s, "
+          f"peak {peak / MIB:.3f} MiB")
 
     print(f"public meet/join, {PAIRS} random pairs per dim")
     print(f"{'dim':>3}  {'meet calls/s':>12}  {'join calls/s':>12}")

@@ -296,14 +296,28 @@ def extend_and_check(
     )
 
 
+#: rays per block of ``_distinct_rays``' overlap pass; bounds its scratch memory
+_RAY_BLOCK = 64
+
+
 def _distinct_rays(cols: np.ndarray) -> int:
     """Number of rays, given as the rows of ``cols``, left by a greedy
     first-kept pass that drops any ray with |<a, b>| >= 1 - 1e-6 to an earlier
-    kept one (a fixed threshold, stricter than the closure's own dedup)."""
-    dup = np.tril(np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6, -1)
-    # a ray with no earlier near-duplicate is kept; only the others need the
-    # earlier rays' verdicts, which are final by the time each is reached
-    kept = ~dup.any(axis=1)
-    for i in np.flatnonzero(~kept).tolist():
-        kept[i] = not (dup[i] & kept).any()
+    kept one (a fixed threshold, stricter than the closure's own dedup).
+
+    The pass runs over blocks of ``_RAY_BLOCK`` rows, each compared with
+    itself and the rows before it, so it holds one (block, m) overlap table
+    rather than m x m. Every earlier row's verdict is final when its block is
+    reached."""
+    m = len(cols)
+    kept = np.zeros(m, dtype=bool)
+    for lo in range(0, m, _RAY_BLOCK):
+        hi = min(lo + _RAY_BLOCK, m)
+        # row t of the block is ray lo + t; only the rays before it count
+        dup = np.tril(np.abs(cols[lo:hi].conj() @ cols[:hi].T) >= 1.0 - 1e-6, lo - 1)
+        # a ray with no earlier near-duplicate is kept; only the others need the
+        # earlier rays' verdicts, which are final by the time each is reached
+        kept[lo:hi] = ~dup.any(axis=1)
+        for t in np.flatnonzero(~kept[lo:hi]).tolist():
+            kept[lo + t] = not (dup[t] & kept[:hi]).any()
     return int(kept.sum())

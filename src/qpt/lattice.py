@@ -228,13 +228,28 @@ def _two_valued(n: int, relations, first: int, node_cap: "int | None") -> "list[
     return val if found else found
 
 
-def _canonical_key(s: Subspace) -> tuple:
-    p = np.round(s.projector(), 9) + 0.0  # normalize -0.0
-    return (s.rank,) + tuple(float(x) for x in p.view(np.float64).ravel())
+def _canonical_order(elements: list[Subspace]) -> np.ndarray:
+    """Indices that sort ``elements`` by rank, then by the entries of their
+    projectors rounded to 9 decimals (real and imaginary parts, row-major),
+    ties kept in input order. The keys are one float row per element, so
+    they hold no Python object per entry."""
+    p = np.array([s.projector().view(np.float64).ravel() for s in elements])
+    keys = np.column_stack((np.array([s.rank for s in elements], dtype=np.float64),
+                            np.round(p, 9) + 0.0))  # normalize -0.0
+    return np.lexsort(keys.T[::-1])
 
 
 #: pairs per batched SVD in a closure round; bounds a round's scratch memory
 _CHUNK = 256
+
+
+def _round_pairs(base: int, done: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) a round evaluates, i < j < base and j >= done, i-major
+    and j ascending: only the rows of the upper triangle that hold a new
+    member, with no pair an earlier round evaluated."""
+    left, right = np.nonzero(np.arange(done, base) > np.arange(base)[:, None])
+    right += done
+    return left, right
 
 
 class _ClosureRun:
@@ -257,6 +272,13 @@ class _ClosureRun:
     smallest matching index. The 1e-12 floor keeps a cell wider than the
     rounding error of <W, P> (and the cell index within int64) for any eps;
     it only coarsens the filter.
+
+    Memory: beside the stacks and the relation list, a round holds one
+    ``_CHUNK`` of pairs at a time (their gathered blocks, SVDs and results),
+    per-element index arrays and ``_round_pairs``' indices of only the pairs
+    it evaluates: 16 bytes a pair, and a one-byte mask entry per (element,
+    new member), against the two relation tuples of about 126 bytes each
+    that a pair records. No array outgrows the relations the round adds.
     """
 
     def __init__(self, generators, max_new: int, tol: Tolerance):
@@ -395,9 +417,7 @@ class _ClosureRun:
         self._emit(["complement"] * len(fresh), fresh, fresh,
                    np.take_along_axis(self._units[done:base], turn[:, None], axis=2),
                    n - ranks[done:base])
-        left, right = np.triu_indices(base, 1)
-        keep = right >= done
-        left, right = left[keep], right[keep]
+        left, right = _round_pairs(base, done)
         for lo in range(0, len(left), _CHUNK):
             i, j = left[lo:lo + _CHUNK], right[lo:lo + _CHUNK]
             # result 2p is meet(pair p), 2p + 1 is join(pair p): the leading
@@ -425,16 +445,22 @@ class _ClosureRun:
         return self._processed == len(self)
 
     def result(self) -> SublatticeSet:
+        """The set in canonical element order, with its relations remapped and
+        sorted. Each relation is replaced in place, so the list is never held
+        twice; the run hands it over and has none afterwards."""
         elements = [Subspace(self.n, self._units[k, :, :r]) for k, r in enumerate(self._ranks)]
-        order = sorted(range(len(elements)), key=lambda i: _canonical_key(elements[i]))
+        order = _canonical_order(elements).tolist()
         remap = {old: new for new, old in enumerate(order)}
-        rels = tuple(sorted((op, remap[i], remap[j], remap[k])
-                            for op, i, j, k in self.relations))
+        rels = self.relations
+        del self.relations
+        for t, (op, i, j, k) in enumerate(rels):
+            rels[t] = (op, remap[i], remap[j], remap[k])
+        rels.sort()
         return SublatticeSet(
             elements=tuple(elements[i] for i in order),
             is_closed=not self.saturated and self.finished(),
             closure_depth=self.depth,
-            relations=rels,
+            relations=tuple(rels),
         )
 
 

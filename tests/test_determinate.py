@@ -3,6 +3,8 @@ and the extension contradiction machinery."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from qpt import (
     property_states,
     truth_value,
 )
-from qpt.determinate import _distinct_rays
+from qpt.determinate import _RAY_BLOCK, _distinct_rays
 from qpt.linalg import Tolerance
 from conftest import maximal_observable, random_subspace, random_unitary, random_vector
 
@@ -345,6 +347,16 @@ class TestExtendAndCheck:
             assert np.linalg.norm(pk @ b - b) < 1e-10
 
 
+def greedy_reference(cols: np.ndarray) -> int:
+    """The greedy first-kept ray count from the full m x m overlap table."""
+    dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
+    kept: list[int] = []
+    for i in range(len(cols)):
+        if not dup[i, kept].any():
+            kept.append(i)
+    return len(kept)
+
+
 class TestDistinctRays:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
@@ -362,9 +374,46 @@ class TestDistinctRays:
                 v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             rays.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * v / np.linalg.norm(v))
         cols = np.array(rays, dtype=np.complex128).reshape(count, dim)
-        dup = np.abs(cols.conj() @ cols.T) >= 1.0 - 1e-6
-        kept: list[int] = []
-        for i in range(count):
-            if not dup[i, kept].any():
-                kept.append(i)
-        assert _distinct_rays(cols) == len(kept)
+        assert _distinct_rays(cols) == greedy_reference(cols)
+
+    @given(seeds, st.integers(2, 5),
+           st.sampled_from([0, 1, _RAY_BLOCK - 1, _RAY_BLOCK, _RAY_BLOCK + 1, 3 * _RAY_BLOCK + 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_the_full_table(self, seed, dim, count):
+        # copies of rays from the block before, the same block or any earlier
+        # one, so near-duplicates straddle block edges; each copy is nudged by
+        # at most 1e-9 (a duplicate) or at least 1e-2 (a new ray), so that no
+        # overlap sits near the 1 - 1e-6 threshold
+        rng = np.random.default_rng(seed)
+        rays = []
+        for r in range(count):
+            if rays and rng.random() < 0.5:
+                lo = rng.choice([max(r - 2 * _RAY_BLOCK, 0), r - r % _RAY_BLOCK, 0])
+                src = rays[int(rng.integers(min(lo, r - 1), r))]
+                v = src + rng.choice([0.0, 1e-10, 1e-2, 0.3]) * (
+                    rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            else:
+                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            rays.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * v / np.linalg.norm(v))
+        cols = np.array(rays, dtype=np.complex128).reshape(count, dim)
+        assert _distinct_rays(cols) == greedy_reference(cols)
+
+
+class TestBoundedMemory:
+    def test_distinct_rays_holds_one_block_of_overlaps(self):
+        """Counting 3,000 random dim-4 rays peaks within 3 * B * m * 16
+        bytes (B = ``_RAY_BLOCK``): one block's complex overlaps, their
+        moduli and the comparison. The full m x m Gram and its moduli would
+        take about 206 MiB."""
+        m = 3000
+        rng = np.random.default_rng(0)
+        cols = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
+        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            count = _distinct_rays(cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == m
+        assert peak < 3 * _RAY_BLOCK * m * 16

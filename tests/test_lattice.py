@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from qpt import (
     meet,
     orthocomplement,
 )
-from qpt.lattice import _GATES, _angles, _canonical_key, _ClosureRun, _two_valued
+from qpt.lattice import (
+    _GATES,
+    _angles,
+    _canonical_order,
+    _ClosureRun,
+    _round_pairs,
+    _two_valued,
+)
 from qpt.linalg import canonical_phase, orthonormalize
 from conftest import random_subspace, random_unitary, random_vector
 
@@ -279,7 +287,7 @@ class TestReferenceAgreement:
         except BudgetExceeded as exc:
             got = exc.partial
         elems, rels = reference_closure(gens, budget)
-        order = sorted(range(len(elems)), key=lambda i: _canonical_key(elems[i]))
+        order = sorted(range(len(elems)), key=lambda i: canonical_key(elems[i]))
         remap = {old: new for new, old in enumerate(order)}
         assert len(got.elements) == len(elems)
         assert got.relations == tuple(sorted(
@@ -375,6 +383,83 @@ class TestClosureRunState:
                 assert np.abs(b @ b.conj().T - run._projs[k]).max() < 1e-12
             if run.saturated or not grew:
                 break
+
+
+class TestPairSchedule:
+    """The pairs a round evaluates, against the filtered upper triangle."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lists_the_triangle_pairs_with_a_new_member_in_order(self, data):
+        base = data.draw(st.one_of(st.integers(0, 600),
+                                   st.sampled_from([255, 256, 257, 511, 512, 513])))
+        done = data.draw(st.one_of(st.sampled_from([0, min(1, base), max(base - 1, 0)]),
+                                   st.integers(0, base)))
+        left, right = np.triu_indices(base, 1)
+        keep = right >= done
+        i, j = _round_pairs(base, done)
+        np.testing.assert_array_equal(i, left[keep])
+        np.testing.assert_array_equal(j, right[keep])
+
+
+def canonical_key(s: Subspace) -> tuple:
+    """The canonical sort key of one element as a tuple of Python numbers:
+    rank, then the projector's entries rounded to 9 decimals."""
+    p = np.round(s.projector(), 9) + 0.0
+    return (s.rank,) + tuple(float(x) for x in p.view(np.float64).ravel())
+
+
+class TestCanonicalOrder:
+    @given(seeds, st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_stable_sort_on_tuple_keys(self, seed, dim):
+        """Random elements with repeats, the zero and full spaces, and basis
+        rays and their complements, whose projectors tie on exact zeros."""
+        rng = np.random.default_rng(seed)
+        pool = [random_subspace(dim, int(rng.integers(0, dim + 1)), rng) for _ in range(4)]
+        pool += [Subspace.zero(dim), Subspace.full(dim)]
+        rays = [Subspace.ray(basis_vector(dim, i)) for i in range(dim)]
+        pool += rays + [orthocomplement(r) for r in rays]
+        elements = [pool[k] for k in rng.integers(0, len(pool), size=int(rng.integers(0, 30)))]
+        want = sorted(range(len(elements)), key=lambda i: canonical_key(elements[i]))
+        assert _canonical_order(elements).tolist() == want
+
+
+class TestBoundedMemory:
+    def test_pair_schedule_builds_no_triangle(self):
+        """Listing a round's pairs at base = 4000 with done = 3990 (39,945
+        pairs) peaks under 1 MiB: a 4000 x 10 mask and two index arrays of
+        one int64 a pair. The upper triangle's two index arrays would take
+        about 128 MB."""
+        tracemalloc.start()
+        try:
+            i, _ = _round_pairs(4000, 3990)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(i) == 3990 * 10 + 45
+        assert peak < 2**20
+
+    def test_result_does_not_copy_the_relations(self):
+        """``result()`` on a run of 800 elements and 40,219 relations peaks
+        within 16 bytes a relation plus 2 KiB an element above what the run
+        held: the sorted list's and the returned tuple's pointers, the
+        elements and their keys. A remapped copy beside the run's list adds
+        about 100 bytes a relation."""
+        rng = np.random.default_rng(5)
+        gens = [random_subspace(4, int(rng.integers(1, 4)), rng) for _ in range(4)]
+        run = _ClosureRun(gens, 800, DEFAULT_TOL)
+        while run.step() and not run.saturated:
+            pass
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = run.result()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (len(out.elements), len(out.relations)) == (800, 40219)
+        assert peak < 16 * len(out.relations) + 2048 * len(out.elements)
 
 
 def reference_emit(run: _ClosureRun, ops, lhs, rhs, us: np.ndarray, rank: np.ndarray) -> None:
