@@ -3,8 +3,10 @@
 Builds two evolutions, converts each to per-step cumulative transition
 matrices (printing the time of ``_transition_cumulatives`` and its
 ``tracemalloc`` peak), prints the time and ``tracemalloc`` peak of the walk
-``jump_process`` makes (one walker over every step), and times
-``sample_paths`` (best of ``--repeat``) for a few trajectory counts:
+``jump_process`` makes (one walker over every step) and the ``tracemalloc``
+peak of the ensemble walk (the largest ``--walkers`` count at the sample
+indices below), and times ``sample_paths`` (best of ``--repeat``) for a few
+trajectory counts:
 
 - ``rabi``: a two-level Rabi period (k = 2), where each step compares all
   uniforms with two scalar thresholds and selects each walker's bit;
@@ -78,6 +80,24 @@ def build_inputs(psi0, obs, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     return cum, p0, sample_idx, build_s, peak
 
 
+def traced_walk(
+    cum: np.ndarray,
+    p0: np.ndarray,
+    walkers: int,
+    seed: int,
+    sample_idx: np.ndarray,
+) -> tuple[int, int]:
+    """Traced peak (bytes) of one ``sample_paths`` call, and the size of the
+    labels it returns."""
+    tracemalloc.start()
+    try:
+        out = sample_paths(cum, p0, walkers, seed, sample_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out.nbytes
+
+
 def one_walk(cum: np.ndarray, p0: np.ndarray, seed: int) -> tuple[float, int]:
     """Time and traced peak (bytes) of one walker over every step, the walk
     of ``jump_process``; the peak comes from a second, traced walk."""
@@ -85,13 +105,7 @@ def one_walk(cum: np.ndarray, p0: np.ndarray, seed: int) -> tuple[float, int]:
     t0 = time.perf_counter()
     sample_paths(cum, p0, 1, seed, idx)
     secs = time.perf_counter() - t0
-    tracemalloc.start()
-    try:
-        sample_paths(cum, p0, 1, seed, idx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return secs, peak
+    return secs, traced_walk(cum, p0, 1, seed, idx)[0]
 
 
 def time_kernel(
@@ -129,6 +143,10 @@ def main() -> None:
         walk_s, walk_peak = one_walk(cum, p0, args.seed)
         print(f"{name:>6}  jump_process walk {walk_s:.4f} s, "
               f"tracemalloc peak {walk_peak / 2**20:.2f} MiB (cum {cum.nbytes / 2**20:.2f} MiB)")
+        most = max(args.walkers)
+        ens_peak, out_nbytes = traced_walk(cum, p0, most, args.seed, sample_idx)
+        print(f"{name:>6}  ensemble walk {most} walkers, tracemalloc peak "
+              f"{ens_peak / 2**20:.2f} MiB (out {out_nbytes / 2**20:.2f} MiB)")
         for n in args.walkers:
             t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx)
             print(f"{name:>6}  {k:>6}  {n:>10}  {t:>10.4f}  {n * args.steps / t:>14.3g}")

@@ -52,25 +52,33 @@ def _sweep(u, ct, lab):
     return nxt
 
 
-def _walk(cols, n_walkers, seed, sample_idx):
-    """Walk all chunks side by side through ``cols`` (rows, k, k), where
-    ``cols[t, j, i]`` is threshold j of row t for a walker on label i.
-    Walkers sit in a (chunks, width) grid, all on label 0; the short last
-    chunk is padded, and its padding walks on zeros and is dropped.
+def _walk(cum, c0, n_walkers, seed, sample_idx):
+    """Walk all chunks side by side through the chain's ``steps + 1`` rows:
+    row 0 is the start thresholds ``c0 = cumsum(p0)`` from every label, and
+    row t > 0 is ``cum[t - 1]`` (steps, k, k), read in place.  Walkers sit in
+    a (chunks, width) grid, all on label 0; the short last chunk is padded,
+    and its padding walks on zeros and is dropped.
+
+    Besides ``out`` and the walker grid, the walk holds only the state of one
+    draw block of ``b`` rows: the block's uniforms ``buf``, its rows as
+    threshold columns ``ct`` (b, k, k), where ``ct[s, j, i]`` is threshold j
+    of row t0 + s for a walker on label i, and for k != 2 the stay slots
+    ``lo``/``hi`` (b, k) taken from ``ct``; nothing grows with the chain.
     Two routes, both exactly the selection rule of ``_sweep``:
 
     - k = 2: the labels are a boolean grid.  A step compares every uniform
-      with the two scalar thresholds, giving ``from0 = u >= cols[t, 0, 0]``
-      and ``from1 = u >= cols[t, 0, 1]`` (the next label of a walker on
+      with the two scalar thresholds, giving ``from0 = u >= ct[s, 0, 0]``
+      and ``from1 = u >= ct[s, 0, 1]`` (the next label of a walker on
       label 0 or 1), and keeps per walker the one for its own label,
       ``lab = (lab & from1) | (~lab & from0)``, in place.  No gather runs,
       and the labels become int64 only in the sampled rows.
     - k != 2: a walker on label i stays iff its uniform lies in that label's
-      own slot ``[cols[t, i - 1, i], cols[t, i, i])`` (open below for i = 0
+      own slot ``[ct[s, i - 1, i], ct[s, i, i])`` (open below for i = 0
       and above for i = k - 1); since the thresholds are nondecreasing, that
       is exactly when ``_sweep`` would count i.  Each step tests the slot
       and sweeps the thresholds only for the walkers that leave it."""
-    rows, k, _ = cols.shape
+    steps, k, _ = cum.shape
+    rows = steps + 1
     n_chunks, width = -(-n_walkers // CHUNK), min(n_walkers, CHUNK)
     sizes = [width] * (n_chunks - 1) + [n_walkers - (n_chunks - 1) * width]
     out = np.empty((sample_idx.shape[0], n_walkers), dtype=np.int64)
@@ -78,41 +86,45 @@ def _walk(cols, n_walkers, seed, sample_idx):
     # the streams come after the walker arrays, so a walker count too large
     # to hold fails at once with MemoryError
     gens = _chunk_streams(seed, rows, n_chunks)
-    # sample_idx strictly increases, so the sampled times fill the rows of
-    # out in order; the mask is a list, since it is read one step at a time
-    sampled = np.zeros(rows, dtype=bool)
-    sampled[sample_idx] = True
-    sampled = sampled.tolist()
+    block = max(1, min(rows, BLOCK_DOUBLES // lab.size))
+    buf = np.zeros((n_chunks, block, width))
+    ct = np.empty((block, k, k))
     if k == 2:
         from0, from1 = np.empty_like(lab), np.empty_like(lab)
     else:
-        hi = np.diagonal(cols, axis1=1, axis2=2).copy()
-        hi[:, -1] = np.inf
-        lo = np.full_like(hi, -np.inf)
-        lo[:, 1:] = np.diagonal(cols, offset=1, axis1=1, axis2=2)
-    block = max(1, min(rows, BLOCK_DOUBLES // lab.size))
-    buf = np.zeros((n_chunks, block, width))
-    row = 0
+        hi = np.full((block, k), np.inf)
+        lo = np.full((block, k), -np.inf)
+    # sample_idx strictly increases, so the sampled times fill the rows of
+    # out in order; due is the next one, -1 once every row is filled
+    marks = iter(sample_idx)
+    due, row = int(next(marks, -1)), 0
     for t0 in range(0, rows, block):
         b = min(block, rows - t0)
         for g, slab, c in zip(gens, buf, sizes):
             _fill(g, slab[:b], c)
+        first = int(t0 == 0)
+        if first:
+            ct[0] = c0[:, None]
+        ct[first:b] = cum[t0 + first - 1:t0 + b - 1].transpose(0, 2, 1)
+        if k != 2:
+            hi[:b, :-1] = ct[:b, :-1].diagonal(axis1=1, axis2=2)
+            lo[:b, 1:] = ct[:b].diagonal(offset=1, axis1=1, axis2=2)
         for s in range(b):
-            t, u = t0 + s, buf[:, s]
+            u = buf[:, s]
             if k == 2:
-                np.greater_equal(u, cols[t, 0, 0], out=from0)
-                np.greater_equal(u, cols[t, 0, 1], out=from1)
+                np.greater_equal(u, ct[s, 0, 0], out=from0)
+                np.greater_equal(u, ct[s, 0, 1], out=from1)
                 from1 &= lab
                 np.logical_not(lab, out=lab)
                 lab &= from0
                 lab |= from1
             else:
-                leave = u < lo[t].take(lab)
-                leave |= u >= hi[t].take(lab)
-                lab[leave] = _sweep(u[leave], cols[t], lab[leave])
-            if sampled[t]:
+                leave = u < lo[s].take(lab)
+                leave |= u >= hi[s].take(lab)
+                lab[leave] = _sweep(u[leave], ct[s], lab[leave])
+            if t0 + s == due:
                 out[row] = lab.reshape(-1)[:n_walkers]
-                row += 1
+                due, row = int(next(marks, -1)), row + 1
     return out
 
 
@@ -159,9 +171,13 @@ def sample_paths(
     Two routes give these paths (see ``_walk``): with two labels, each step
     is two scalar compares over all walkers and an in-place bit select; with
     any other number, each step tests every walker's own slot and sweeps the
-    thresholds only for the walkers that leave it.  ``sample_idx`` must be a
-    1-D array of integer time indices in ``[0, steps]``, strictly
-    increasing; anything else raises ``ValueError``.
+    thresholds only for the walkers that leave it.  The walk reads ``cum``
+    in place: beyond its output it holds the walker grid and one draw
+    block's uniforms and thresholds, not a copy of the chain.  ``cum`` must
+    have shape (steps, k, k) with k >= 1 and ``p0`` shape (k,);
+    ``sample_idx`` must be a 1-D array of integer time indices in
+    ``[0, steps]``, strictly increasing; anything else raises
+    ``ValueError``.
 
     A seed fixes the paths.  The stream layout: walkers fall into chunks of
     ``CHUNK`` (the last one may be shorter), and chunk m consumes, from the
@@ -174,10 +190,10 @@ def sample_paths(
     if n_walkers < 1:
         raise ValueError("n_walkers must be positive")
     cum = np.asarray(cum, dtype=np.float64)
-    steps, k, _ = cum.shape
-    sample_idx = sample_index_array(sample_idx, steps)
-    # thresholds as contiguous columns, so each step gathers 1-D arrays
-    cols = np.empty((steps + 1, k, k))
-    cols[0] = np.cumsum(np.asarray(p0, dtype=np.float64))[:, None]
-    cols[1:] = cum.transpose(0, 2, 1)
-    return _walk(cols, n_walkers, seed, sample_idx)
+    p0 = np.asarray(p0, dtype=np.float64)
+    if cum.ndim != 3 or cum.shape[1] != cum.shape[2] or cum.shape[1] < 1:
+        raise ValueError(f"cum must have shape (steps, k, k) with k >= 1, got {cum.shape}")
+    if p0.shape != cum.shape[1:2]:
+        raise ValueError(f"p0 must have shape ({cum.shape[1]},), got {p0.shape}")
+    sample_idx = sample_index_array(sample_idx, cum.shape[0])
+    return _walk(cum, np.cumsum(p0), n_walkers, seed, sample_idx)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpt.dynamics
+from qpt import _kernels
 from qpt import (
     ComplexVector,
     DimMismatch,
@@ -34,7 +35,7 @@ from qpt import (
     sample_marginals,
     tensor,
 )
-from qpt._kernels import BLOCK_DOUBLES, CHUNK, sample_paths
+from qpt._kernels import CHUNK, sample_paths
 from qpt.dynamics import (
     PRESENCE_CUTOFF,
     _forward_marginals,
@@ -542,11 +543,14 @@ class TestBoundedMemory:
         assert peak < kept + projected_nbytes + 2**20
         assert current < kept + 2**20
 
-    def test_one_walker_walk_keeps_no_per_step_index(self):
+    def test_one_walker_walk_keeps_no_per_step_index(self, monkeypatch):
         """Walking one walker over every step of a k = 2 chain of 20,000
-        steps peaks at the walk's own arrays (the threshold columns, the
-        sampled rows and the draw buffer) plus 0.5 MiB."""
-        steps = 20_000
+        steps, in draw blocks of 4,096 steps, peaks at the walk's own arrays
+        (the sampled rows, and one block's uniforms and threshold slab) plus
+        0.5 MiB: no copy of the chain is held."""
+        block = 4096
+        monkeypatch.setattr(_kernels, "BLOCK_DOUBLES", block)  # one walker: a block of rows
+        steps, k = 20_000, 2
         cum, p0 = _transition_cumulatives(rabi_trajectory(steps))
         idx = np.arange(steps + 1)
         tracemalloc.start()
@@ -555,7 +559,26 @@ class TestBoundedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cols = cum.nbytes  # the rows, transposed to contiguous columns
         out = (steps + 1) * 8  # one int64 label per sampled time
-        buf = min(steps, BLOCK_DOUBLES) * 8  # one walker's uniforms for a block of steps
-        assert peak < cols + out + buf + 2**19
+        buf = block * 8  # one walker's uniforms for a block of steps
+        slab = block * k * k * 8  # the block's rows as threshold columns
+        assert peak < out + buf + slab + 2**19
+
+    def test_ensemble_walk_memory_does_not_grow_with_the_chain(self):
+        """The traced peak of a k = 6 walk of 100 walkers, beyond its output,
+        is the same for a chain of 3,000 steps and one of 30,000 (within
+        0.25 MiB): the walk holds one draw block's state, not the chain's."""
+        rng = np.random.default_rng(6)
+        extra = []
+        for steps in (3_000, 30_000):
+            cum = np.cumsum(rng.random((steps, 6, 6)), axis=-1)
+            cum /= cum[..., -1:]
+            idx = np.linspace(0, steps, 11).astype(np.int64)
+            tracemalloc.start()
+            try:
+                out = sample_paths(cum, np.full(6, 1 / 6), 100, 0, idx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.nbytes)
+        assert abs(extra[1] - extra[0]) < 2**18

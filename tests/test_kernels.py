@@ -22,7 +22,8 @@ from qpt import (
     evolve_possibility,
     jump_process,
 )
-from qpt._kernels import CHUNK, sample_index_array, sample_paths
+from qpt import _kernels
+from qpt._kernels import BLOCK_DOUBLES, CHUNK, sample_index_array, sample_paths
 from qpt.dynamics import _transition_cumulatives
 
 from conftest import rabi_trajectory
@@ -316,6 +317,31 @@ class TestStartDraw:
         assert hashlib.sha256(out.tobytes()).hexdigest() == ONE_WALKER_PATH_SHA256[k]
 
 
+class TestDrawBlocks:
+    """The walk builds its thresholds, stay slots and sampled rows one draw
+    block at a time; where the blocks end moves no path."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 9])
+    @pytest.mark.parametrize("n_walkers", [1, CHUNK - 1, CHUNK + 1])
+    def test_block_length_moves_no_path(self, monkeypatch, k, n_walkers):
+        steps, rows = 30, 7  # rows per block in the mid-chain case
+        cum, p0 = random_cumulatives(steps, k, np.random.default_rng(k))
+        if k > 1:
+            p0[k // 2] = 0.0
+            p0 /= p0.sum()
+        grid = -(-n_walkers // CHUNK) * min(n_walkers, CHUNK)  # walkers with padding
+        # row 0, the first and last rows of blocks 2 and 4, and the last row,
+        # which ends the short last block
+        idx = np.array([0, rows, 2 * rows - 1, 3 * rows, 4 * rows - 1, steps])
+        paths = []
+        for block_doubles in (1, rows * grid, BLOCK_DOUBLES):
+            monkeypatch.setattr(_kernels, "BLOCK_DOUBLES", block_doubles)
+            paths.append([sample_paths(cum, p0, n_walkers, 11, i) for i in (idx, full_grid(steps))])
+        for other in paths[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(paths[0], other))
+        assert np.array_equal(paths[0][1][idx], paths[0][0])
+
+
 class TestDeterminismAndShape:
     def test_same_seed_same_paths(self):
         rng = np.random.default_rng(0)
@@ -412,6 +438,23 @@ class TestValidation:
             out = sample_index_array(other, 5)
             assert out.dtype == np.int64 and np.array_equal(out, idx)
 
+    @pytest.mark.parametrize("case", ["short p0", "long p0", "2-D p0", "one threshold column",
+                                      "2-D cum", "no labels"])
+    def test_mismatched_chain_shapes_rejected(self, case):
+        # a p0 or a threshold column that numpy would broadcast across the
+        # labels must be refused, not walked
+        cum, p0 = random_cumulatives(5, 2, np.random.default_rng(0))
+        cum, p0 = {
+            "short p0": (cum, [1.0]),
+            "long p0": (cum, [0.5, 0.25, 0.25]),
+            "2-D p0": (cum, p0[None, :]),
+            "one threshold column": (cum[:, :, :1], p0),
+            "2-D cum": (cum[:, 0], p0),
+            "no labels": (np.ones((5, 0, 0)), np.ones(0)),
+        }[case]
+        with pytest.raises(ValueError, match="must have shape"):
+            sample_paths(cum, p0, 4, seed=0, sample_idx=full_grid(5))
+
     def test_nonpositive_walkers_rejected(self):
         rng = np.random.default_rng(0)
         cum, p0 = random_cumulatives(5, 2, rng)
@@ -442,6 +485,7 @@ class TestBenchmarkScript:
         assert "walker-steps/s" in out.stdout
         assert "_transition_cumulatives" in out.stdout and "tracemalloc peak" in out.stdout
         assert out.stdout.count("jump_process walk") == 2  # one line per chain
+        assert out.stdout.count("ensemble walk 100 walkers, tracemalloc peak") == 2
 
     def test_bench_closure_runs(self):
         out = run_script("benchmarks/bench_closure.py", "--repeat", "1")
