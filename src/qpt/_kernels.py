@@ -12,7 +12,8 @@ CHUNK = 2048
 
 #: step uniforms are drawn a block of steps at a time into one reused buffer
 #: of about this many doubles (1 MB), small enough to stay in a core's cache
-#: between the draw and the steps that read it
+#: between the draw and the steps that read it; the block's threshold slab
+#: holds at most as many
 BLOCK_DOUBLES = 1 << 17
 
 
@@ -63,7 +64,9 @@ def _walk(cum, c0, n_walkers, seed, sample_idx):
     draw block of ``b`` rows: the block's uniforms ``buf``, its rows as
     threshold columns ``ct`` (b, k, k), where ``ct[s, j, i]`` is threshold j
     of row t0 + s for a walker on label i, and for k != 2 the stay slots
-    ``lo``/``hi`` (b, k) taken from ``ct``; nothing grows with the chain.
+    ``lo``/``hi`` (b, k) taken from ``ct``.  ``b`` is set so that ``buf``
+    and ``ct`` each hold at most ``BLOCK_DOUBLES`` doubles, whatever the
+    walker count and k; nothing grows with the chain.
     Two routes, both exactly the selection rule of ``_sweep``:
 
     - k = 2: the labels are a boolean grid.  A step compares every uniform
@@ -86,7 +89,8 @@ def _walk(cum, c0, n_walkers, seed, sample_idx):
     # the streams come after the walker arrays, so a walker count too large
     # to hold fails at once with MemoryError
     gens = _chunk_streams(seed, rows, n_chunks)
-    block = max(1, min(rows, BLOCK_DOUBLES // lab.size))
+    # a row takes lab.size uniforms and k * k slab entries
+    block = max(1, min(rows, BLOCK_DOUBLES // max(lab.size, k * k)))
     buf = np.zeros((n_chunks, block, width))
     ct = np.empty((block, k, k))
     if k == 2:

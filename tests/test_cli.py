@@ -5,13 +5,12 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import hashlib
 import inspect
 import io
-import itertools
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -21,20 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinned_bytes
 from qpt import _kernels, cli
 from qpt.linalg import DEFAULT_TOL
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def spawn(*args: str, env: "dict[str, str] | None" = None) -> subprocess.CompletedProcess:
+def spawn(*args: str) -> subprocess.CompletedProcess:
     """``python -m qpt`` in a fresh interpreter, for tests of the process itself."""
     return subprocess.run(
         [sys.executable, "-m", "qpt", *args],
         capture_output=True,
         text=True,
         cwd=REPO,
-        env=env,
     )
 
 
@@ -268,7 +267,38 @@ class TestExitCodeFuzz:
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, out.stderr)
 
 
+@pytest.fixture(scope="module")
+def pinned_runs() -> dict:
+    """``pinned_bytes.measure`` under each of its environments, run once for
+    this module: environment name -> the fresh interpreter's record."""
+    return {name: pinned_bytes.measure(env) for name, env in pinned_bytes.ENVIRONMENTS.items()}
+
+
+def _pinned_hashes(pinned_runs: dict, key: str) -> "dict[str, str]":
+    """Environment name -> the sha256 that its run printed for ``key``, after
+    asserting that the interpreter and the invocation both exited 0."""
+    hashes = {}
+    for name, run in pinned_runs.items():
+        assert run["returncode"] == 0, (name, run["stderr"])
+        assert run["exit"][key] == 0, (name, key)
+        hashes[name] = run["sha256"][key]
+    return hashes
+
+
 class TestDeterminism:
+    def test_pinned_bytes_hold_in_every_environment(self, pinned_runs):
+        # each environment's fresh interpreter reproduces the whole table; the
+        # failure lists every key that moved, with its pinned and new hash
+        table = pinned_bytes.load()
+        problems = {}
+        for name, run in pinned_runs.items():
+            failed = {key: code for key, code in run.get("exit", {}).items() if code}
+            moved = pinned_bytes.moved(table, run.get("sha256", {}))
+            if run["returncode"] or run["stderr"] or failed or moved:
+                problems[name] = {"returncode": run["returncode"], "stderr": run["stderr"],
+                                  "exit": failed, "moved": moved}
+        assert not problems, json.dumps(problems, indent=1)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -279,43 +309,49 @@ class TestDeterminism:
             ("chsh",),
         ],
     )
-    def test_identical_invocations_are_byte_identical(self, args):
-        a = spawn(*args, "--format", "json")
-        b = spawn(*args, "--format", "json")
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
+    def test_identical_invocations_are_byte_identical(self, pinned_runs, args):
+        # every fresh interpreter prints the pinned bytes, so any two agree
+        key = " ".join((*args, "--format", "json"))
+        assert _pinned_hashes(pinned_runs, key) == {name: pinned_bytes.load()[key] for name in pinned_runs}
 
-    def test_environment_sets_no_tolerance(self):
+    def test_environment_sets_no_tolerance(self, pinned_runs):
         # --eps is the only tolerance route: a stray QPT_EPS changes nothing
-        plain = spawn("epr", "--format", "json")
-        stray = spawn("epr", "--format", "json", env={**os.environ, "QPT_EPS": "abc"})
-        assert plain.returncode == stray.returncode == 0
-        assert stray.stdout == plain.stdout
-        assert stray.stderr == ""
+        stray = [name for name, env in pinned_bytes.ENVIRONMENTS.items() if env.get("QPT_EPS") == "abc"]
+        assert stray and len(stray) < len(pinned_runs)
+        hashes = _pinned_hashes(pinned_runs, "epr --format json")
+        assert set(hashes.values()) == {pinned_bytes.load()["epr --format json"]}
+        for name in stray:
+            assert pinned_runs[name]["stderr"] == "", name
 
-    def test_blas_threads_and_hash_seed_leave_bytes_unchanged(self):
-        for args in (
-            ("decohere", "--n-env", "3"),
-            ("determinate", "--dim", "6"),
-            ("ks", "--rays", "src/qpt/fixtures/ks33-d3.rays"),
+    def test_blas_threads_and_hash_seed_leave_bytes_unchanged(self, pinned_runs):
+        envs = pinned_bytes.ENVIRONMENTS.values()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONHASHSEED"):
+            assert len({env[var] for env in envs}) == len(envs), var
+        table = pinned_bytes.load()
+        for key in (
+            "decohere --n-env 3 --format json",
+            "determinate --dim 6 --format json",
+            "ks --rays src/qpt/fixtures/ks33-d3.rays --format json",
         ):
-            outputs = set()
-            for threads, hash_seed in itertools.product(("1", "2"), ("0", "1")):
-                env = {
-                    **os.environ,
-                    "OPENBLAS_NUM_THREADS": threads,
-                    "OMP_NUM_THREADS": threads,
-                    "PYTHONHASHSEED": hash_seed,
-                }
-                out = subprocess.run(
-                    [sys.executable, "-m", "qpt", *args, "--format", "json"],
-                    capture_output=True,
-                    cwd=REPO,
-                    env=env,
-                )
-                assert out.returncode == 0, (args, env, out.stderr)
-                outputs.add(out.stdout)
-            assert len(outputs) == 1, args
+            assert set(_pinned_hashes(pinned_runs, key).values()) == {table[key]}, key
+
+    def test_every_subcommand_is_pinned_in_text_and_json(self):
+        forms = {name: set() for name in _subcommands()}
+        for key in pinned_bytes.load():
+            if key.split()[0] in forms:
+                forms[key.split()[0]].add("json" if "--format json" in key else "text")
+        assert forms == {name: {"text", "json"} for name in forms}
+
+    def test_the_cli_goldens_of_perfbench_agree_with_the_table(self):
+        # perfbench keeps its own copy of the cli report hashes; the two
+        # copies must move together
+        workloads = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
+        goldens = json.loads((REPO / "perfbench" / "goldens.json").read_text())["cli"]
+        table = pinned_bytes.load()
+        commands = workloads["cli_commands"](workloads["DEFAULT_SEED"], False)
+        assert {name for name, _, _ in commands} == set(goldens)
+        for name, _, argv in commands:
+            assert table[" ".join(argv)] == goldens[name]["report_sha256"], name
 
     def test_different_seeds_change_sampled_output(self):
         a = run("teleport", "--seed", "1", "--samples", "400", "--format", "json")
@@ -466,50 +502,22 @@ class TestColdStart:
             assert namespace[name] is getattr(home, name), name
         assert set(qpt.__all__) <= set(dir(qpt))
 
-    def test_scipy_free_commands_never_load_scipy(self, tmp_path):
-        # a fresh interpreter: this session has scipy loaded already
-        script = (
-            "import contextlib, io, json, sys\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "import qpt\n"
-            "seen = {'import qpt': scipy_modules()}\n"
-            "import qpt.cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert qpt.cli.main(argv) == 0, argv\n"
-            "    seen[argv[0]] = scipy_modules()\n"
-            "print(json.dumps(seen))\n"
-        )
-        commands = [
-            ["epr"],
-            ["teleport", "--samples", "500"],
-            ["correspond", "--n-max", "30"],
-            ["ks", "--rays", "src/qpt/fixtures/ks18-d4.rays"],
-            ["determinate", "--dim", "3"],
-            ["dynamics", "--steps", "200", "--trajectories", "2000"],
-            ["dynamics", "--steps", "200", "--trajectories", "2000",
-             "--trajectory-out", str(tmp_path / "path.tsv")],
-        ]
-        out = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-        )
-        assert out.returncode == 0, out.stderr
-        expected = {name: [] for name in ["import qpt"] + [argv[0] for argv in commands]}
-        assert json.loads(out.stdout) == expected
+    def test_scipy_free_commands_never_load_scipy(self, pinned_runs):
+        # the pinned-bytes run of a fresh interpreter (this session has scipy
+        # loaded already): chsh, the one command that needs scipy, runs last
+        seen = next(iter(pinned_runs.values()))["scipy"]
+        names = [key.split()[0] for key in seen]
+        first_chsh = names.index("chsh")
+        assert set(names[first_chsh:]) == {"chsh"}
+        loaded = [key for key, mods in list(seen.items())[:first_chsh] if mods]
+        assert loaded == [], f"scipy is loaded from {loaded[0]!r} on: {seen[loaded[0]]}"
 
-    def test_dynamics_report_bytes_pinned(self):
+    def test_dynamics_report_bytes_pinned(self, pinned_runs):
         # captured with the states evolved from one eigendecomposition of H; a
         # step-by-step propagation moves them in their last bits and changes
         # the float fields of this report
-        out = spawn("dynamics", "--steps", "200", "--trajectories", "2000", "--format", "json")
-        assert out.returncode == 0, out.stderr
-        assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "307c93530f5c64051663998b019f22da0a5faa002db4eda1f39aa77075004ae0"
-        )
+        key = "dynamics --steps 200 --trajectories 2000 --format json"
+        assert set(_pinned_hashes(pinned_runs, key).values()) == {pinned_bytes.load()[key]}
 
 
 def _subcommands() -> dict:

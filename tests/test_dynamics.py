@@ -544,25 +544,27 @@ class TestBoundedMemory:
         assert current < kept + 2**20
 
     def test_one_walker_walk_keeps_no_per_step_index(self, monkeypatch):
-        """Walking one walker over every step of a k = 2 chain of 20,000
-        steps, in draw blocks of 4,096 steps, peaks at the walk's own arrays
-        (the sampled rows, and one block's uniforms and threshold slab) plus
-        0.5 MiB: no copy of the chain is held."""
+        """Walking one walker over every step of a chain of 4,000 steps peaks
+        at the walk's own arrays plus 64 KiB, whatever k: the sampled rows,
+        and one draw block's uniforms and threshold slab, each at most
+        ``BLOCK_DOUBLES`` doubles.  No copy of the chain is held, and the
+        block holds fewer rows as k grows."""
         block = 4096
-        monkeypatch.setattr(_kernels, "BLOCK_DOUBLES", block)  # one walker: a block of rows
-        steps, k = 20_000, 2
-        cum, p0 = _transition_cumulatives(rabi_trajectory(steps))
+        monkeypatch.setattr(_kernels, "BLOCK_DOUBLES", block)
+        steps = 4_000
         idx = np.arange(steps + 1)
-        tracemalloc.start()
-        try:
-            sample_paths(cum, p0, 1, 0, idx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        out = (steps + 1) * 8  # one int64 label per sampled time
-        buf = block * 8  # one walker's uniforms for a block of steps
-        slab = block * k * k * 8  # the block's rows as threshold columns
-        assert peak < out + buf + slab + 2**19
+        rng = np.random.default_rng(9)
+        for k in (2, 6, 9):
+            cum = np.cumsum(rng.random((steps, k, k)), axis=-1)
+            cum /= cum[..., -1:]
+            tracemalloc.start()
+            try:
+                sample_paths(cum, np.full(k, 1 / k), 1, 0, idx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = (steps + 1) * 8  # one int64 label per sampled time
+            assert peak < out + 2 * block * 8 + 2**16, k
 
     def test_ensemble_walk_memory_does_not_grow_with_the_chain(self):
         """The traced peak of a k = 6 walk of 100 walkers, beyond its output,

@@ -334,7 +334,7 @@ class TestDrawBlocks:
         # which ends the short last block
         idx = np.array([0, rows, 2 * rows - 1, 3 * rows, 4 * rows - 1, steps])
         paths = []
-        for block_doubles in (1, rows * grid, BLOCK_DOUBLES):
+        for block_doubles in (1, rows * max(grid, k * k), BLOCK_DOUBLES):
             monkeypatch.setattr(_kernels, "BLOCK_DOUBLES", block_doubles)
             paths.append([sample_paths(cum, p0, n_walkers, 11, i) for i in (idx, full_grid(steps))])
         for other in paths[1:]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinned_bytes
 import qpt.dynamics
 import qpt.scenarios
 from qpt import (
@@ -233,11 +234,12 @@ class TestDynamicsScenario:
             dynamics_scenario(4, 100, 0)
 
     def test_default_trajectory_tsv_bytes_pinned(self, tmp_path):
-        # a seed fixes the written path and the weights beside it
+        # a seed fixes the written path and the weights beside it; the same
+        # file that the default cli run writes with --trajectory-out
         out = tmp_path / "paths.tsv"
         dynamics_scenario(trajectory_out=out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "fd4dee360311636cdb84b0d44871a1be9d3e127a6ba7e99f69ef87e1f60d58a8"
+            pinned_bytes.load()["{tsv} of dynamics --trajectory-out {tsv}"]
         )
 
     def test_trajectory_out_builds_the_chain_once(self, tmp_path, monkeypatch):
