@@ -6,7 +6,8 @@ Times, best of ``--repeat``:
   uncolourable set whose search also extracts a deletion-minimal core;
 - ``_two_valued`` on the last relation table that ``extend_and_check``
   searches for the (4, 1) maximality probe of ``bench_closure.py`` (seed
-  ``SEED``, budget 512), with the extension check's preference and node cap;
+  ``SEED``, budget 512), trying 0 before 1 as every search does, under the
+  extension check's node cap;
 - ``local_map_search`` (the CHSH linear program) on the singlet's table at
   the default ``qpt chsh`` angles and at ``0,π/2,0,π/2``. scipy is imported
   before the clock starts.
@@ -46,7 +47,7 @@ def final_relations(seed: int) -> tuple[int, list]:
     run = _ClosureRun(probe_generators(seed), 512, DEFAULT_TOL)
     while True:
         grew = run.step()
-        unsat = _two_valued(len(run), run.relations, first=1, node_cap=100000) is False
+        unsat = _two_valued(len(run), run.relations, node_cap=100000) is False
         if unsat or run.saturated or not grew:
             return len(run), list(run.relations)
 
@@ -68,9 +69,9 @@ def main() -> None:
     print("two-valued search, last relation table of the (4, 1) extension probe")
     print(f"{'elements':>8}  {'relations':>9}  {'result':>8}  {'time (ms)':>9}")
     n, rels = final_relations(SEED)
-    found = _two_valued(n, rels, first=1, node_cap=100000)
+    found = _two_valued(n, rels, node_cap=100000)
     result = "map" if found else {False: "none", None: "capped"}[found]
-    t = best_of(lambda: _two_valued(n, rels, first=1, node_cap=100000), args.repeat)
+    t = best_of(lambda: _two_valued(n, rels, node_cap=100000), args.repeat)
     print(f"{n:>8}  {len(rels):>9}  {result:>8}  {t * 1e3:>9.3f}")
 
     print("local_map_search, singlet tables")

@@ -283,7 +283,7 @@ def extend_and_check(
     while True:
         grew = run.step()
         # the closure inserts the zero and full subspaces first, as elements 0 and 1
-        unsat = _two_valued(len(run), run.relations, first=1, node_cap=100000) is False
+        unsat = _two_valued(len(run), run.relations, node_cap=100000) is False
         if unsat or run.saturated or not grew:
             break
     return ExtensionReport(

@@ -176,7 +176,26 @@ _GATES = {"meet": _gate_table(lambda a, b: a & b),
           "complement": _gate_table(lambda a, b: 1 - a)}
 
 
-def _two_valued(n: int, relations, first: int, node_cap: "int | None") -> "list[int] | bool | None":
+def _propagate(val: list, relations) -> bool:
+    """Sweep the gates of ``relations`` over the partial values ``val`` (-1
+    unknown), writing every value a gate forces, until none forces one.
+    False on a conflict."""
+    changed = True
+    while changed:
+        changed = False
+        for op, a, b, c in relations:
+            forced = _GATES[op][9 * val[a] + 3 * val[b] + val[c] + 13]
+            if forced:
+                abc = (a, b, c)
+                for slot, v in forced:
+                    val[abc[slot]] = v
+                changed = True
+            elif forced is None:
+                return False
+    return True
+
+
+def _two_valued(n: int, relations, node_cap: "int | None") -> "list[int] | bool | None":
     """A two-valued homomorphism on elements 0..n-1: a {0,1} value per
     element, element 0 (the zero element) false and element 1 (the full
     element) true, that keeps every (op, i, j, k) relation of ``relations``
@@ -184,48 +203,29 @@ def _two_valued(n: int, relations, first: int, node_cap: "int | None") -> "list[
     values, False when none exists, or None when the search would visit more
     than ``node_cap`` nodes (no cap when None).
 
-    Depth-first: sweep the gates until none forces a value, then branch on
-    the lowest unvalued element, trying ``first`` before 1 - first, so the
-    first map found is the lexicographically first with that preference."""
+    Depth-first: propagate until no gate forces a value, then branch on the
+    lowest unvalued element, trying 0 before 1, so the first map found is the
+    lexicographically first. Each pass of the loop is one node. ``untried``
+    holds, innermost last, each open branch's pivot and the values before the
+    pivot was set to 0; a conflict resumes the innermost one at 1."""
     val = [-1] * n
     val[0], val[1] = 0, 1
+    untried = []
     nodes = 0
-
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for op, a, b, c in relations:
-                forced = _GATES[op][9 * val[a] + 3 * val[b] + val[c] + 13]
-                if forced:
-                    abc = (a, b, c)
-                    for slot, v in forced:
-                        val[abc[slot]] = v
-                    changed = True
-                elif forced is None:
-                    return False
-        return True
-
-    def search() -> "bool | None":
-        nonlocal nodes
+    while node_cap is None or nodes < node_cap:
         nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            return None
-        if not propagate():
+        if _propagate(val, relations):
+            if -1 not in val:
+                return val
+            pivot = val.index(-1)
+            untried.append((pivot, val[:]))
+            val[pivot] = 0
+        elif untried:
+            pivot, val = untried.pop()
+            val[pivot] = 1
+        else:
             return False
-        if -1 not in val:
-            return True
-        pivot, saved = val.index(-1), val[:]
-        for choice in (first, 1 - first):
-            val[pivot] = choice
-            found = search()
-            if found is not False:
-                return found
-            val[:] = saved
-        return False
-
-    found = search()
-    return val if found else found
+    return None
 
 
 def _canonical_order(elements: list[Subspace]) -> np.ndarray:

@@ -107,6 +107,8 @@ def _dim_cliques(orth: np.ndarray, dim: int) -> tuple[tuple[int, ...], ...]:
     found: list[tuple[int, ...]] = []
 
     def grow(clique: list, cands: list) -> None:
+        if len(clique) + len(cands) < dim:
+            return
         if len(clique) == dim:
             if not orth[:, clique].all(axis=1).any():
                 found.append(tuple(clique))
@@ -153,7 +155,7 @@ def _assign(rs: RaySet, chosen) -> "tuple[int, ...] | None":
             rels.append(("join", span, elem[ray], n))
             span, n = n, n + 1
         rels.append(("join", span, elem[ctx[-1]], 1))
-    vals = _two_valued(n, rels, first=0, node_cap=None)
+    vals = _two_valued(n, rels, node_cap=None)
     if vals is False:
         return None
     return tuple(vals[elem[i]] if i in elem else 0 for i in range(len(rs.rays)))

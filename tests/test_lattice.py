@@ -627,21 +627,20 @@ class TestTwoValuedSearch:
         # in lexicographic order
         maps = [v for bits in itertools.product((0, 1), repeat=n - 2) for v in [[0, 1, *bits]]
                 if all(v[k] == GATES[op](v[i], v[j]) for op, i, j, k in rels)]
-        for first in (0, 1):
-            found = _two_valued(n, rels, first=first, node_cap=None)
-            capped = _two_valued(n, rels, first=first, node_cap=1)
-            if not maps:
-                assert found is False and capped in (False, None)
-                continue
-            # a returned map keeps every relation: it is the first one listed,
-            # or the last when 1 is tried first
-            assert found == maps[-first]
-            if len(maps) > 1:
-                # propagation never values an element two maps disagree on, so
-                # the search must branch, and its second node is over the cap
-                assert capped is None
-            else:
-                assert capped in (None, maps[0])
+        found = _two_valued(n, rels, node_cap=None)
+        capped = _two_valued(n, rels, node_cap=1)
+        if not maps:
+            assert found is False and capped in (False, None)
+            return
+        # a returned map keeps every relation, and 0 is tried before 1, so it
+        # is the first one listed
+        assert found == maps[0]
+        if len(maps) > 1:
+            # propagation never values an element two maps disagree on, so
+            # the search must branch, and its second node is over the cap
+            assert capped is None
+        else:
+            assert capped in (None, maps[0])
 
     #: c for each (a, b), written out row by row rather than from a formula;
     #: a complement relation (complement, i, i, k) has a == b, and c = not a
@@ -672,5 +671,9 @@ class TestTwoValuedSearch:
         (("complement", 1, 1, 2), [0, 1, 0]),
     ])
     def test_propagation_decides_without_branching(self, relation, values):
-        for first in (0, 1):
-            assert _two_valued(3, [relation], first=first, node_cap=1) == values
+        assert _two_valued(3, [relation], node_cap=1) == values
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # no relation forces anything, so every element past 1 opens a branch
+        # and the search runs one branch deep per element
+        assert _two_valued(3000, [], node_cap=None) == [0, 1] + [0] * 2998

@@ -203,10 +203,14 @@ class TestContextOracle:
 
 class TestFindAssignment:
     def test_single_basis_lexicographic_minimum(self):
-        vecs = [np.eye(3, dtype=complex)[:, i] for i in range(3)]
-        out = find_assignment(RaySet.from_vectors(vecs))
-        assert isinstance(out, Assignment)
-        assert out.values == (0, 0, 1)
+        # dim 40: one context among the 2^40 subsets of a complete
+        # orthogonality graph, which the context search must not walk
+        for dim in (3, 40):
+            rs = RaySet.from_vectors(list(np.eye(dim, dtype=complex)))
+            assert rs.contexts == (tuple(range(dim)),)
+            out = find_assignment(rs)
+            assert isinstance(out, Assignment)
+            assert out.values == (0,) * (dim - 1) + (1,)
 
     def test_lexicographic_first_against_brute_force(self):
         # two overlapping dim-3 contexts sharing one ray
