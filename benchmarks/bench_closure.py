@@ -12,9 +12,11 @@ Times, best of ``--repeat``:
   SVDs), timed by wrapping both functions, since cProfile misattributes time
   here;
 - the ``tracemalloc`` peak of each of those rounds above what was allocated
-  when it began, from one more run of its own (tracing slows the rounds, so
-  the timed runs are untraced), and the time and ``tracemalloc`` peak of
-  ``_distinct_rays`` on the rank-1 elements the probe's closure ends with;
+  when it began, and the bytes the run holds after it beyond its element
+  stacks, per relation recorded so far, from one more run of its own
+  (tracing slows the rounds, so the timed runs are untraced), and the time
+  and ``tracemalloc`` peak of ``_distinct_rays`` on the rank-1 elements the
+  probe's closure ends with;
 - the public ``meet`` and ``join`` on ``PAIRS`` random pairs of subspaces of
   random rank in each of dims 3-6, as calls per second.
 
@@ -85,9 +87,10 @@ def timed_layers(spent: dict):
 
     def timed_emit(run, ops, *args):
         t0 = time.perf_counter()
-        emit(run, ops, *args)
+        rows = emit(run, ops, *args)
         spent["results"] += len(ops)
         spent["emit"] += time.perf_counter() - t0
+        return rows
 
     def timed_angles(*args):
         t0 = time.perf_counter()
@@ -125,22 +128,28 @@ def time_rounds(gens: list[Subspace], repeat: int) -> list[list]:
     return best
 
 
-def traced_rounds(gens: list[Subspace], budget: int = 512) -> tuple[list[int], _ClosureRun]:
+def traced_rounds(gens: list[Subspace],
+                  budget: int = 512) -> tuple[list[int], list[float], _ClosureRun]:
     """The ``tracemalloc`` peak of each round, in bytes above what was
-    allocated when the round began, from one run to a fixpoint or a refusal,
-    and the finished run."""
-    run = _ClosureRun(gens, budget, DEFAULT_TOL)
-    peaks, grew = [], True
+    allocated when the round began, and the bytes the run holds after each
+    round beyond its element stacks, per relation, from one run to a
+    fixpoint or a refusal; and the finished run."""
+    peaks, held, grew = [], [], True
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
+        run = _ClosureRun(gens, budget, DEFAULT_TOL)
         while grew and not run.saturated:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             grew = run.step()
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            now, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - before)
+            stacks = run._units.nbytes + run._projs.nbytes
+            held.append((now - start - stacks) / len(run.relations))
     finally:
         tracemalloc.stop()
-    return peaks, run
+    return peaks, held, run
 
 
 def cost_of(call, repeat: int) -> tuple[object, float, int]:
@@ -193,15 +202,15 @@ def main() -> None:
     print("closure rounds, (4, 1) extension probe, budget 512")
     print(f"{'round':>5}  {'elements':>8}  {'pairs':>7}  {'new':>5}  {'results':>7}  "
           f"{'time (s)':>10}  {'cpu (s)':>10}  {'pairs/s':>10}  {'_emit (s)':>10}  "
-          f"{'_angles (s)':>11}  {'peak (MiB)':>10}")
+          f"{'_angles (s)':>11}  {'peak (MiB)':>10}  {'held/rel (B)':>12}")
     gens = probe_generators(SEED)
     rows = time_rounds(gens, args.repeat)
-    peaks, run = traced_rounds(gens)
-    for r, ((before, pairs, after, results, t, cpu, emit, angles), peak) in enumerate(
-            zip(rows, peaks)):
+    peaks, held, run = traced_rounds(gens)
+    for r, ((before, pairs, after, results, t, cpu, emit, angles), peak, per) in enumerate(
+            zip(rows, peaks, held)):
         print(f"{r:>5}  {before:>8}  {pairs:>7}  {after - before:>5}  {results:>7}  "
               f"{t:>10.4f}  {cpu:>10.4f}  {pairs / t:>10.3g}  {emit:>10.4f}  {angles:>11.4f}  "
-              f"{peak / MIB:>10.3f}")
+              f"{peak / MIB:>10.3f}  {per:>12.1f}")
     total = [sum(r[c] for r in rows) for c in range(8)]
     print(f"{'all':>5}  {'':>8}  {total[1]:>7}  {'':>5}  {total[3]:>7}  "
           f"{total[4]:>10.4f}  {total[5]:>10.4f}  {'':>10}  {total[6]:>10.4f}  "

@@ -42,14 +42,14 @@ def best_of(fn, repeat: int) -> float:
     return best
 
 
-def final_relations(seed: int) -> tuple[int, list]:
-    """(elements, relations) of the last round extend_and_check searches."""
+def final_relations(seed: int) -> tuple[int, np.ndarray]:
+    """(elements, relation table) of the last round extend_and_check searches."""
     run = _ClosureRun(probe_generators(seed), 512, DEFAULT_TOL)
     while True:
         grew = run.step()
         unsat = _two_valued(len(run), run.relations, node_cap=100000) is False
         if unsat or run.saturated or not grew:
-            return len(run), list(run.relations)
+            return len(run), run.relations
 
 
 def main() -> None:

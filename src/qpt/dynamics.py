@@ -45,7 +45,8 @@ MIN_RAY_OVERLAP_SQ = 0.5
 
 #: the weights and transition rows are built this many steps at a time, so
 #: their temporaries are (_BLOCK, k, ·) arrays, not full-length ones; every
-#: step's arithmetic is the same at any block length
+#: step's arithmetic is the same at any block length. ``trajectory_rows``
+#: formats this many rows per read of the times and weights
 _BLOCK = 256
 
 
@@ -313,7 +314,13 @@ def trajectory_rows(
     ptraj: PropertyTrajectory, traj: PossibilityTrajectory
 ) -> Iterator[str]:
     """Tab-separated rows (time, selected label, comma-joined weight vector),
-    yielded one at a time, so that a writer holds one row, not all of them."""
-    for t, label, w in zip(ptraj.times, ptraj.selected_labels, traj.weights):
-        probs = ",".join(f"{p:.10g}" for p in w)
-        yield f"{t:.10g}\t{label}\t{probs}"
+    yielded one at a time, so that a writer holds one row, not all of them.
+
+    Times and weights are read ``_BLOCK`` rows at a time as Python floats, and
+    each row is one ``%`` format with ``%.10g`` for every number."""
+    fmt = "%.10g\t%s\t" + ",".join(["%.10g"] * traj.weights.shape[1])
+    for lo in range(0, len(ptraj.times), _BLOCK):
+        hi = lo + _BLOCK
+        for t, label, w in zip(ptraj.times[lo:hi].tolist(), ptraj.selected_labels[lo:hi],
+                               traj.weights[lo:hi].tolist()):
+            yield fmt % (t, label, *w)

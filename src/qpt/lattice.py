@@ -139,13 +139,24 @@ def commutes(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     return float(np.abs(p @ q - q @ p).max()) <= tol.eps * a.ambient_dim
 
 
+#: op codes of a relation row (op, i, j, k), numbered in name order, so that
+#: sorted rows list the relations as sorted (name, i, j, k) tuples would
+COMPLEMENT, JOIN, MEET = 0, 1, 2
+
+
+def _no_relations() -> np.ndarray:
+    return np.zeros((0, 4), dtype=np.int32)
+
+
 @dataclass(frozen=True)
 class SublatticeSet:
     """A finite family of subspaces, canonically ordered.
 
-    ``relations`` is the op table harvested while the set was generated:
-    tuples (op, i, j, k) recording that applying ``op`` ("meet", "join",
-    "complement") to elements i, j produced element k. For complements j == i.
+    ``relations`` is the op table harvested while the set was generated: a
+    read-only (m, 4) int32 array of sorted rows (op, i, j, k), each recording
+    that applying op (``COMPLEMENT`` 0, ``JOIN`` 1, ``MEET`` 2) to elements i,
+    j produced element k. For complements j == i. The table takes no part in
+    ``==`` or the hash.
     ``is_closed``: the set is closed under all three ops (the closure reached
     a fixpoint within its budget).
     """
@@ -153,38 +164,44 @@ class SublatticeSet:
     elements: tuple[Subspace, ...]
     is_closed: bool
     closure_depth: int
-    relations: tuple[tuple[str, int, int, int], ...] = field(default_factory=tuple)
+    relations: np.ndarray = field(default_factory=_no_relations, compare=False)
 
 
-def _gate_table(gate) -> list:
-    """Unit propagation for the relation c = gate(a, b): for each of the 27
-    partial states of (a, b, c), -1 meaning unknown, at index
-    9a + 3b + c + 13, the (slot, value) pairs that every completion
-    consistent with the state shares, or None when no completion exists."""
-    table = []
-    for state in itertools.product((-1, 0, 1), repeat=3):
-        fits = [abc for abc in itertools.product((0, 1), repeat=3)
-                if abc[2] == gate(abc[0], abc[1]) and all(s in (-1, v) for s, v in zip(state, abc))]
-        table.append(None if not fits else tuple(
-            (slot, fits[0][slot]) for slot in range(3)
-            if state[slot] == -1 and len({f[slot] for f in fits}) == 1))
+def _gate_table() -> list:
+    """Unit propagation for the relations c = op(a, b), one entry per op code
+    and partial state (a, b, c) of values in {-1, 0, 1}, -1 meaning unknown,
+    at index 27 op + 9a + 3b + c. That index runs from -13 to 67, and Python's
+    negative indices fold the 13 below 0 onto the end of the 81 entries, so
+    the sweep adds no offset. An entry lists the (slot, value) pairs that
+    every completion consistent with the state shares, or is None when no
+    completion exists."""
+    table: list = [None] * 81
+    gates = {COMPLEMENT: lambda a, b: 1 - a, JOIN: lambda a, b: a | b, MEET: lambda a, b: a & b}
+    for op, gate in gates.items():
+        for state in itertools.product((-1, 0, 1), repeat=3):
+            fits = [abc for abc in itertools.product((0, 1), repeat=3)
+                    if abc[2] == gate(abc[0], abc[1])
+                    and all(s in (-1, v) for s, v in zip(state, abc))]
+            table[27 * op + 9 * state[0] + 3 * state[1] + state[2]] = None if not fits else tuple(
+                (slot, fits[0][slot]) for slot in range(3)
+                if state[slot] == -1 and len({f[slot] for f in fits}) == 1)
     return table
 
 
-_GATES = {"meet": _gate_table(lambda a, b: a & b),
-          "join": _gate_table(lambda a, b: a | b),
-          "complement": _gate_table(lambda a, b: 1 - a)}
+_GATES = _gate_table()
 
 
-def _propagate(val: list, relations) -> bool:
-    """Sweep the gates of ``relations`` over the partial values ``val`` (-1
-    unknown), writing every value a gate forces, until none forces one.
-    False on a conflict."""
+def _propagate(val: list, rows: memoryview) -> bool:
+    """Sweep the gates of the flat relation rows ``rows`` (op, a, b, c, op,
+    ...) over the partial values ``val`` (-1 unknown), writing every value a
+    gate forces, until none forces one. False on a conflict."""
+    gates = _GATES
     changed = True
     while changed:
         changed = False
-        for op, a, b, c in relations:
-            forced = _GATES[op][9 * val[a] + 3 * val[b] + val[c] + 13]
+        it = iter(rows)
+        for op, a, b, c in zip(it, it, it, it):
+            forced = gates[27 * op + 9 * val[a] + 3 * val[b] + val[c]]
             if forced:
                 abc = (a, b, c)
                 for slot, v in forced:
@@ -195,26 +212,28 @@ def _propagate(val: list, relations) -> bool:
     return True
 
 
-def _two_valued(n: int, relations, node_cap: "int | None") -> "list[int] | bool | None":
+def _two_valued(n: int, relations: np.ndarray, node_cap: "int | None") -> "list[int] | bool | None":
     """A two-valued homomorphism on elements 0..n-1: a {0,1} value per
     element, element 0 (the zero element) false and element 1 (the full
-    element) true, that keeps every (op, i, j, k) relation of ``relations``
-    as a logic gate (meet = and, join = or, complement = not i). Returns the
-    values, False when none exists, or None when the search would visit more
-    than ``node_cap`` nodes (no cap when None).
+    element) true, that keeps every (op, i, j, k) row of the int table
+    ``relations`` as a logic gate (meet = and, join = or, complement = not
+    i). Returns the values, False when none exists, or None when the search
+    would visit more than ``node_cap`` nodes (no cap when None). The sweeps
+    read the table in place, one Python int at a time.
 
     Depth-first: propagate until no gate forces a value, then branch on the
     lowest unvalued element, trying 0 before 1, so the first map found is the
     lexicographically first. Each pass of the loop is one node. ``untried``
     holds, innermost last, each open branch's pivot and the values before the
     pivot was set to 0; a conflict resumes the innermost one at 1."""
+    rows = memoryview(relations.ravel())
     val = [-1] * n
     val[0], val[1] = 0, 1
     untried = []
     nodes = 0
     while node_cap is None or nodes < node_cap:
         nodes += 1
-        if _propagate(val, relations):
+        if _propagate(val, rows):
             if -1 not in val:
                 return val
             pivot = val.index(-1)
@@ -273,12 +292,17 @@ class _ClosureRun:
     rounding error of <W, P> (and the cell index within int64) for any eps;
     it only coarsens the filter.
 
-    Memory: beside the stacks and the relation list, a round holds one
+    Relations are rows (op, i, j, k) of one int32 table, ``relations``, in
+    emission order. Each batch returns its kept rows and a round joins them
+    to the table once, so between rounds the table holds 16 bytes a relation
+    and nothing more.
+
+    Memory: beside the stacks and the relation table, a round holds one
     ``_CHUNK`` of pairs at a time (their gathered blocks, SVDs and results),
     per-element index arrays and ``_round_pairs``' indices of only the pairs
     it evaluates: 16 bytes a pair, and a one-byte mask entry per (element,
-    new member), against the two relation tuples of about 126 bytes each
-    that a pair records. No array outgrows the relations the round adds.
+    new member), against the two relation rows of 16 bytes each that a pair
+    records. No array outgrows the relations the round adds.
     """
 
     def __init__(self, generators, max_new: int, tol: Tolerance):
@@ -292,7 +316,7 @@ class _ClosureRun:
         self.n = n
         self.tol = tol
         self.budget = int(max_new)
-        self.relations: list[tuple[str, int, int, int]] = []
+        self.relations = _no_relations()
         self.depth = 0
         self._processed = 0  # elements whose pair/complement ops have been emitted
         self.saturated = False  # budget refused an element
@@ -392,17 +416,15 @@ class _ClosureRun:
         self._cell = np.concatenate((self._cell, cells))
         self._ranks.extend(rank.tolist())
 
-    def _emit(self, ops, lhs, rhs, us: np.ndarray, rank: np.ndarray) -> None:
-        """Record results in emission order. Result t is spanned by the
-        leading ``rank[t]`` columns of ``us[t]``; the other columns span its
-        orthocomplement."""
+    def _emit(self, ops, lhs, rhs, us: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """File results in emission order and return their relation rows,
+        result t as (ops[t], lhs[t], rhs[t], its element) unless the budget
+        refused it. Result t is spanned by the leading ``rank[t]`` columns of
+        ``us[t]``; the other columns span its orthocomplement."""
         spans = us * (np.arange(self.n) < rank[:, None])[:, None, :]
         projs = spans @ spans.conj().transpose(0, 2, 1)
         match = self._file(projs, us, rank)
-        rows = zip(ops, lhs, rhs, match.tolist())
-        # a result is refused only once the budget is spent
-        self.relations.extend(itertools.compress(rows, (match >= 0).tolist())
-                              if self.saturated else rows)
+        return np.column_stack((ops, lhs, rhs, match)).astype(np.int32)[match >= 0]
 
     def step(self) -> bool:
         """Run one closure round. Returns True if new elements appeared.
@@ -410,13 +432,13 @@ class _ClosureRun:
         Emission order: complements of the elements new since the last round,
         then every pair i < j with j new, meet before join."""
         base, done, n = len(self), self._processed, self.n
-        fresh = list(range(done, base))
+        fresh = np.arange(done, base)
         # a complement's columns are its source's rotated by the source's rank
         ranks = np.array(self._ranks, dtype=np.int64)
         turn = (np.arange(n) + ranks[done:base, None]) % n
-        self._emit(["complement"] * len(fresh), fresh, fresh,
-                   np.take_along_axis(self._units[done:base], turn[:, None], axis=2),
-                   n - ranks[done:base])
+        batches = [self._emit(np.full(len(fresh), COMPLEMENT), fresh, fresh,
+                              np.take_along_axis(self._units[done:base], turn[:, None], axis=2),
+                              n - ranks[done:base])]
         left, right = _round_pairs(base, done)
         for lo in range(0, len(left), _CHUNK):
             i, j = left[lo:lo + _CHUNK], right[lo:lo + _CHUNK]
@@ -435,8 +457,9 @@ class _ClosureRun:
                 us[2 * p] = np.concatenate((bjv, self._units[gj, :, rj:]), axis=2)
                 us[2 * p + 1] = np.concatenate((self._units[gi, :, :ri], ciu), axis=2)
                 rank[2 * p], rank[2 * p + 1] = rj - c, ri + c
-            self._emit(["meet", "join"] * len(i), np.repeat(i, 2).tolist(),
-                       np.repeat(j, 2).tolist(), us, rank)
+            batches.append(self._emit(np.tile((MEET, JOIN), len(i)), np.repeat(i, 2),
+                                      np.repeat(j, 2), us, rank))
+        self.relations = np.concatenate((self.relations, *batches))
         self._processed = base
         self.depth += 1
         return len(self) > base
@@ -446,21 +469,25 @@ class _ClosureRun:
 
     def result(self) -> SublatticeSet:
         """The set in canonical element order, with its relations remapped and
-        sorted. Each relation is replaced in place, so the list is never held
-        twice; the run hands it over and has none afterwards."""
+        sorted. The table is rewritten in place one column at a time, so it
+        is never held twice; the run hands it over and has none afterwards."""
         elements = [Subspace(self.n, self._units[k, :, :r]) for k, r in enumerate(self._ranks)]
-        order = _canonical_order(elements).tolist()
-        remap = {old: new for new, old in enumerate(order)}
+        order = _canonical_order(elements)
+        remap = np.empty(len(order), dtype=np.int32)
+        remap[order] = np.arange(len(order))
         rels = self.relations
         del self.relations
-        for t, (op, i, j, k) in enumerate(rels):
-            rels[t] = (op, remap[i], remap[j], remap[k])
-        rels.sort()
+        for col in (1, 2, 3):
+            rels[:, col] = remap[rels[:, col]]
+        by_row = np.lexsort(rels.T[::-1])
+        for col in range(4):
+            rels[:, col] = rels[by_row, col]
+        rels.setflags(write=False)
         return SublatticeSet(
-            elements=tuple(elements[i] for i in order),
+            elements=tuple(elements[i] for i in order.tolist()),
             is_closed=not self.saturated and self.finished(),
             closure_depth=self.depth,
-            relations=tuple(rels),
+            relations=rels,
         )
 
 

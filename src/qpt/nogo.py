@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatch, RayFileError, TableShapeMismatch, ZeroVector
-from .lattice import _two_valued
+from .lattice import JOIN, MEET, _two_valued
 from .linalg import DEFAULT_TOL, ComplexVector, Operator, Tolerance, canonical_phase
 
 
@@ -102,21 +102,29 @@ class RaySet:
 def _dim_cliques(orth: np.ndarray, dim: int) -> tuple[tuple[int, ...], ...]:
     """The maximal cliques of size dim of the orthogonality graph, in
     lexicographic order: every size-dim clique that no further ray is
-    orthogonal to all of."""
+    orthogonal to all of.
+
+    Depth-first over an explicit stack, so the depth is not bounded by the
+    recursion limit. A frame is a clique, its candidates (the rays after its
+    last one that are orthogonal to all of it, ascending) and how many of
+    them it has tried. A frame is dropped once its untried candidates cannot
+    fill it to dim rays."""
     adj = [set(np.flatnonzero(row).tolist()) for row in orth]
     found: list[tuple[int, ...]] = []
-
-    def grow(clique: list, cands: list) -> None:
-        if len(clique) + len(cands) < dim:
-            return
-        if len(clique) == dim:
-            if not orth[:, clique].all(axis=1).any():
-                found.append(tuple(clique))
-            return
-        for vtx in cands:
-            grow(clique + [vtx], [u for u in cands if u > vtx and u in adj[vtx]])
-
-    grow([], list(range(len(orth))))
+    stack = [([], list(range(len(orth))), 0)]
+    while stack:
+        clique, cands, tried = stack[-1]
+        if len(clique) + len(cands) - tried < dim:
+            stack.pop()
+            continue
+        stack[-1] = (clique, cands, tried + 1)
+        vtx = cands[tried]
+        grown = clique + [vtx]
+        if len(grown) == dim:
+            if not orth[:, grown].all(axis=1).any():
+                found.append(tuple(grown))
+        else:
+            stack.append((grown, [u for u in cands[tried + 1:] if u in adj[vtx]], 0))
     return tuple(found)
 
 
@@ -147,15 +155,15 @@ def _assign(rs: RaySet, chosen) -> "tuple[int, ...] | None":
     live = sorted({i for ctx in contexts for i in ctx})
     elem = {ray: e for e, ray in enumerate(live, start=2)}
     pairs = np.argwhere(np.triu(rs._orth[np.ix_(live, live)], 1)) + 2
-    rels = [("meet", i, j, 0) for i, j in pairs.tolist()]
+    rels = [(MEET, i, j, 0) for i, j in pairs.tolist()]
     n = 2 + len(live)
     for ctx in contexts:
         span = elem[ctx[0]]
         for ray in ctx[1:-1]:
-            rels.append(("join", span, elem[ray], n))
+            rels.append((JOIN, span, elem[ray], n))
             span, n = n, n + 1
-        rels.append(("join", span, elem[ctx[-1]], 1))
-    vals = _two_valued(n, rels, node_cap=None)
+        rels.append((JOIN, span, elem[ctx[-1]], 1))
+    vals = _two_valued(n, np.array(rels, dtype=np.int32).reshape(-1, 4), node_cap=None)
     if vals is False:
         return None
     return tuple(vals[elem[i]] if i in elem else 0 for i in range(len(rs.rays)))

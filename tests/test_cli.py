@@ -88,6 +88,9 @@ class TestExitCodes:
         # sizes the scenarios themselves reject: usage errors, not crashes
         for args in (
             ("teleport", "--samples", "0"),
+            # amplitudes whose squares overflow a float
+            ("teleport", "--c-plus", "1e155", "--c-minus", "1"),
+            ("teleport", "--c-plus", "1e200", "--c-minus", "1"),
             ("decohere", "--budget", "0"),
             ("decohere", "--budget", "1"),
             # an --eps below the floor 1e-13 on a well-formed file: the
@@ -98,6 +101,12 @@ class TestExitCodes:
             assert out.returncode == 2, (args, out.stderr)
             lines = out.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (args, out.stderr)
+
+    def test_large_n_max_passes_the_closed_form_check(self):
+        # the direct ratio's rounding grows with n; a fixed 1e-12 failed here
+        out = run("correspond", "--n-max", "20000")
+        assert out.returncode == 0, out.stdout
+        assert "[PASS] defect_closed_form" in out.stdout
 
     def test_saturated_extension_budget_exits_two(self):
         # budget 64 saturates the closure before a verdict: the budget is too
@@ -209,12 +218,13 @@ def _flag(name: str, values) -> st.SearchStrategy:
 
 
 SMALL_FLOATS = st.sampled_from([0.0, 0.5, -1.0, 1e-11, 3.0, float("nan"), float("inf")])
-SMALL_COMPLEX = st.sampled_from(["0.6", "0.8j", "1", "0", "5+0j", "0.6-0.8j", "nan"])
+AMPLITUDES = st.sampled_from(["0.6", "0.8j", "1", "0", "5+0j", "0.6-0.8j", "nan", "1e155",
+                              "1e200j"])
 
 #: each subcommand's own arguments, at sizes that keep one call under ~0.1 s
 SUBCOMMAND_ARGS = {
     "epr": st.just([]),
-    "teleport": st.tuples(_flag("--c-plus", SMALL_COMPLEX), _flag("--c-minus", SMALL_COMPLEX),
+    "teleport": st.tuples(_flag("--c-plus", AMPLITUDES), _flag("--c-minus", AMPLITUDES),
                           _flag("--seed", st.integers(-1, 99)),
                           _flag("--samples", st.integers(-1, 300))),
     "decohere": st.tuples(_flag("--n-env", st.integers(-1, 4)), _flag("--angle", SMALL_FLOATS),

@@ -37,6 +37,7 @@ from qpt import (
 )
 from qpt._kernels import CHUNK, sample_paths
 from qpt.dynamics import (
+    _BLOCK,
     PRESENCE_CUTOFF,
     _forward_marginals,
     _transition_cumulatives,
@@ -175,6 +176,18 @@ class TestJumpProcess:
         assert first[0] == "0"
         assert first[1] in ("up", "down")
         assert len(first[2].split(",")) == 2
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_rows_match_one_f_string_per_number(self, extra):
+        # rows read a block at a time against the f-strings they replaced, at
+        # one block's edge; near its zero crossing a Rabi weight is written
+        # in exponent form
+        traj = rabi_trajectory(_BLOCK + extra - 1)
+        pt = jump_process(traj, seed=3)
+        want = [f"{t:.10g}\t{label}\t" + ",".join(f"{p:.10g}" for p in w)
+                for t, label, w in zip(pt.times, pt.selected_labels, traj.weights)]
+        assert len(want) == _BLOCK + extra and any("e-" in row for row in want)
+        assert list(trajectory_rows(pt, traj)) == want
 
 
 def frozen_trajectory(rows, obs=None) -> PossibilityTrajectory:

@@ -493,6 +493,11 @@ class TestBenchmarkScript:
         assert "closure rounds, (4, 1) extension probe, budget 512" in out.stdout
         assert "_emit (s)" in out.stdout and "_angles (s)" in out.stdout
         assert "cpu (s)" in out.stdout
+        # each round line ends in the bytes its run holds per relation; by the
+        # last round the 16-byte rows outweigh the per-element bookkeeping
+        rounds = out.stdout.split("held/rel (B)\n")[1].split("\n  all")[0].splitlines()
+        held = [float(line.split()[-1]) for line in rounds]
+        assert held and min(held) > 0 and held[-1] < 32, held
         assert "public meet/join, 200 random pairs per dim" in out.stdout
 
     def test_bench_nogo_runs(self):

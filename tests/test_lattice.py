@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -25,6 +26,9 @@ from qpt import (
 )
 from qpt.lattice import (
     _GATES,
+    COMPLEMENT,
+    JOIN,
+    MEET,
     _angles,
     _canonical_order,
     _ClosureRun,
@@ -35,6 +39,9 @@ from qpt.linalg import canonical_phase, orthonormalize
 from conftest import random_subspace, random_unitary, random_vector
 
 seeds = st.integers(0, 2**32 - 1)
+
+#: op name -> op code of a relation row
+CODES = {"complement": COMPLEMENT, "join": JOIN, "meet": MEET}
 
 
 def _proj_close(a: Subspace, b: Subspace, tol: float = 1e-9) -> bool:
@@ -205,9 +212,16 @@ class TestClosure:
         gens = [Subspace.ray(basis_vector(3, i)) for i in range(2)]
         out = closure(gens)
         n = len(out.elements)
-        for op, i, j, k in out.relations:
-            assert op in {"meet", "join", "complement"}
+        assert out.relations.dtype == np.int32 and out.relations.shape[1] == 4
+        assert not out.relations.flags.writeable
+        for op, i, j, k in out.relations.tolist():
+            assert op in set(CODES.values())
             assert 0 <= i < n and 0 <= j < n and 0 <= k < n
+
+    def test_hashes_and_compares_without_its_table(self):
+        out = closure([Subspace.ray(basis_vector(3, i)) for i in range(2)])
+        twin = dataclasses.replace(out, relations=out.relations[:1])
+        assert hash(out) == hash(twin) and out == twin
 
 
 def reference_join(a: Subspace, b: Subspace, tol=DEFAULT_TOL) -> Subspace:
@@ -290,8 +304,10 @@ class TestReferenceAgreement:
         order = sorted(range(len(elems)), key=lambda i: canonical_key(elems[i]))
         remap = {old: new for new, old in enumerate(order)}
         assert len(got.elements) == len(elems)
-        assert got.relations == tuple(sorted(
-            (op, remap[i], remap[j], remap[k]) for op, i, j, k in rels))
+        # op codes in name order: sorted rows are the sorted (name, i, j, k) tuples
+        names = {code: name for name, code in CODES.items()}
+        assert [(names[op], i, j, k) for op, i, j, k in got.relations.tolist()] == sorted(
+            (op, remap[i], remap[j], remap[k]) for op, i, j, k in rels)
         for mine, ref in zip(got.elements, (elems[i] for i in order)):
             assert _proj_close(mine, ref, 1e-9)
 
@@ -425,6 +441,21 @@ class TestCanonicalOrder:
         assert _canonical_order(elements).tolist() == want
 
 
+def saturating_generators() -> list[Subspace]:
+    """Four random dim-4 subspaces whose closure runs past 800 elements."""
+    rng = np.random.default_rng(5)
+    return [random_subspace(4, int(rng.integers(1, 4)), rng) for _ in range(4)]
+
+
+def saturated_run(gens: list[Subspace]) -> _ClosureRun:
+    """The closure run of ``gens``, stepped until its budget of 800 elements
+    refuses one."""
+    run = _ClosureRun(gens, 800, DEFAULT_TOL)
+    while run.step() and not run.saturated:
+        pass
+    return run
+
+
 class TestBoundedMemory:
     def test_pair_schedule_builds_no_triangle(self):
         """Listing a round's pairs at base = 4000 with done = 3990 (39,945
@@ -440,34 +471,59 @@ class TestBoundedMemory:
         assert len(i) == 3990 * 10 + 45
         assert peak < 2**20
 
-    def test_result_does_not_copy_the_relations(self):
-        """``result()`` on a run of 800 elements and 40,219 relations peaks
-        within 16 bytes a relation plus 2 KiB an element above what the run
-        held: the sorted list's and the returned tuple's pointers, the
-        elements and their keys. A remapped copy beside the run's list adds
-        about 100 bytes a relation."""
-        rng = np.random.default_rng(5)
-        gens = [random_subspace(4, int(rng.integers(1, 4)), rng) for _ in range(4)]
-        run = _ClosureRun(gens, 800, DEFAULT_TOL)
-        while run.step() and not run.saturated:
-            pass
+    def test_run_holds_sixteen_bytes_a_relation(self):
+        """A run of 800 elements and 40,219 relations, built under
+        ``tracemalloc``, holds beyond its stacks within one 16-byte table row
+        a relation plus 64 bytes an element (its rank and dedup cell). Tuples
+        of an op name and three ints took about 79 bytes a relation."""
+        gens = saturating_generators()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = run.result()
-            peak = tracemalloc.get_traced_memory()[1] - before
+            run = saturated_run(gens)
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        assert (len(run), len(run.relations)) == (800, 40219)
+        stacks = run._units.nbytes + run._projs.nbytes
+        assert held - stacks <= 16 * len(run.relations) + 64 * len(run)
+
+    def test_result_does_not_copy_the_relations(self):
+        """``result()`` on a run of 800 elements and 40,219 relations peaks
+        within 16 bytes a relation plus 2 KiB an element above what the run
+        held: the sort's row order and one column at a time, the elements
+        and their keys. Beyond the peak of the same run with no relations it
+        stays within 12 bytes a relation (about 5 measured), and it returns
+        the run's own table. A remapped copy beside the run's table adds 16
+        bytes a relation, and its rows sorted by index another 16."""
+        def result_peak(run: _ClosureRun):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = run.result()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            return out, peak
+
+        run = saturated_run(saturating_generators())
+        table = run.relations
+        out, peak = result_peak(run)
+        bare = saturated_run(saturating_generators())
+        bare.relations = np.zeros((0, 4), dtype=np.int32)
         assert (len(out.elements), len(out.relations)) == (800, 40219)
         assert peak < 16 * len(out.relations) + 2048 * len(out.elements)
+        assert peak - result_peak(bare)[1] < 12 * len(out.relations)
+        assert np.shares_memory(out.relations, table)
 
 
-def reference_emit(run: _ClosureRun, ops, lhs, rhs, us: np.ndarray, rank: np.ndarray) -> None:
+def reference_emit(run: _ClosureRun, ops, lhs, rhs, us: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """``_ClosureRun._emit`` as a loop over results in emission order: each
     takes the smallest filed index within cells c-1..c+1 and the isclose
     distance, elements made by earlier results included, else a new element
-    while the budget allows, else it is refused and records nothing."""
+    while the budget allows, else it is refused and gives no row."""
     n = run.n
+    rows = []
     spans = us * (np.arange(n) < rank[:, None])[:, None, :]
     projs = spans @ spans.conj().transpose(0, 2, 1)
     cells = run._cells_of(projs)
@@ -492,15 +548,22 @@ def reference_emit(run: _ClosureRun, ops, lhs, rhs, us: np.ndarray, rank: np.nda
         else:
             run.saturated = True
             continue
-        run.relations.append((ops[t], lhs[t], rhs[t], k))
+        rows.append((ops[t], lhs[t], rhs[t], k))
+    return np.array(rows, dtype=np.int32).reshape(-1, 4)
 
 
 class _ReferenceRun(_ClosureRun):
     _emit = reference_emit
 
 
+def assert_same_table(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype == np.int32
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def assert_same_run(a: _ClosureRun, b: _ClosureRun) -> None:
-    assert a.relations == b.relations
+    assert_same_table(a.relations, b.relations)
     assert a._ranks == b._ranks and a.saturated == b.saturated
     for stack in ("_units", "_projs"):
         assert getattr(a, stack).tobytes() == getattr(b, stack).tobytes(), stack
@@ -540,13 +603,13 @@ class TestBatchedLookup:
                        np.stack([e[0], e[1], e[2]], axis=1),
                        np.stack([s * (e[1] + e[2]), s * (e[1] - e[2]), e[0]], axis=1)])
         rank = np.array([2, 2, 2])
-        ops, lhs, rhs = ["join"] * 3, [0, 1, 2], [0, 1, 2]
+        ops, lhs, rhs = [JOIN] * 3, [0, 1, 2], [0, 1, 2]
         gens = [Subspace.ray(basis_vector(3, 0))]
         run, ref = _ClosureRun(gens, budget, DEFAULT_TOL), _ReferenceRun(gens, budget, DEFAULT_TOL)
-        run._emit(ops, lhs, rhs, us, rank)
-        ref._emit(ops, lhs, rhs, us, rank)
+        rows = run._emit(ops, lhs, rhs, us, rank)
+        assert_same_table(rows, ref._emit(ops, lhs, rhs, us, rank))
         assert_same_run(run, ref)
-        assert run.relations == [("join", t, t, k) for t, k in enumerate(got) if k >= 0]
+        assert rows.tolist() == [[JOIN, t, t, k] for t, k in enumerate(got) if k >= 0]
         assert len(run) == min(budget, 5) and run.saturated == (-1 in got)
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
@@ -561,8 +624,8 @@ class TestBatchedLookup:
         run = _ClosureRun([Subspace(3, ray(a)[:, None]) for a in angles], 8, DEFAULT_TOL)
         assert len(run) == 4
         mid = np.stack([ray(step / 2), ray(step / 2 + np.pi / 2), np.eye(3)[2]], axis=1)
-        run._emit(["complement"], [0], [0], mid[None], np.array([1]))
-        assert run.relations == [("complement", 0, 0, 2)] and len(run) == 4
+        rows = run._emit([COMPLEMENT], [0], [0], mid[None], np.array([1]))
+        assert rows.tolist() == [[COMPLEMENT, 0, 0, 2]] and len(run) == 4
 
 
 class TestDedup:
@@ -602,7 +665,12 @@ class TestDedup:
         assert len(closure([ray(lo), ray(hi)]).elements) == 4
 
 
-GATES = {"meet": lambda a, b: a & b, "join": lambda a, b: a | b, "complement": lambda a, b: 1 - a}
+GATES = {MEET: lambda a, b: a & b, JOIN: lambda a, b: a | b, COMPLEMENT: lambda a, b: 1 - a}
+
+
+def as_table(rows) -> np.ndarray:
+    """Relation rows (op, i, j, k) as the int32 table the search reads."""
+    return np.array(rows, dtype=np.int32).reshape(-1, 4)
 
 
 @st.composite
@@ -612,7 +680,7 @@ def relation_tables(draw):
     n = draw(st.integers(2, 8))
     elem = st.integers(0, n - 1)
     rels = draw(st.lists(st.tuples(st.sampled_from(sorted(GATES)), elem, elem, elem), max_size=12))
-    return n, [(op, i, i if op == "complement" else j, k) for op, i, j, k in rels]
+    return n, as_table([(op, i, i if op == COMPLEMENT else j, k) for op, i, j, k in rels])
 
 
 class TestTwoValuedSearch:
@@ -626,7 +694,7 @@ class TestTwoValuedSearch:
         # every map with element 0 false and element 1 true that keeps the relations,
         # in lexicographic order
         maps = [v for bits in itertools.product((0, 1), repeat=n - 2) for v in [[0, 1, *bits]]
-                if all(v[k] == GATES[op](v[i], v[j]) for op, i, j, k in rels)]
+                if all(v[k] == GATES[op](v[i], v[j]) for op, i, j, k in rels.tolist())]
         found = _two_valued(n, rels, node_cap=None)
         capped = _two_valued(n, rels, node_cap=1)
         if not maps:
@@ -657,7 +725,7 @@ class TestTwoValuedSearch:
         for state in itertools.product((-1, 0, 1), repeat=3):
             fits = [(a, b, c) for (a, b), c in self.TRUTH[op].items()
                     if all(s in (-1, v) for s, v in zip(state, (a, b, c)))]
-            entry = _GATES[op][9 * state[0] + 3 * state[1] + state[2] + 13]
+            entry = _GATES[27 * CODES[op] + 9 * state[0] + 3 * state[1] + state[2]]
             if not fits:
                 assert entry is None, (op, state)
                 continue
@@ -666,14 +734,14 @@ class TestTwoValuedSearch:
             assert entry is not None and dict(entry) == shared, (op, state, entry)
 
     @pytest.mark.parametrize("relation, values", [
-        (("meet", 1, 1, 2), [0, 1, 1]),
-        (("join", 0, 0, 2), [0, 1, 0]),
-        (("complement", 1, 1, 2), [0, 1, 0]),
+        ((MEET, 1, 1, 2), [0, 1, 1]),
+        ((JOIN, 0, 0, 2), [0, 1, 0]),
+        ((COMPLEMENT, 1, 1, 2), [0, 1, 0]),
     ])
     def test_propagation_decides_without_branching(self, relation, values):
-        assert _two_valued(3, [relation], node_cap=1) == values
+        assert _two_valued(3, as_table([relation]), node_cap=1) == values
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # no relation forces anything, so every element past 1 opens a branch
         # and the search runs one branch deep per element
-        assert _two_valued(3000, [], node_cap=None) == [0, 1] + [0] * 2998
+        assert _two_valued(3000, as_table([]), node_cap=None) == [0, 1] + [0] * 2998

@@ -53,6 +53,11 @@ class TestRaySet:
         assert len(rs.rays) == 4
         assert sorted(rs.contexts) == [(0, 1), (2, 3)]
 
+    def test_context_depth_is_not_bounded_by_the_recursion_limit(self):
+        # one context of 1000 rays: the clique search goes 1000 rays deep
+        rs = RaySet.from_vectors(np.eye(1000))
+        assert rs.contexts == (tuple(range(1000)),)
+
     def test_coincident_rays_rejected(self):
         v = np.array([0.6, 0.8], dtype=complex)
         with pytest.raises(ValueError):
