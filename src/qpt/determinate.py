@@ -37,16 +37,15 @@ class ObservableSpec:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate eigenvalue labels")
         n = projs[0].ambient_dim
-        tol = DEFAULT_TOL
-        total = np.zeros((n, n), dtype=np.complex128)
         for s in projs:
             if s.ambient_dim != n:
                 raise DimMismatch(f"ambient dims {n} vs {s.ambient_dim}")
-            total += s.projector()
-        for a, b in itertools.combinations(projs, 2):
-            if float(np.abs(a.projector() @ b.projector()).max()) > tol.eps * n:
-                raise NotResolutionOfIdentity("eigenprojectors are not mutually orthogonal")
-        if float(np.abs(total - np.eye(n)).max()) > tol.eps * n:
+        # B = [B_1 | ... | B_k]: P_a P_b = B_a (B_aᴴ B_b) B_bᴴ, and the sum is B Bᴴ
+        b, eps = np.hstack([s.basis for s in projs]), DEFAULT_TOL.eps * n
+        block = np.repeat(np.arange(len(projs)), [s.rank for s in projs])
+        if np.abs(b.conj().T @ b)[block[:, None] != block].max(initial=0.0) > eps:
+            raise NotResolutionOfIdentity("eigenprojectors are not mutually orthogonal")
+        if float(np.abs(b @ b.conj().T - np.eye(n)).max()) > eps:
             raise NotResolutionOfIdentity("eigenprojectors do not sum to the identity")
 
     @property
@@ -153,7 +152,7 @@ def _ray_masks(d: DeterminateSublattice, v: Subspace,
     if v.ambient_dim != d.ambient_dim:
         raise DimMismatch(f"subspace dim {v.ambient_dim} vs ambient {d.ambient_dim}")
     rays = np.stack([r.vector.amplitudes for r in d.projected_rays], axis=1)
-    kept = v.projector() @ rays
+    kept = v.basis @ (v.basis.conj().T @ rays)
     eps = tol.eps * d.ambient_dim
     inside = np.linalg.norm(kept - rays, axis=0) <= eps
     return inside, bool((inside | (np.linalg.norm(kept, axis=0) <= eps)).all())

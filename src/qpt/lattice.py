@@ -65,11 +65,8 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
-        if not hasattr(self, "_proj"):
-            p = self.basis @ self.basis.conj().T
-            p.setflags(write=False)
-            object.__setattr__(self, "_proj", p)
-        return self._proj
+        """The n x n orthogonal projector B Bᴴ, computed anew on each call."""
+        return self.basis @ self.basis.conj().T
 
     def isclose(self, other: "Subspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         """Identity as subspaces: projector Frobenius distance <= eps * ambient_dim."""

@@ -683,7 +683,11 @@ def chsh_scenario(angles: "tuple[float, float, float, float] | None" = None) -> 
             "dual_route_value",
             expected=closed_form,
             actual=value,
-            tolerance=1e-12,
+            # a - b rounds by up to |a - b| 2^-53 and cos is 1-Lipschitz, so the
+            # closed form is off by up to 2^-53 Σ|a - b|, an error the state-vector
+            # route (cos, sin of each angle) lacks; twice that bounds the gap. Each
+            # term is scaled before the sum, so the sum is finite wherever a - b is
+            tolerance=max(1e-12, sum(2.0**-52 * abs(a - b) for a in (a1, a2) for b in (b1, b2))),
             note="state-vector route against the closed-form correlators",
         ),
         Check(

@@ -61,6 +61,9 @@ INVOCATIONS = [
     "determinate --seed 0 --format json",
     "determinate --dim 4 --seed 5 --format json",
     "determinate --dim 6 --format json",
+    # a 64-label observable; from dim 100 on the report depends on the BLAS
+    # thread count, through the QR that draws the observable's eigenbasis
+    "determinate --dim 64 --format json",
     "teleport --seed 3 --samples 400 --format json",
     "decohere --n-env 3 --format json",
     "dynamics --steps 150 --trajectories 1500 --seed 2 --format json",

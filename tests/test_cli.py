@@ -108,6 +108,14 @@ class TestExitCodes:
         assert out.returncode == 0, out.stdout
         assert "[PASS] defect_closed_form" in out.stdout
 
+    @pytest.mark.parametrize("angles", ["0.1,100000.3,0.7,1.3", "0.1,1000000.3,0.7,1.3",
+                                        "0.1,1e9,0.7,1.3", "0,1e17,0,1", "0,1e308,0,1"])
+    def test_large_angles_pass_the_dual_route_check(self, angles):
+        # the rounding of the closed form's a - b grows with the angles, past 1e-12 here
+        out = run("chsh", "--angles", angles)
+        assert out.returncode == 0, out.stdout
+        assert "[PASS] dual_route_value" in out.stdout
+
     def test_saturated_extension_budget_exits_two(self):
         # budget 64 saturates the closure before a verdict: the budget is too
         # small to decide, which is bad input, not a failed check

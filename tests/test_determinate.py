@@ -31,7 +31,7 @@ from qpt import (
     truth_value,
 )
 from qpt.determinate import _RAY_BLOCK, _distinct_rays
-from qpt.linalg import Tolerance
+from qpt.linalg import DEFAULT_TOL, Tolerance
 from conftest import maximal_observable, random_subspace, random_unitary, random_vector
 
 seeds = st.integers(0, 2**32 - 1)
@@ -64,6 +64,21 @@ class TestObservableSpecChecks:
         tilted = ComplexVector(np.array([1.0, 1.0]) / np.sqrt(2))
         with pytest.raises(NotResolutionOfIdentity, match="orthogonal"):
             ObservableSpec(("a", "b"), (Subspace.ray(basis_vector(2, 0)), Subspace.ray(tilted)))
+
+    @pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+    def test_orthogonality_is_read_from_the_overlaps(self, factor, accepted):
+        # rays of C^3 spread over every coordinate (|entries| = 1/sqrt(3)),
+        # the second tilted toward the first so that |<a, b>| = factor * eps * n
+        q = np.fft.fft(np.eye(3)) / np.sqrt(3)
+        delta = factor * DEFAULT_TOL.eps * 3
+        tilted = np.sqrt(1 - delta**2) * q[:, 1] + delta * q[:, 0]
+        rays = tuple(Subspace.ray(ComplexVector(v)) for v in (q[:, 0], tilted, q[:, 2]))
+        assert abs(np.vdot(rays[0].basis, rays[1].basis)) == pytest.approx(delta, rel=1e-6)
+        if accepted:
+            ObservableSpec(("a", "b", "c"), rays)
+        else:
+            with pytest.raises(NotResolutionOfIdentity, match="orthogonal"):
+                ObservableSpec(("a", "b", "c"), rays)
 
     def test_eigenprojectors_must_sum_to_identity(self):
         with pytest.raises(NotResolutionOfIdentity, match="identity"):
@@ -417,3 +432,18 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert count == m
         assert peak < 3 * _RAY_BLOCK * m * 16
+
+    def test_observable_keeps_no_projector_per_label(self):
+        """A 64-label observable and its determinate sublattice, built under
+        ``tracemalloc``, peak well below one n x n complex array per label
+        (k n^2 16 bytes = 4 MiB): each projector is a transient."""
+        n = 64
+        psi = ComplexVector(np.ones(n) / np.sqrt(n))
+        tracemalloc.start()
+        try:
+            d = build_determinate(psi, ObservableSpec.from_eigenbasis(np.eye(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.projected_rays) == n
+        assert peak < n * n * n * 16 / 4

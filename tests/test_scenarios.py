@@ -200,6 +200,19 @@ class TestChsh:
             return  # coincident rays on one side
         assert rep.all_passed, rep.render_text()
 
+    def test_dual_route_tolerance_bounds_the_gap_at_large_angles(self):
+        # angle magnitudes log-uniform up to 1e12: the two routes stay within
+        # the tolerance, which overstates the worst gap by less than 10x
+        rng = np.random.default_rng(0)
+        ratios = []
+        for _ in range(100):
+            angles = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3, 12, 4)
+            by = {c.name: c for c in chsh_scenario(tuple(angles.tolist())).checks}
+            check = by["dual_route_value"]
+            assert check.passed, check
+            ratios.append(abs(check.actual - check.expected) / check.tolerance)
+        assert 0.1 < max(ratios) <= 1.0
+
     def test_another_chsh_sum_above_two_expects_no_local_model(self):
         # the reported sum is 1.732, but |Σ − 2E_11| is 2.218
         rep = chsh_scenario((0.0, 0.3, 0.2, 1.1))
