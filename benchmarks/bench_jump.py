@@ -6,7 +6,9 @@ matrices (printing the time of ``_transition_cumulatives`` and its
 ``jump_process`` makes (one walker over every step) and the ``tracemalloc``
 peak of the ensemble walk (the largest ``--walkers`` count at the sample
 indices below), and times ``sample_paths`` (best of ``--repeat``) for a few
-trajectory counts:
+trajectory counts, twice: walked as one part (``_usable_cpus`` set to 1)
+and with the default part count (the CPUs this process may use, shown in
+the ``CPUs`` column; only a two-label walk splits into parts):
 
 - ``rabi``: a two-level Rabi period (k = 2), where each step compares all
   uniforms with two scalar thresholds and selects each walker's bit;
@@ -28,6 +30,7 @@ import tracemalloc
 
 import numpy as np
 
+from qpt import _kernels
 from qpt._kernels import sample_paths
 from qpt.determinate import ObservableSpec
 from qpt.dynamics import (
@@ -115,12 +118,20 @@ def time_kernel(
     seed: int,
     repeat: int,
     sample_idx: np.ndarray,
+    cpus: int,
 ) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        sample_paths(cum, p0, walkers, seed, sample_idx)
-        best = min(best, time.perf_counter() - t0)
+    """Best time of ``repeat`` ``sample_paths`` calls, walked as if the
+    process could use ``cpus`` CPUs."""
+    usable = _kernels._usable_cpus
+    _kernels._usable_cpus = lambda: cpus
+    try:
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            sample_paths(cum, p0, walkers, seed, sample_idx)
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        _kernels._usable_cpus = usable
     return best
 
 
@@ -133,7 +144,8 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"steps={args.steps}  repeat={args.repeat}  seed={args.seed}")
-    print(f"{'chain':>6}  {'labels':>6}  {'walkers':>10}  {'time (s)':>10}  {'walker-steps/s':>14}")
+    print(f"{'chain':>6}  {'labels':>6}  {'walkers':>10}  {'CPUs':>4}  {'time (s)':>10}  "
+          f"{'walker-steps/s':>14}")
     chains = (("rabi", rabi_spec(args.steps)), ("dim6", dim6_spec(args.steps, args.seed)))
     for name, chain in chains:
         cum, p0, sample_idx, build_s, peak = build_inputs(*chain)
@@ -148,8 +160,10 @@ def main() -> None:
         print(f"{name:>6}  ensemble walk {most} walkers, tracemalloc peak "
               f"{ens_peak / 2**20:.2f} MiB (out {out_nbytes / 2**20:.2f} MiB)")
         for n in args.walkers:
-            t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx)
-            print(f"{name:>6}  {k:>6}  {n:>10}  {t:>10.4f}  {n * args.steps / t:>14.3g}")
+            for cpus in (1, _kernels._usable_cpus()):
+                t = time_kernel(cum, p0, n, args.seed, args.repeat, sample_idx, cpus)
+                print(f"{name:>6}  {k:>6}  {n:>10}  {cpus:>4}  {t:>10.4f}  "
+                      f"{n * args.steps / t:>14.3g}")
 
 
 if __name__ == "__main__":

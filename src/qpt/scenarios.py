@@ -474,10 +474,40 @@ def decoherence_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _ratio(n: int, m: int) -> float:
-    """(E_n - E_{n-m}) / (m * orbital frequency at n), E_n = -1/n^2."""
+#: ``correspond`` sweeps the level numbers this many at a time, so its
+#: memory does not grow with n_max
+_N_BLOCK = 1 << 16
+
+
+def _ratio(n, m: int):
+    """(E_n - E_{n-m}) / (m * orbital frequency at n), E_n = -1/n^2.
+
+    ``n`` is an int or a float64 array of level numbers.  On an array each
+    operation rounds as it does on Python ints while n^2 < 2^53 (n up to
+    94,906,265): n - m, (n - m)^2 and n^2 are exact doubles, and
+    ``n * n * n`` rounds the exact n^3 once, as ``float(n**3)`` does."""
     nu = 1.0 / (n - m) ** 2 - 1.0 / n**2
-    return nu / (m * 2.0 / n**3)
+    return nu / (m * 2.0 / (n * n * n))
+
+
+def _defect_maxima(n_max: int) -> "tuple[float, float, float]":
+    """The worst |ratio - closed-form defect| over 2 <= n <= n_max and
+    m <= min(3, n - 1), and the worst |ratio - 1| (n - 3) / (2m) over
+    10 <= n <= n_max, for m = 1 and for every m <= 3 (0.0 where no n is
+    that large).  Each m sweeps its level numbers in blocks of ``_N_BLOCK``
+    with the arithmetic of ``_ratio``."""
+    worst_form, worst_scaled = 0.0, []
+    for m in (1, 2, 3):
+        worst = 0.0
+        for lo in range(m + 1, n_max + 1, _N_BLOCK):
+            n = np.arange(lo, min(lo + _N_BLOCK, n_max + 1), dtype=np.float64)
+            r = _ratio(n, m)
+            form = 1.0 + m * (3 * n - 2 * m) / (2.0 * (n - m) ** 2)
+            worst_form = max(worst_form, float(np.abs(r - form).max()))
+            r, n = r[max(0, 10 - lo):], n[max(0, 10 - lo):]
+            worst = max(worst, float((np.abs(r - 1.0) * (n - 3) / (2.0 * m)).max(initial=0.0)))
+        worst_scaled.append(worst)
+    return worst_form, worst_scaled[0], max(worst_scaled)
 
 
 def correspondence_scenario(n_max: int = 100) -> ScenarioReport:
@@ -495,11 +525,7 @@ def correspondence_scenario(n_max: int = 100) -> ScenarioReport:
     ]
 
     # dual route: direct difference vs closed-form defect m(3n-2m)/(2(n-m)^2)
-    worst_form = 0.0
-    for n in range(2, n_max + 1):
-        for m in range(1, min(3, n - 1) + 1):
-            form = 1.0 + m * (3 * n - 2 * m) / (2.0 * (n - m) ** 2)
-            worst_form = max(worst_form, abs(_ratio(n, m) - form))
+    worst_form, worst_m1, worst_scaled = _defect_maxima(n_max)
 
     anchor = _ratio(2, 1)
     defect_n_max = max(abs(_ratio(n_max, m) - 1.0) for m in range(1, min(3, n_max - 1) + 1))
@@ -521,12 +547,6 @@ def correspondence_scenario(n_max: int = 100) -> ScenarioReport:
         ),
     ]
     if n_max >= 10:
-        worst_m1 = max(abs(_ratio(n, 1) - 1.0) * (n - 3) / 2.0 for n in range(10, n_max + 1))
-        worst_scaled = max(
-            abs(_ratio(n, m) - 1.0) * (n - 3) / (2.0 * m)
-            for n in range(10, n_max + 1)
-            for m in (1, 2, 3)
-        )
         checks.append(
             Check(
                 "single_step_bound",

@@ -13,6 +13,10 @@ repository root: it imports ``qpt.cli`` once and calls ``qpt.cli.main`` for
 each, in order, with ``{tsv}`` replaced by a temporary file.  It also
 records which scipy modules are loaded after ``import qpt`` and after each
 invocation; ``chsh``, the one subcommand that needs scipy, runs last.
+Where an environment sets ``PINNED_BYTES_CPUS`` (a variable of this runner
+only; qpt reads none), the interpreter first restricts itself to that many
+of the CPUs it may use, before numpy loads, and the record says how many
+CPUs the sampler saw.
 
 Run as a script, ``python tests/pinned_bytes.py`` measures the checkout's
 ``src`` under the first of ``ENVIRONMENTS``, rewrites ``pinned_bytes.json``
@@ -76,6 +80,9 @@ INVOCATIONS = [
 #: the environments the table must hold under.  Together they vary the BLAS
 #: thread count and the hash seed; the second also sets a stray ``QPT_EPS``,
 #: which must change nothing, since ``--eps`` is the only tolerance route.
+#: The third runs on one CPU, so a two-label walk that splits into one part
+#: per CPU elsewhere walks as one part there (and OpenBLAS caps its threads
+#: at that one CPU).
 ENVIRONMENTS = {
     "1 BLAS thread, PYTHONHASHSEED=0": {
         "OPENBLAS_NUM_THREADS": "1",
@@ -87,6 +94,12 @@ ENVIRONMENTS = {
         "OMP_NUM_THREADS": "2",
         "PYTHONHASHSEED": "1",
         "QPT_EPS": "abc",
+    },
+    "1 CPU, 3 BLAS threads asked, PYTHONHASHSEED=2": {
+        "PINNED_BYTES_CPUS": "1",
+        "OPENBLAS_NUM_THREADS": "3",
+        "OMP_NUM_THREADS": "3",
+        "PYTHONHASHSEED": "2",
     },
 }
 
@@ -100,6 +113,9 @@ def _child() -> None:
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
     invocations, tsv = json.loads(sys.argv[1]), sys.argv[2]
+    cpus = os.environ.get("PINNED_BYTES_CPUS")
+    if cpus and hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(cpus)])
     import qpt
 
     scipy = {"import qpt": scipy_modules()}
@@ -114,7 +130,8 @@ def _child() -> None:
         if "{tsv}" in key:
             sha256[f"{{tsv}} of {key}"] = hashlib.sha256(Path(tsv).read_bytes()).hexdigest()
         scipy[key] = scipy_modules()
-    print(json.dumps({"sha256": sha256, "exit": exits, "scipy": scipy}))
+    usable_cpus = qpt._kernels._usable_cpus()
+    print(json.dumps({"sha256": sha256, "exit": exits, "scipy": scipy, "usable_cpus": usable_cpus}))
 
 
 def measure(env: "dict[str, str]") -> dict:
@@ -123,8 +140,9 @@ def measure(env: "dict[str, str]") -> dict:
 
     Returns the interpreter's ``returncode`` and ``stderr`` and, when it ran
     to the end, ``sha256`` (key -> hash), ``exit`` (invocation -> exit code)
-    and ``scipy`` (``"import qpt"`` and then each invocation, in run order
-    -> the scipy modules loaded by then)."""
+    ``scipy`` (``"import qpt"`` and then each invocation, in run order
+    -> the scipy modules loaded by then) and ``usable_cpus`` (the CPU count
+    that set the sampler's part count)."""
     pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     child = f"import sys; sys.path.insert(0, {str(HERE)!r}); import pinned_bytes; pinned_bytes._child()"
     with tempfile.TemporaryDirectory() as tmp:

@@ -353,6 +353,21 @@ class TestDeterminism:
         ):
             assert set(_pinned_hashes(pinned_runs, key).values()) == {table[key]}, key
 
+    def test_sampler_part_count_leaves_bytes_unchanged(self, pinned_runs):
+        # the default dynamics run walks 20,000 walkers on two labels, which
+        # split into one part per usable CPU: one part in the one-CPU
+        # environment, more wherever this machine has more CPUs
+        cpus = {name: run.get("usable_cpus") for name, run in pinned_runs.items()}
+        if hasattr(os, "sched_setaffinity"):
+            assert 1 in cpus.values(), cpus
+        if _kernels._usable_cpus() > 1:
+            assert max(cpus.values()) > 1, cpus
+        table = pinned_bytes.load()
+        for key in ("dynamics --format json", "dynamics --trajectory-out {tsv}"):
+            assert set(_pinned_hashes(pinned_runs, key).values()) == {table[key]}, key
+        tsv = "{tsv} of dynamics --trajectory-out {tsv}"
+        assert {run["sha256"][tsv] for run in pinned_runs.values()} == {table[tsv]}
+
     def test_every_subcommand_is_pinned_in_text_and_json(self):
         forms = {name: set() for name in _subcommands()}
         for key in pinned_bytes.load():

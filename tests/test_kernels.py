@@ -7,6 +7,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,72 @@ class TestDrawBlocks:
         assert np.array_equal(paths[0][1][idx], paths[0][0])
 
 
+class TestParts:
+    """A two-label walk splits its chunks into one part per usable CPU, each
+    walked in a thread of its own; neither the part count nor where a part
+    or its draw blocks end moves a path."""
+
+    @pytest.mark.parametrize("block_doubles", [1, 7 * CHUNK, BLOCK_DOUBLES])
+    @pytest.mark.parametrize("n_walkers", [CHUNK - 3, 2 * CHUNK, 2 * CHUNK + 1, 10 * CHUNK - 5])
+    def test_part_count_moves_no_path(self, monkeypatch, block_doubles, n_walkers):
+        # chunk counts 1, 2, 3 and 10, the last two with a short last chunk;
+        # the full grid samples every row, the rows that end blocks included
+        steps = 20
+        ties = first_chunk_uniforms(n_walkers, steps, 5)
+        cum, p0 = stay_heavy_cumulatives(steps, 2, np.random.default_rng(6), ties)
+        idx = full_grid(steps)
+        monkeypatch.setattr(_kernels, "BLOCK_DOUBLES", block_doubles)
+        paths = {}
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_usable_cpus", lambda parts=parts: parts)
+            paths[parts] = sample_paths(cum, p0, n_walkers, 5, idx)
+        assert np.array_equal(paths[1], paths[2]) and np.array_equal(paths[1], paths[3])
+        if n_walkers == 2 * CHUNK + 1:
+            assert np.array_equal(paths[1], reference_paths(cum, p0, n_walkers, 5, idx))
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_two_labels_split_into_one_thread_per_part(self, monkeypatch, k):
+        threads = set()
+        fill = _kernels._fill
+
+        def spy(gen, slab, c):
+            threads.add(threading.get_ident())
+            fill(gen, slab, c)
+
+        monkeypatch.setattr(_kernels, "_fill", spy)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
+        cum, p0 = random_cumulatives(10, k, np.random.default_rng(k))
+        sample_paths(cum, p0, 3 * CHUNK, 1, full_grid(10))
+        # three chunks make at most three parts; k != 2 walks as one part
+        assert len(threads) == (3 if k == 2 else 1)
+        assert threading.get_ident() in threads
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_failing_part_raises_stops_the_others_and_leaves_no_thread(self, monkeypatch,
+                                                                          where):
+        # one row per block: each part would draw 20,001 blocks; the parts
+        # that did not fail stop at their next block instead
+        steps, fills = 20000, {"caller": 0, "worker": 0}
+        fill = _kernels._fill
+
+        def failing(gen, slab, c):
+            mine = "caller" if threading.current_thread() is threading.main_thread() else "worker"
+            if mine == where:
+                raise RuntimeError(f"{where} part failed")
+            fills[mine] += 1
+            fill(gen, slab, c)
+
+        monkeypatch.setattr(_kernels, "_fill", failing)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(_kernels, "BLOCK_DOUBLES", 1)
+        cum, p0 = random_cumulatives(steps, 2, np.random.default_rng(0))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} part failed"):
+            sample_paths(cum, p0, 3 * CHUNK, 1, np.array([steps]))
+        assert threading.active_count() == before
+        assert fills[where] == 0 and fills["caller" if where == "worker" else "worker"] < steps // 2
+
+
 class TestDeterminismAndShape:
     def test_same_seed_same_paths(self):
         rng = np.random.default_rng(0)
@@ -486,6 +553,14 @@ class TestBenchmarkScript:
         assert "_transition_cumulatives" in out.stdout and "tracemalloc peak" in out.stdout
         assert out.stdout.count("jump_process walk") == 2  # one line per chain
         assert out.stdout.count("ensemble walk 100 walkers, tracemalloc peak") == 2
+        # each chain times its walker count twice: as one part, and with one
+        # part per CPU this process may use (the script inherits its affinity)
+        timed = [line.split() for line in out.stdout.splitlines()
+                 if len(line.split()) == 6 and line.split()[2] == "100"]
+        cpus = str(_kernels._usable_cpus())
+        assert [(row[0], row[3]) for row in timed] == [
+            ("rabi", "1"), ("rabi", cpus), ("dim6", "1"), ("dim6", cpus)], out.stdout
+        assert all(float(row[5]) > 0 for row in timed)
 
     def test_bench_closure_runs(self):
         out = run_script("benchmarks/bench_closure.py", "--repeat", "1")

@@ -160,6 +160,37 @@ class TestCorrespondence:
         with pytest.raises(ValueError):
             correspondence_scenario(n_max=2)
 
+    @staticmethod
+    def scalar_maxima(n_max: int) -> "tuple[float, float, float]":
+        """``_defect_maxima`` as Python loops over ints, one n at a time."""
+        ratio = qpt.scenarios._ratio
+        worst_form = 0.0
+        for n in range(2, n_max + 1):
+            for m in range(1, min(3, n - 1) + 1):
+                form = 1.0 + m * (3 * n - 2 * m) / (2.0 * (n - m) ** 2)
+                worst_form = max(worst_form, abs(ratio(n, m) - form))
+        tail = range(10, n_max + 1)
+        worst_m1 = max((abs(ratio(n, 1) - 1.0) * (n - 3) / 2.0 for n in tail), default=0.0)
+        worst_scaled = max((abs(ratio(n, m) - 1.0) * (n - 3) / (2.0 * m)
+                            for n in tail for m in (1, 2, 3)), default=0.0)
+        return worst_form, worst_m1, worst_scaled
+
+    @pytest.mark.parametrize("block", [1, 7, 64, qpt.scenarios._N_BLOCK])
+    @pytest.mark.parametrize("n_max", [3, 4, 9, 10, 11, 16, 71, 2000])
+    def test_block_sweep_equals_the_scalar_route(self, monkeypatch, block, n_max):
+        monkeypatch.setattr(qpt.scenarios, "_N_BLOCK", block)
+        assert qpt.scenarios._defect_maxima(n_max) == self.scalar_maxima(n_max)
+
+    def test_ratio_of_an_array_rounds_as_python_ints_do(self):
+        # up to n = 94,906,265, the last n with n^2 < 2^53, every step of the
+        # array route rounds as the int route does, n^3 included
+        rng = np.random.default_rng(0)
+        n = np.concatenate([np.arange(4, 200), [208063, 208064, 2**21, 2**21 + 1, 94906265],
+                            rng.integers(4, 94906266, size=2000)])
+        for m in (1, 2, 3):
+            scalar = [qpt.scenarios._ratio(int(x), m) for x in n]
+            assert qpt.scenarios._ratio(n.astype(np.float64), m).tolist() == scalar
+
 
 class TestKs:
     def test_uncolorable_fixture_reports_its_core(self):
