@@ -3,7 +3,9 @@
 Times, best of ``--repeat``:
 
 - ``find_assignment`` on the bundled ks18-d4 and ks33-d3 ray sets, each an
-  uncolourable set whose search also extracts a deletion-minimal core;
+  uncolourable set whose search also extracts a deletion-minimal core, and
+  on the standard bases of C^100 and C^300 (one context each), beside the
+  rows of the relation table it searches first, over every context;
 - ``_two_valued`` on the last relation table that ``extend_and_check``
   searches for the (4, 1) maximality probe of ``bench_closure.py`` (seed
   ``SEED``, budget 512), trying 0 before 1 as every search does, under the
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from bench_closure import SEED, probe_generators
 
-from qpt import RaySet, find_assignment
+from qpt import RaySet, find_assignment, nogo
 from qpt.lattice import _ClosureRun, _two_valued
 from qpt.linalg import DEFAULT_TOL
 from qpt.nogo import ChshSetting, correlation_table, local_map_search, setting_ray_sets, singlet
@@ -40,6 +42,23 @@ def best_of(fn, repeat: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def relation_rows(rs: RaySet) -> int:
+    """Rows of the relation table that ``find_assignment`` searches first,
+    the one over every context of ``rs``."""
+    seen = []
+
+    def spy(n, relations, node_cap):
+        seen.append(len(relations))
+        return _two_valued(n, relations, node_cap)
+
+    nogo._two_valued = spy
+    try:
+        nogo._assign(rs, range(len(rs.contexts)))
+    finally:
+        nogo._two_valued = _two_valued
+    return seen[0]
 
 
 def final_relations(seed: int) -> tuple[int, np.ndarray]:
@@ -58,13 +77,15 @@ def main() -> None:
     args = ap.parse_args()
 
     print(f"repeat={args.repeat}  seed={SEED}")
-    print("find_assignment, bundled fixtures")
-    print(f"{'fixture':>8}  {'rays':>4}  {'contexts':>8}  {'result':>12}  {'time (ms)':>9}")
-    for name in ("ks18-d4", "ks33-d3"):
-        rs = RaySet.from_file(FIXTURES / f"{name}.rays")
+    print("find_assignment, bundled fixtures and standard bases")
+    print(f"{'ray set':>8}  {'rays':>4}  {'contexts':>8}  {'relations':>9}  {'result':>12}  {'time (ms)':>9}")
+    ray_sets = {name: RaySet.from_file(FIXTURES / f"{name}.rays") for name in ("ks18-d4", "ks33-d3")}
+    ray_sets.update({f"e{d}": RaySet.from_vectors(list(np.eye(d))) for d in (100, 300)})
+    for name, rs in ray_sets.items():
         result = type(find_assignment(rs)).__name__
         t = best_of(lambda: find_assignment(rs), args.repeat)
-        print(f"{name:>8}  {len(rs.rays):>4}  {len(rs.contexts):>8}  {result:>12}  {t * 1e3:>9.3f}")
+        print(f"{name:>8}  {len(rs.rays):>4}  {len(rs.contexts):>8}  {relation_rows(rs):>9}  "
+              f"{result:>12}  {t * 1e3:>9.3f}")
 
     print("two-valued search, last relation table of the (4, 1) extension probe")
     print(f"{'elements':>8}  {'relations':>9}  {'result':>8}  {'time (ms)':>9}")

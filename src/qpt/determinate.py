@@ -3,6 +3,7 @@ construction, analytic membership, property states (2-valued homomorphisms),
 Born-measure verification, and the extension/contradiction check."""
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -97,6 +98,16 @@ class DeterminateSublattice:
     def ambient_dim(self) -> int:
         return self.psi.dim
 
+    @functools.cached_property
+    def _rays(self) -> np.ndarray:
+        """The projected rays as the columns of one (n, m) array."""
+        return np.stack([r.vector.amplitudes for r in self.projected_rays], axis=1)
+
+    @functools.cached_property
+    def _complement_psi(self) -> np.ndarray:
+        """P_K·psi, the state's component in the complement block."""
+        return self.complement.projector() @ self.psi.amplitudes
+
     def generators(self) -> list[Subspace]:
         """Lattice generators: one ray per projection plus the K block."""
         gens = [Subspace.ray(r.vector) for r in self.projected_rays]
@@ -146,16 +157,24 @@ def _ray_masks(d: DeterminateSublattice, v: Subspace,
                tol: Tolerance) -> tuple[np.ndarray, bool]:
     """Which projected rays lie in v (``|P_v r - r| <= eps * n``), and whether
     v is a member: every ray lies in v or is orthogonal to it
-    (``|P_v r| <= eps * n``). That suffices, since P_v then commutes with each
-    ray's projector R_i, so P_v = sum of the inside R_i + P_v P_K, and P_v P_K
-    projects onto v meet K."""
+    (``|Bᴴ r| <= eps * n`` for v's orthonormal basis B, as ``|P_v r| = |Bᴴ r|``).
+    That suffices, since P_v then commutes with each ray's projector R_i, so
+    P_v = sum of the inside R_i + P_v P_K, and P_v P_K projects onto v meet K.
+
+    Residuals are formed only for the rays not orthogonal to v. The rays are
+    orthonormal, so at most rank(v) of them lie in v: with more left, v is no
+    member. Testing "inside" as ``1 - |Bᴴ r|² <= (eps * n)²`` instead would
+    subtract numbers of order 1 to find one of order eps², lost to rounding."""
     if v.ambient_dim != d.ambient_dim:
         raise DimMismatch(f"subspace dim {v.ambient_dim} vs ambient {d.ambient_dim}")
-    rays = np.stack([r.vector.amplitudes for r in d.projected_rays], axis=1)
-    kept = v.basis @ (v.basis.conj().T @ rays)
+    o = v.basis.conj().T @ d._rays
     eps = tol.eps * d.ambient_dim
-    inside = np.linalg.norm(kept - rays, axis=0) <= eps
-    return inside, bool((inside | (np.linalg.norm(kept, axis=0) <= eps)).all())
+    near = np.flatnonzero(np.linalg.norm(o, axis=0) > eps)
+    inside = np.zeros(len(d.projected_rays), dtype=bool)
+    if len(near) > v.rank:
+        return inside, False
+    inside[near] = np.linalg.norm(v.basis @ o[:, near] - d._rays[:, near], axis=0) <= eps
+    return inside, bool(inside[near].all())
 
 
 def contains(d: DeterminateSublattice, v: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -217,7 +236,7 @@ def born_check(
     measure = sum((r.weight for r, i in zip(d.projected_rays, inside.tolist()) if i), 0.0)
     amps, pv = d.psi.amplitudes, v.projector()
     born = float(np.real(np.vdot(amps, pv @ amps)))
-    born -= float(np.real(np.vdot(amps, pv @ (d.complement.projector() @ amps))))
+    born -= float(np.real(np.vdot(amps, pv @ d._complement_psi)))
     return BornProbabilities(measure_prob=measure, born_prob=born)
 
 

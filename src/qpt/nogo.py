@@ -146,23 +146,26 @@ def _assign(rs: RaySet, chosen) -> "tuple[int, ...] | None":
     """The lexicographically first assignment (0 preferred) under the contexts
     ``chosen`` (indices into ``rs.contexts``), or None: the first two-valued
     homomorphism of relations over the rays of those contexts, elements 2, 3,
-    ... in ray order. Each orthogonal pair of them meets in element 0 (the
-    zero element), and each context's rays join to element 1 (the full
-    element) through a chain of partial-span elements, so a context holds
-    exactly one ray valued 1. Rays outside the contexts carry no constraint
-    and are reported 0."""
+    ... in ray order. Each context is one chain of partial spans (Sinz's
+    sequential counter): each further ray meets the span so far in element 0
+    (the zero element) and joins it to the next, the last being element 1
+    (the full element), so a context holds exactly one ray valued 1. Other
+    orthogonal pairs meet in element 0. Rays outside the contexts carry no
+    constraint and are reported 0."""
     contexts = [rs.contexts[ci] for ci in chosen]
     live = sorted({i for ctx in contexts for i in ctx})
     elem = {ray: e for e, ray in enumerate(live, start=2)}
-    pairs = np.argwhere(np.triu(rs._orth[np.ix_(live, live)], 1)) + 2
-    rels = [(MEET, i, j, 0) for i, j in pairs.tolist()]
-    n = 2 + len(live)
+    orth = rs._orth[np.ix_(live, live)]
+    rels, n = [], 2 + len(live)
     for ctx in contexts:
+        at = [elem[ray] - 2 for ray in ctx]
+        orth[np.ix_(at, at)] = False  # its chain already excludes these pairs
         span = elem[ctx[0]]
         for ray in ctx[1:-1]:
-            rels.append((JOIN, span, elem[ray], n))
+            rels += [(MEET, span, elem[ray], 0), (JOIN, span, elem[ray], n)]
             span, n = n, n + 1
-        rels.append((JOIN, span, elem[ctx[-1]], 1))
+        rels += [(MEET, span, elem[ctx[-1]], 0), (JOIN, span, elem[ctx[-1]], 1)]
+    rels += [(MEET, i, j, 0) for i, j in (np.argwhere(np.triu(orth, 1)) + 2).tolist()]
     vals = _two_valued(n, np.array(rels, dtype=np.int32).reshape(-1, 4), node_cap=None)
     if vals is False:
         return None

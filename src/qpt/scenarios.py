@@ -620,14 +620,10 @@ def ks_scenario(path, *, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
                         note="the witness contexts alone already admit no assignment"),
         )
     else:
-        per_context_ok = all(
-            sum(result.values[i] for i in ctx) == 1 for ctx in rs.contexts
-        )
-        no_orth_pair = all(
-            not (result.values[i] and result.values[j] and rs.orthogonal(i, j))
-            for i in range(len(rs.rays))
-            for j in range(i + 1, len(rs.rays))
-        )
+        true = np.array(result.values, dtype=bool)
+        contexts = np.array(rs.contexts, dtype=int).reshape(-1, rs.dim)
+        per_context_ok = bool((true[contexts].sum(axis=1) == 1).all())
+        no_orth_pair = not rs._orth[np.ix_(true, true)].any()
         quantities.append(Quantity("assignment", list(result.values)))
         checks = (
             exact_check("one_per_context", True, per_context_ok,
@@ -859,7 +855,7 @@ def determinate_scenario(
     for r in d.projected_rays:
         bp = born_check(d, Subspace.ray(r.vector), tol)
         born_err = max(born_err, abs(bp.measure_prob - bp.born_prob))
-    leak = float(np.linalg.norm(d.complement.projector() @ d.psi.amplitudes))
+    leak = float(np.linalg.norm(d._complement_psi))
 
     checks = (
         close_check("probabilities_sum_to_one", expected=1.0, actual=total, tolerance=1e-10),

@@ -9,8 +9,10 @@ measures them.
   under the key ``"{tsv} of <key>"``.
 
 ``measure`` runs every invocation in one fresh interpreter started from the
-repository root: it imports ``qpt.cli`` once and calls ``qpt.cli.main`` for
-each, in order, with ``{tsv}`` replaced by a temporary file.  It also
+repository root: it calls ``qpt.__main__.main``, the entry of ``python -m
+qpt`` and of the console script, for each, in order, with ``{tsv}`` replaced
+by a temporary file. So the first call sets the CLI's one BLAS thread before
+numpy loads, as a ``qpt`` process does.  It also
 records which scipy modules are loaded after ``import qpt`` and after each
 invocation; ``chsh``, the one subcommand that needs scipy, runs last.
 Where an environment sets ``PINNED_BYTES_CPUS`` (a variable of this runner
@@ -65,9 +67,12 @@ INVOCATIONS = [
     "determinate --seed 0 --format json",
     "determinate --dim 4 --seed 5 --format json",
     "determinate --dim 6 --format json",
-    # a 64-label observable; from dim 100 on the report depends on the BLAS
-    # thread count, through the QR that draws the observable's eigenbasis
+    # a 64- and a 200-label observable; from dim 100 on, the QR that draws
+    # the observable's eigenbasis rounds differently on two BLAS threads, so
+    # the dim-200 key holds in every environment only through the entry's
+    # one-thread setting
     "determinate --dim 64 --format json",
+    "determinate --dim 200 --format json",
     "teleport --seed 3 --samples 400 --format json",
     "decohere --n-env 3 --format json",
     "dynamics --steps 150 --trajectories 1500 --seed 2 --format json",
@@ -78,8 +83,9 @@ INVOCATIONS = [
 ]
 
 #: the environments the table must hold under.  Together they vary the BLAS
-#: thread count and the hash seed; the second also sets a stray ``QPT_EPS``,
-#: which must change nothing, since ``--eps`` is the only tolerance route.
+#: thread count asked for, which the entry overrides with one, and the hash
+#: seed; the second also sets a stray ``QPT_EPS``, which must change nothing,
+#: since ``--eps`` is the only tolerance route.
 #: The third runs on one CPU, so a two-label walk that splits into one part
 #: per CPU elsewhere walks as one part there (and OpenBLAS caps its threads
 #: at that one CPU).
@@ -119,13 +125,13 @@ def _child() -> None:
     import qpt
 
     scipy = {"import qpt": scipy_modules()}
-    import qpt.cli
+    import qpt.__main__
 
     sha256, exits = {}, {}
     for key in invocations:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            exits[key] = qpt.cli.main([arg.format(tsv=tsv) for arg in key.split()])
+            exits[key] = qpt.__main__.main([arg.format(tsv=tsv) for arg in key.split()])
         sha256[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
         if "{tsv}" in key:
             sha256[f"{{tsv}} of {key}"] = hashlib.sha256(Path(tsv).read_bytes()).hexdigest()

@@ -349,6 +349,9 @@ class TestDeterminism:
         for key in (
             "decohere --n-env 3 --format json",
             "determinate --dim 6 --format json",
+            # differs between one and two BLAS threads unless the entry
+            # overrides the thread count asked for
+            "determinate --dim 200 --format json",
             "ks --rays src/qpt/fixtures/ks33-d3.rays --format json",
         ):
             assert set(_pinned_hashes(pinned_runs, key).values()) == {table[key]}, key
@@ -499,6 +502,22 @@ LAZY_IMPORT_SCRIPTS = {
         "else:\n"
         "    raise AssertionError('import error swallowed')\n"
     ),
+    "cli_import_changes_no_environment": (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import qpt.cli, qpt.__main__\n"
+        "assert dict(os.environ) == before\n"
+    ),
+    "entry_sets_one_blas_thread_before_numpy_loads": (
+        "import contextlib, io, os, sys\n"
+        "import qpt.__main__ as entry\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "assert 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert entry.main(['epr']) == 0\n"
+        "for var in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+        "    assert os.environ[var] == '1', var\n"
+    ),
     "replaced_function_is_read_afresh": (
         "import qpt, qpt.lattice as home\n"
         "original = home.meet\n"
@@ -522,6 +541,10 @@ class TestColdStart:
             cwd=REPO,
         )
         assert out.returncode == 0, out.stderr
+
+    def test_console_script_enters_like_python_dash_m(self):
+        scripts = (REPO / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+        assert scripts.split("\n\n")[0] == 'qpt = "qpt.__main__:main"'
 
     def test_star_import_binds_every_public_name_from_its_home(self):
         import qpt

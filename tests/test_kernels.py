@@ -578,6 +578,13 @@ class TestBenchmarkScript:
     def test_bench_nogo_runs(self):
         out = run_script("benchmarks/bench_nogo.py", "--repeat", "1")
         assert out.returncode == 0, out.stderr
-        assert "find_assignment, bundled fixtures" in out.stdout
+        assert "find_assignment, bundled fixtures and standard bases" in out.stdout
+        rows = {line.split()[0]: line.split() for line in out.stdout.splitlines()
+                if line.split()[:1] in (["ks18-d4"], ["ks33-d3"], ["e100"], ["e300"])}
+        # one context of d rays: a chain of d - 1 meet and d - 1 join rows
+        assert rows["e100"][1:5] == ["100", "1", "198", "Assignment"]
+        assert rows["e300"][1:5] == ["300", "1", "598", "Assignment"]
+        assert rows["ks18-d4"][4] == rows["ks33-d3"][4] == "NoAssignment"
+        assert all(float(row[5]) > 0 for row in rows.values())
         assert "two-valued search, last relation table of the (4, 1) extension probe" in out.stdout
         assert "local_map_search, singlet tables" in out.stdout

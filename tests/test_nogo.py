@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -34,7 +37,8 @@ from qpt import (
     singlet,
     spin_observable,
 )
-from qpt.nogo import FEASIBILITY_TOL, _dim_cliques, _local_strategies
+from qpt.lattice import JOIN, MEET, _two_valued
+from qpt.nogo import FEASIBILITY_TOL, _assign, _dim_cliques, _local_strategies
 from conftest import random_unitary
 
 FIXTURES = Path(qpt.__file__).resolve().parent / "fixtures"
@@ -259,6 +263,93 @@ class TestFindAssignment:
         rs = RaySet.from_file(FIXTURES / "ks18-d4.rays")
         out = find_assignment(rs, restrict_to=(0,))
         assert isinstance(out, Assignment)
+
+
+def pairwise_assign(rs: RaySet, chosen) -> "tuple[int, ...] | None":
+    """``_assign`` under the pairwise encoding, the reference for the chain:
+    one MEET(i, j, 0) per orthogonal pair of the contexts' rays, and each
+    context's rays joined to element 1 through partial spans."""
+    contexts = [rs.contexts[ci] for ci in chosen]
+    live = sorted({i for ctx in contexts for i in ctx})
+    elem = {ray: e for e, ray in enumerate(live, start=2)}
+    pairs = np.argwhere(np.triu(rs._orth[np.ix_(live, live)], 1)) + 2
+    rels = [(MEET, i, j, 0) for i, j in pairs.tolist()]
+    n = 2 + len(live)
+    for ctx in contexts:
+        span = elem[ctx[0]]
+        for ray in ctx[1:-1]:
+            rels.append((JOIN, span, elem[ray], n))
+            span, n = n, n + 1
+        rels.append((JOIN, span, elem[ctx[-1]], 1))
+    vals = _two_valued(n, np.array(rels, dtype=np.int32).reshape(-1, 4), node_cap=None)
+    if vals is False:
+        return None
+    return tuple(vals[elem[i]] if i in elem else 0 for i in range(len(rs.rays)))
+
+
+def rotated_bases(seed: int, n_bases: int) -> RaySet:
+    """Bases of C³, each after the first keeping one ray of a random earlier
+    one and turning the other two in their plane, so contexts share rays."""
+    rng = np.random.default_rng(seed)
+    bases = [random_unitary(3, rng)]
+    for _ in range(n_bases - 1):
+        u = bases[rng.integers(len(bases))][:, rng.permutation(3)]
+        t = rng.uniform(0.3, 1.2)
+        bases.append(np.stack([u[:, 0], np.cos(t) * u[:, 1] + np.sin(t) * u[:, 2],
+                               np.cos(t) * u[:, 2] - np.sin(t) * u[:, 1]], axis=1))
+    vecs = np.concatenate([b.T for b in bases])
+    keep = [k for k in range(len(vecs))
+            if all(abs(np.vdot(vecs[k], vecs[j])) < 0.99 for j in range(k))]
+    return RaySet.from_vectors(list(vecs[keep]))
+
+
+CHAIN_RAY_SETS = {
+    "ks18": lambda: RaySet.from_file(FIXTURES / "ks18-d4.rays"),
+    "ks33": lambda: RaySet.from_file(FIXTURES / "ks33-d3.rays"),
+    "shared rays": lambda: rotated_bases(5, 8),
+    "disjoint bases": lambda: RaySet.from_vectors(list(np.concatenate(
+        [random_unitary(3, np.random.default_rng(s)).T for s in range(6)]))),
+}
+
+
+class TestChainEncoding:
+    @pytest.mark.parametrize("name", sorted(CHAIN_RAY_SETS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_pairwise_encoding(self, name, data):
+        rs = CHAIN_RAY_SETS[name]()
+        chosen = data.draw(st.lists(st.integers(0, len(rs.contexts) - 1), unique=True))
+        assert _assign(rs, chosen) == pairwise_assign(rs, chosen)
+
+    def test_shared_ray_sets_share_rays(self):
+        rs = CHAIN_RAY_SETS["shared rays"]()
+        counts = np.bincount(np.concatenate(rs.contexts))
+        assert len(rs.contexts) >= 4 and counts.max() > 1
+
+    @pytest.mark.parametrize("dim", [3, 10, 60])
+    def test_one_context_costs_two_rows_per_further_ray(self, dim, monkeypatch):
+        seen = []
+
+        def spy(n, relations, node_cap):
+            seen.append(relations)
+            return _two_valued(n, relations, node_cap)
+
+        monkeypatch.setattr(qpt.nogo, "_two_valued", spy)
+        out = find_assignment(RaySet.from_vectors(list(np.eye(dim))))
+        assert out.values == (0,) * (dim - 1) + (1,)
+        assert [len(r) for r in seen] == [2 * (dim - 1)]
+
+    def test_ks_on_the_standard_basis_of_dim_1000(self, tmp_path):
+        rays = tmp_path / "e1000.rays"
+        rays.write_text("".join(",".join("1" if j == i else "0" for j in range(1000)) + "\n"
+                                for i in range(1000)))
+        src = str(Path(qpt.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "qpt", "ks", "--rays", str(rays)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert time.perf_counter() - start < 60
 
 
 def brute_force_strategies(rs: RaySet) -> list[tuple[int, ...]]:

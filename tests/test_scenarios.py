@@ -4,6 +4,7 @@ reports must be deterministic for fixed parameters."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -205,6 +206,26 @@ class TestKs:
         rep = ks_scenario(rays)
         assert rep.all_passed, rep.render_text()
         assert check_names(rep) == ["one_per_context", "orthogonal_exclusivity"]
+
+    @pytest.mark.parametrize("text", ["1,0,0\n0,1,0\n0,0,1\n1,1,0\n1,-1,0\n", "1,0,0\n0,1,0\n"])
+    def test_assignment_checks_match_the_pairwise_loops(self, tmp_path, monkeypatch, text):
+        # every {0,1} map, the valid and the invalid, reported as if the
+        # search had found it: the array checks give the per-context and
+        # per-pair loops' verdicts (the second set has no complete context)
+        rays = tmp_path / "set.rays"
+        rays.write_text(text)
+        rs = qpt.RaySet.from_file(rays)
+        m = len(rs.rays)
+        for vals in itertools.product((0, 1), repeat=m):
+            monkeypatch.setattr(qpt.scenarios, "find_assignment",
+                                lambda rs, restrict_to=None, vals=vals: qpt.Assignment(vals))
+            verdicts = {c.name: c.passed for c in ks_scenario(rays).checks}
+            assert verdicts == {
+                "one_per_context": all(sum(vals[i] for i in ctx) == 1 for ctx in rs.contexts),
+                "orthogonal_exclusivity": not any(
+                    vals[i] and vals[j] and rs.orthogonal(i, j)
+                    for i, j in itertools.combinations(range(m), 2)),
+            }, vals
 
     def test_coincident_rays_are_a_file_error(self, tmp_path):
         rays = tmp_path / "dup.rays"
