@@ -12,7 +12,10 @@ Times, best of ``--repeat``:
   extension check's node cap;
 - ``local_map_search`` (the CHSH linear program) on the singlet's table at
   the default ``qpt chsh`` angles and at ``0,π/2,0,π/2``. scipy is imported
-  before the clock starts.
+  before the clock starts;
+- ``RaySet.from_file`` on the standard bases of C^300 and C^1000, written
+  to a temporary directory: parsing, normalisation, the Gram matrix and the
+  context search.
 
 Usage:
     python benchmarks/bench_nogo.py [--repeat 5]
@@ -21,6 +24,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
 from pathlib import Path
 
@@ -80,7 +84,7 @@ def main() -> None:
     print("find_assignment, bundled fixtures and standard bases")
     print(f"{'ray set':>8}  {'rays':>4}  {'contexts':>8}  {'relations':>9}  {'result':>12}  {'time (ms)':>9}")
     ray_sets = {name: RaySet.from_file(FIXTURES / f"{name}.rays") for name in ("ks18-d4", "ks33-d3")}
-    ray_sets.update({f"e{d}": RaySet.from_vectors(list(np.eye(d))) for d in (100, 300)})
+    ray_sets.update({f"e{d}": RaySet(list(np.eye(d))) for d in (100, 300)})
     for name, rs in ray_sets.items():
         result = type(find_assignment(rs)).__name__
         t = best_of(lambda: find_assignment(rs), args.repeat)
@@ -106,6 +110,17 @@ def main() -> None:
         result = type(local_map_search(rs_a, rs_b, table)).__name__
         t = best_of(lambda: local_map_search(rs_a, rs_b, table), args.repeat)
         print(f"{name:>28}  {result:>13}  {t * 1e3:>9.3f}")
+
+    print("RaySet.from_file, standard bases")
+    print(f"{'file':>10}  {'rays':>4}  {'contexts':>8}  {'time (ms)':>9}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for d in (300, 1000):
+            path = Path(tmp) / f"e{d}.rays"
+            path.write_text("".join(",".join("1" if j == i else "0" for j in range(d)) + "\n"
+                                    for i in range(d)))
+            rs = RaySet.from_file(path)
+            t = best_of(lambda: RaySet.from_file(path), args.repeat)
+            print(f"{path.name:>10}  {len(rs.rays):>4}  {len(rs.contexts):>8}  {t * 1e3:>9.3f}")
 
 
 if __name__ == "__main__":

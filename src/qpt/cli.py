@@ -171,7 +171,3 @@ def main(argv: "list[str] | None" = None) -> int:
     else:
         sys.stdout.write(payload)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -69,10 +69,15 @@ class ComplexVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "ComplexVector":
-        n = self.norm()
+        amps = self.amplitudes
+        with np.errstate(over="ignore"):
+            n = self.norm()
+        if not np.isfinite(n):  # overflowed: shrink by the largest |re| or |im|
+            amps = amps / np.maximum(abs(amps.real), abs(amps.imag)).max()
+            n = float(np.linalg.norm(amps))
         if n <= tol.eps:
             raise ZeroVector(f"norm {n} below eps {tol.eps}")
-        return ComplexVector(self.amplitudes / n)
+        return ComplexVector(amps / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +289,12 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[ComplexVector]
     dims = {v.shape[0] for v in vecs}
     if len(dims) != 1:
         raise DimMismatch(f"mixed dims {sorted(dims)}")
-    scale = max(float(np.linalg.norm(v)) for v in vecs)
+    with np.errstate(over="ignore"):
+        scale = max(float(np.linalg.norm(v)) for v in vecs)
+    if not np.isfinite(scale):  # overflowed: shrink all by one factor, the largest |re| or |im|
+        top = max(float(np.maximum(abs(v.real), abs(v.imag)).max()) for v in vecs)
+        vecs = [v / top for v in vecs]
+        scale = max(float(np.linalg.norm(v)) for v in vecs)
     if scale == 0.0:
         return []
     out: list[np.ndarray] = []

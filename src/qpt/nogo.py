@@ -16,54 +16,52 @@ from .linalg import DEFAULT_TOL, ComplexVector, Operator, Tolerance, canonical_p
 
 @dataclass(frozen=True, eq=False)
 class RaySet:
-    """Unit rays in a common dimension, with measurement contexts derived as
-    the maximal mutually-orthogonal subsets of size equal to the dimension.
-    Two rays are orthogonal at |<a, b>| <= tol.eps * dim and coincide at
-    |<a, b>| >= 1 - tol.eps * dim."""
+    """Rays in a common dimension: ``ComplexVector``s, 1-D rows or an (m, dim)
+    array of any finite nonzero scale, kept as the read-only rows ``rays``,
+    each divided by its norm and given its canonical phase. Two rays are
+    orthogonal (``orth``, read-only) at |<a, b>| <= tol.eps * dim and
+    coincide at |<a, b>| >= 1 - tol.eps * dim. The contexts are the maximal
+    mutually-orthogonal subsets of dim rays."""
 
-    rays: tuple[ComplexVector, ...]
+    rays: np.ndarray
     tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        rays = list(self.rays)
-        if not rays:
+        rows = [v.amplitudes if isinstance(v, ComplexVector) else np.asarray(v) for v in self.rays]
+        if not rows:
             raise ValueError("empty ray set")
-        dim = rays[0].dim
-        tol = self.tol
-        for k, r in enumerate(rays):
-            if r.dim != dim:
-                raise DimMismatch(f"mixed dims {dim} vs {r.dim}")
-            n = r.norm()
-            if abs(n - 1.0) > 1e-6:
-                raise ValueError("rays must be unit vectors")
-            rays[k] = ComplexVector(r.amplitudes / n)
-        rays = tuple(rays)
-        object.__setattr__(self, "rays", rays)
-        amps = np.array([r.amplitudes for r in rays])
-        ov = np.abs(amps.conj() @ amps.T)
+        shapes = {r.shape for r in rows}
+        if len(shapes) > 1:
+            raise DimMismatch(f"mixed ray shapes {sorted(shapes)}")
+        amps = np.array(rows, dtype=np.complex128)
+        if amps.ndim != 2 or amps.shape[1] == 0:
+            raise ValueError("rays must be nonempty 1-D arrays")
+        if not np.isfinite(amps).all():
+            raise ValueError("non-finite entries")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(amps, axis=1, keepdims=True)
+        over = ~np.isfinite(norms[:, 0])  # overflowed: shrink by the largest |re| or |im|
+        amps[over] /= np.abs(amps[over].view(np.float64)).max(axis=1, keepdims=True)
+        norms[over] = np.linalg.norm(amps[over], axis=1, keepdims=True)
+        tol, dim = self.tol, amps.shape[1]
+        if (norms <= tol.eps).any():
+            raise ZeroVector(f"norm {norms[norms <= tol.eps][0]} below eps {tol.eps}")
+        rays = canonical_phase((amps / norms).T).T
+        rays.setflags(write=False)
+        ov = np.abs(rays.conj() @ rays.T)
         coincide = np.argwhere(np.triu(ov >= 1.0 - tol.eps * dim, 1))
         if len(coincide):
-            i, j = coincide[0]
-            raise ValueError(f"rays {i} and {j} coincide up to phase")
+            raise ValueError("rays {} and {} coincide up to phase".format(*coincide[0]))
         orth = np.triu(ov <= tol.eps * dim, 1)
         orth |= orth.T
-        object.__setattr__(self, "_orth", orth)
+        orth.setflags(write=False)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "orth", orth)
         object.__setattr__(self, "contexts", _dim_cliques(orth, dim))
 
     @property
     def dim(self) -> int:
-        return self.rays[0].dim
-
-    def orthogonal(self, i: int, j: int) -> bool:
-        return bool(self._orth[i, j])
-
-    @classmethod
-    def from_vectors(cls, vectors, tol: Tolerance = DEFAULT_TOL) -> "RaySet":
-        rays = []
-        for v in vectors:
-            vec = v if isinstance(v, ComplexVector) else ComplexVector(np.asarray(v, complex))
-            rays.append(ComplexVector(canonical_phase(vec.normalized(tol).amplitudes)))
-        return cls(tuple(rays), tol)
+        return self.rays.shape[1]
 
     @classmethod
     def from_file(cls, path, tol: Tolerance = DEFAULT_TOL) -> "RaySet":
@@ -73,29 +71,26 @@ class RaySet:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise RayFileError(f"{path}: {exc}") from exc
-        vectors = []
-        dim = None
+        rows = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             try:
-                comps = [complex(tok.strip().replace(" ", "")) for tok in line.split(",")]
+                comps = np.array(line.replace(" ", "").split(","), dtype=np.complex128)
             except ValueError as exc:
                 raise RayFileError(f"{path}:{lineno}: {exc}") from exc
-            if dim is None:
-                dim = len(comps)
-            elif len(comps) != dim:
+            if rows and len(comps) != len(rows[0]):
                 raise RayFileError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(comps)}")
-            vectors.append(np.asarray(comps, dtype=complex))
-        if not vectors:
+                    f"{path}:{lineno}: expected {len(rows[0])} components, got {len(comps)}")
+            rows.append(comps)
+        if not rows:
             raise RayFileError(f"{path}: no rays found")
-        if dim < 2:
-            raise RayFileError(f"{path}: rays need at least 2 components, got {dim}")
+        if len(rows[0]) < 2:
+            raise RayFileError(f"{path}: rays need at least 2 components, got {len(rows[0])}")
         try:
-            return cls.from_vectors(vectors, tol)
-        except (ValueError, ZeroVector, DimMismatch) as exc:
+            return cls(rows, tol)
+        except (ValueError, ZeroVector) as exc:
             raise RayFileError(f"{path}: {exc}") from exc
 
 
@@ -109,22 +104,22 @@ def _dim_cliques(orth: np.ndarray, dim: int) -> tuple[tuple[int, ...], ...]:
     last one that are orthogonal to all of it, ascending) and how many of
     them it has tried. A frame is dropped once its untried candidates cannot
     fill it to dim rays."""
-    adj = [set(np.flatnonzero(row).tolist()) for row in orth]
     found: list[tuple[int, ...]] = []
-    stack = [([], list(range(len(orth))), 0)]
+    stack = [([], np.arange(len(orth)), 0)]
     while stack:
         clique, cands, tried = stack[-1]
         if len(clique) + len(cands) - tried < dim:
             stack.pop()
             continue
         stack[-1] = (clique, cands, tried + 1)
-        vtx = cands[tried]
+        vtx = int(cands[tried])
         grown = clique + [vtx]
         if len(grown) == dim:
             if not orth[:, grown].all(axis=1).any():
                 found.append(tuple(grown))
         else:
-            stack.append((grown, [u for u in cands[tried + 1:] if u in adj[vtx]], 0))
+            rest = cands[tried + 1:]
+            stack.append((grown, rest[orth[vtx, rest]], 0))
     return tuple(found)
 
 
@@ -155,7 +150,7 @@ def _assign(rs: RaySet, chosen) -> "tuple[int, ...] | None":
     contexts = [rs.contexts[ci] for ci in chosen]
     live = sorted({i for ctx in contexts for i in ctx})
     elem = {ray: e for e, ray in enumerate(live, start=2)}
-    orth = rs._orth[np.ix_(live, live)]
+    orth = rs.orth[np.ix_(live, live)]
     rels, n = [], 2 + len(live)
     for ctx in contexts:
         at = [elem[ray] - 2 for ray in ctx]
@@ -229,7 +224,7 @@ def _local_strategies(rs: RaySet) -> list[tuple[int, ...]]:
     can be 0, so these choices are all the outcomes."""
     out: set[tuple[int, ...]] = set()
     for choice in itertools.product(*rs.contexts):
-        if any(rs.orthogonal(i, j) for i, j in itertools.combinations(choice, 2)):
+        if any(rs.orth[i, j] for i, j in itertools.combinations(choice, 2)):
             continue
         out.add(tuple(ctx.index(r) for ctx, r in zip(rs.contexts, choice)))
         if len(out) > _STRATEGY_CAP:
@@ -321,9 +316,7 @@ def measurement_rays(theta: float) -> tuple[ComplexVector, ComplexVector]:
 
 
 def singlet() -> ComplexVector:
-    v = np.zeros(4, dtype=complex)
-    v[1], v[2] = 1.0, -1.0
-    return ComplexVector(v / np.sqrt(2.0))
+    return ComplexVector(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
 
 
 def correlator(state: ComplexVector, theta_a: float, theta_b: float) -> float:
@@ -375,7 +368,7 @@ def setting_ray_sets(setting: ChshSetting) -> tuple[RaySet, RaySet]:
     ray_sets = []
     for side, (t1, t2) in (("alice", setting.alice_angles), ("bob", setting.bob_angles)):
         try:
-            ray_sets.append(RaySet.from_vectors([*measurement_rays(t1), *measurement_rays(t2)]))
+            ray_sets.append(RaySet([*measurement_rays(t1), *measurement_rays(t2)]))
         except ValueError as exc:  # finite angles give unit rays: two rays coincide
             raise ValueError(
                 f"{side}'s angles {t1:.12g} and {t2:.12g} name one observable up to "

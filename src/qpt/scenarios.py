@@ -623,7 +623,7 @@ def ks_scenario(path, *, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         true = np.array(result.values, dtype=bool)
         contexts = np.array(rs.contexts, dtype=int).reshape(-1, rs.dim)
         per_context_ok = bool((true[contexts].sum(axis=1) == 1).all())
-        no_orth_pair = not rs._orth[np.ix_(true, true)].any()
+        no_orth_pair = not rs.orth[np.ix_(true, true)].any()
         quantities.append(Quantity("assignment", list(result.values)))
         checks = (
             exact_check("one_per_context", True, per_context_ok,

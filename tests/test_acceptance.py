@@ -157,7 +157,7 @@ def test_criterion_06_kochen_specker_fixture_and_dim2_escape():
         if np.min(np.diff(angs), initial=np.pi) < 1e-3:
             continue
         vecs = [np.array([np.cos(a), np.sin(a)], dtype=complex) for a in angs]
-        got = find_assignment(RaySet.from_vectors(vecs))
+        got = find_assignment(RaySet(vecs))
         assert not isinstance(got, NoAssignment)
 
 

@@ -546,6 +546,18 @@ class TestColdStart:
         scripts = (REPO / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
         assert scripts.split("\n\n")[0] == 'qpt = "qpt.__main__:main"'
 
+    def test_cli_module_is_no_second_entry(self):
+        # only qpt.__main__.main pins one BLAS thread; running the cli module
+        # as a script must not print a report computed on two
+        out = subprocess.run(
+            [sys.executable, "-m", "qpt.cli", "determinate", "--dim", "200", "--format", "json"],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "2"},
+        )
+        assert (out.returncode, out.stdout) == (0, ""), out.stderr
+
     def test_star_import_binds_every_public_name_from_its_home(self):
         import qpt
 

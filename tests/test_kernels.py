@@ -588,3 +588,9 @@ class TestBenchmarkScript:
         assert all(float(row[5]) > 0 for row in rows.values())
         assert "two-valued search, last relation table of the (4, 1) extension probe" in out.stdout
         assert "local_map_search, singlet tables" in out.stdout
+        assert "RaySet.from_file, standard bases" in out.stdout
+        files = {line.split()[0]: line.split()[1:] for line in out.stdout.splitlines()
+                 if line.split()[:1] in (["e300.rays"], ["e1000.rays"])}
+        assert files["e300.rays"][:2] == ["300", "1"]
+        assert files["e1000.rays"][:2] == ["1000", "1"]
+        assert all(float(row[2]) > 0 for row in files.values())

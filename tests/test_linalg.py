@@ -14,6 +14,7 @@ from qpt import (
     NotDensityOperator,
     Operator,
     RegisterLayout,
+    Subspace,
     Tolerance,
     UnknownFactor,
     ZeroVector,
@@ -56,6 +57,15 @@ class TestComplexVector:
         a, b = random_vector(4, rng), random_vector(4, rng)
         lhs = ComplexVector(2j * a.amplitudes).inner(b)
         assert lhs == pytest.approx(np.conj(2j) * a.inner(b))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normalized_survives_an_overflowing_sum_of_squares(self):
+        # 1e200 squared overflows a float, the norm 1e200 does not
+        v = ComplexVector(np.array([1e200, 0.0])).normalized()
+        assert np.array_equal(v.amplitudes, [1.0, 0.0])
+        # |1.5e308 (1 + i)| overflows too
+        w = ComplexVector(np.array([1.5e308 * (1 + 1j), 0.0])).normalized()
+        assert np.allclose(w.amplitudes, [(1 + 1j) / np.sqrt(2), 0.0], rtol=0, atol=1e-15)
 
     def test_amplitudes_are_immutable(self):
         v = basis_vector(3, 0)
@@ -154,6 +164,15 @@ class TestOrthonormalize:
         proj = m @ m.conj().T
         for v in vecs:
             assert np.linalg.norm(proj @ v - v) < 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rank_survives_an_overflowing_sum_of_squares(self):
+        # the rank cut is relative to the largest norm: (0, 1) is 1e-200 of
+        # it and drops, a second vector of the same scale is kept
+        small = Subspace.from_vectors([[1e200, 0], [0, 1]], 2)
+        assert small.rank == 1 and np.array_equal(small.basis[:, 0], [1.0, 0.0])
+        assert Subspace.from_vectors([[1e200, 0], [0, 1e200]], 2).rank == 2
+        assert Subspace.from_vectors([[1.5e308 * (1 + 1j), 0], [0, 1e308]], 2).rank == 2
 
     def test_dependent_vectors_dropped(self, rng):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)

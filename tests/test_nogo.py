@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qpt
@@ -26,6 +28,7 @@ from qpt import (
     Satisfiable,
     TableShapeMismatch,
     Unsatisfiable,
+    ZeroVector,
     chsh_lhv_bound,
     chsh_value,
     correlation_table,
@@ -38,6 +41,7 @@ from qpt import (
     spin_observable,
 )
 from qpt.lattice import JOIN, MEET, _two_valued
+from qpt.linalg import DEFAULT_TOL, canonical_phase
 from qpt.nogo import FEASIBILITY_TOL, _assign, _dim_cliques, _local_strategies
 from conftest import random_unitary
 
@@ -53,19 +57,19 @@ def dim2_rays(angle_list):
 class TestRaySet:
     def test_contexts_derived_from_orthogonality(self):
         vecs = dim2_rays([0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4])
-        rs = RaySet.from_vectors(vecs)
+        rs = RaySet(vecs)
         assert len(rs.rays) == 4
         assert sorted(rs.contexts) == [(0, 1), (2, 3)]
 
     def test_context_depth_is_not_bounded_by_the_recursion_limit(self):
         # one context of 1000 rays: the clique search goes 1000 rays deep
-        rs = RaySet.from_vectors(np.eye(1000))
+        rs = RaySet(np.eye(1000))
         assert rs.contexts == (tuple(range(1000)),)
 
     def test_coincident_rays_rejected(self):
         v = np.array([0.6, 0.8], dtype=complex)
         with pytest.raises(ValueError):
-            RaySet.from_vectors([v, np.exp(1j) * v])
+            RaySet([v, np.exp(1j) * v])
 
     def test_empty_ray_set_rejected(self):
         with pytest.raises(ValueError):
@@ -75,14 +79,93 @@ class TestRaySet:
         with pytest.raises(DimMismatch):
             RaySet((ComplexVector(np.array([1.0, 0.0])), ComplexVector(np.array([1.0, 0.0, 0.0]))))
 
-    def test_non_unit_rays_rejected(self):
-        with pytest.raises(ValueError):
-            RaySet((ComplexVector(np.array([2.0, 0.0])),))
+    def test_non_unit_rays_normalised(self):
+        rs = RaySet((ComplexVector(np.array([2.0, 0.0])), np.array([0.0, -3j])))
+        assert np.array_equal(rs.rays, [[1.0, 0.0], [0.0, 1.0]])
+        assert rs.rays.dtype == np.complex128 and not rs.rays.flags.writeable
 
     def test_orthogonal_predicate(self):
-        rs = RaySet.from_vectors(dim2_rays([0.0, np.pi / 2, np.pi / 4]))
-        assert rs.orthogonal(0, 1)
-        assert not rs.orthogonal(0, 2)
+        rs = RaySet(dim2_rays([0.0, np.pi / 2, np.pi / 4]))
+        assert rs.orth[0, 1]
+        assert not rs.orth[0, 2]
+        assert not rs.orth.flags.writeable
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_scale_equals_the_unit_set(self):
+        # 1e200 squared overflows a float: those rows are shrunk before
+        # their norms are taken
+        vecs = np.concatenate([np.eye(3), random_unitary(3, np.random.default_rng(1)).T])
+        unit, big = RaySet(vecs), RaySet(1e200 * vecs)
+        assert np.abs(big.rays - unit.rays).max() <= 1e-15
+        assert np.array_equal(big.orth, unit.orth) and big.contexts == unit.contexts
+        # |1.5e308 (1 + i)| overflows too
+        edge = RaySet([[1.5e308 * (1 + 1j), 0], [0, 1]])
+        assert np.abs(edge.rays - np.eye(2)).max() <= 1e-15 and edge.contexts == ((0, 1),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_ray_route(self, data):
+        dim = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # the union of bases that keep the first `keep` rays of the standard
+        # one and turn the rest at random: keep = dim is the standard basis,
+        # keep = 0 a random one, and between them contexts share rays
+        bases = []
+        for keep in data.draw(st.lists(st.integers(0, dim), min_size=1, max_size=4)):
+            u = np.eye(dim, dtype=complex)
+            if keep < dim:
+                u[keep:, keep:] = random_unitary(dim - keep, rng)
+            bases.append(u.T)
+        vecs = np.concatenate(bases)
+        ov = np.abs(vecs.conj() @ vecs.T)
+        vecs = vecs[[k for k in range(len(vecs)) if (ov[k, :k] < 0.999).all()]]
+        if data.draw(st.booleans()):  # one ray twice: coincident rays
+            vecs = np.concatenate([vecs, vecs[[data.draw(st.integers(0, len(vecs) - 1))]]])
+        vecs = vecs * (10.0 ** rng.uniform(-3, 100, size=(len(vecs), 1))
+                       * np.exp(2j * np.pi * rng.uniform(size=(len(vecs), 1))))
+        unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        ov = np.abs(unit.conj() @ unit.T)
+        cut = DEFAULT_TOL.eps * dim
+        assume(np.abs(ov - cut).min() >= 1e-12 and np.abs(ov - (1.0 - cut)).min() >= 1e-12)
+        try:
+            ref = per_ray_reference(vecs)
+        except (ValueError, ZeroVector) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                RaySet(vecs)
+            return
+        rs = RaySet(vecs)
+        assert np.abs(rs.rays - ref.rays).max() <= 1e-15
+        assert np.array_equal(rs.orth, ref.orth)
+        assert rs.contexts == ref.contexts
+        assert find_assignment(rs) == find_assignment(ref)
+
+
+def per_ray_reference(vectors, tol=DEFAULT_TOL) -> SimpleNamespace:
+    """The ray set built one ray at a time, the route ``RaySet`` replaced,
+    as the reference: each vector divided by its norm, given its canonical
+    phase, checked to be a unit vector and divided by its norm again; then
+    one Gram matrix for the coincidence check, orthogonality and contexts."""
+    rays = []
+    for v in vectors:
+        v = np.asarray(v, dtype=complex)
+        n = float(np.linalg.norm(v))
+        if n <= tol.eps:
+            raise ZeroVector(f"norm {n} below eps {tol.eps}")
+        r = canonical_phase(v / n)
+        n = float(np.linalg.norm(r))
+        if abs(n - 1.0) > 1e-6:
+            raise ValueError("rays must be unit vectors")
+        rays.append(r / n)
+    amps = np.array(rays)
+    dim = amps.shape[1]
+    ov = np.abs(amps.conj() @ amps.T)
+    coincide = np.argwhere(np.triu(ov >= 1.0 - tol.eps * dim, 1))
+    if len(coincide):
+        i, j = coincide[0]
+        raise ValueError(f"rays {i} and {j} coincide up to phase")
+    orth = np.triu(ov <= tol.eps * dim, 1)
+    orth |= orth.T
+    return SimpleNamespace(rays=amps, orth=orth, contexts=_dim_cliques(orth, dim), dim=dim)
 
 
 class TestRayFiles:
@@ -180,7 +263,7 @@ class TestContextOracle:
         g = nx.Graph()
         g.add_nodes_from(range(len(rs.rays)))
         for i, j in itertools.combinations(range(len(rs.rays)), 2):
-            if rs.orthogonal(i, j):
+            if rs.orth[i, j]:
                 g.add_edge(i, j)
         cliques = {
             tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == rs.dim
@@ -215,7 +298,7 @@ class TestFindAssignment:
         # dim 40: one context among the 2^40 subsets of a complete
         # orthogonality graph, which the context search must not walk
         for dim in (3, 40):
-            rs = RaySet.from_vectors(list(np.eye(dim, dtype=complex)))
+            rs = RaySet(list(np.eye(dim, dtype=complex)))
             assert rs.contexts == (tuple(range(dim)),)
             out = find_assignment(rs)
             assert isinstance(out, Assignment)
@@ -228,7 +311,7 @@ class TestFindAssignment:
         vecs = [e[:, 0], e[:, 1], e[:, 2],
                 np.array([0, s, s], dtype=complex),
                 np.array([0, s, -s], dtype=complex)]
-        rs = RaySet.from_vectors(vecs)
+        rs = RaySet(vecs)
         out = find_assignment(rs)
         assert isinstance(out, Assignment)
 
@@ -237,7 +320,7 @@ class TestFindAssignment:
                 if sum(vals[i] for i in ctx) != 1:
                     return False
             for i, j in itertools.combinations(range(len(vecs)), 2):
-                if vals[i] == vals[j] == 1 and rs.orthogonal(i, j):
+                if vals[i] == vals[j] == 1 and rs.orth[i, j]:
                     return False
             return True
 
@@ -248,7 +331,7 @@ class TestFindAssignment:
     @settings(max_examples=40, deadline=None)
     def test_dim2_always_colorable_and_sound(self, angle_list):
         try:
-            rs = RaySet.from_vectors(dim2_rays(angle_list))
+            rs = RaySet(dim2_rays(angle_list))
         except ValueError:
             return  # nearly coincident draws
         out = find_assignment(rs)
@@ -256,7 +339,7 @@ class TestFindAssignment:
         for ctx in rs.contexts:
             assert sum(out.values[i] for i in ctx) == 1
         for i, j in itertools.combinations(range(len(rs.rays)), 2):
-            if rs.orthogonal(i, j):
+            if rs.orth[i, j]:
                 assert out.values[i] + out.values[j] <= 1
 
     def test_restrict_to_ignores_outside_contexts(self):
@@ -272,7 +355,7 @@ def pairwise_assign(rs: RaySet, chosen) -> "tuple[int, ...] | None":
     contexts = [rs.contexts[ci] for ci in chosen]
     live = sorted({i for ctx in contexts for i in ctx})
     elem = {ray: e for e, ray in enumerate(live, start=2)}
-    pairs = np.argwhere(np.triu(rs._orth[np.ix_(live, live)], 1)) + 2
+    pairs = np.argwhere(np.triu(rs.orth[np.ix_(live, live)], 1)) + 2
     rels = [(MEET, i, j, 0) for i, j in pairs.tolist()]
     n = 2 + len(live)
     for ctx in contexts:
@@ -300,14 +383,14 @@ def rotated_bases(seed: int, n_bases: int) -> RaySet:
     vecs = np.concatenate([b.T for b in bases])
     keep = [k for k in range(len(vecs))
             if all(abs(np.vdot(vecs[k], vecs[j])) < 0.99 for j in range(k))]
-    return RaySet.from_vectors(list(vecs[keep]))
+    return RaySet(list(vecs[keep]))
 
 
 CHAIN_RAY_SETS = {
     "ks18": lambda: RaySet.from_file(FIXTURES / "ks18-d4.rays"),
     "ks33": lambda: RaySet.from_file(FIXTURES / "ks33-d3.rays"),
     "shared rays": lambda: rotated_bases(5, 8),
-    "disjoint bases": lambda: RaySet.from_vectors(list(np.concatenate(
+    "disjoint bases": lambda: RaySet(list(np.concatenate(
         [random_unitary(3, np.random.default_rng(s)).T for s in range(6)]))),
 }
 
@@ -335,7 +418,7 @@ class TestChainEncoding:
             return _two_valued(n, relations, node_cap)
 
         monkeypatch.setattr(qpt.nogo, "_two_valued", spy)
-        out = find_assignment(RaySet.from_vectors(list(np.eye(dim))))
+        out = find_assignment(RaySet(list(np.eye(dim))))
         assert out.values == (0,) * (dim - 1) + (1,)
         assert [len(r) for r in seen] == [2 * (dim - 1)]
 
@@ -358,7 +441,7 @@ def brute_force_strategies(rs: RaySet) -> list[tuple[int, ...]]:
     m = len(rs.rays)
     out = set()
     for vals in itertools.product((0, 1), repeat=m):
-        if any(vals[i] == vals[j] == 1 and rs.orthogonal(i, j)
+        if any(vals[i] == vals[j] == 1 and rs.orth[i, j]
                for i, j in itertools.combinations(range(m), 2)):
             continue
         ones = [[k for k, ray in enumerate(ctx) if vals[ray] == 1] for ctx in rs.contexts]
@@ -386,7 +469,7 @@ class TestLocalStrategies:
         if stray:
             vecs.append(random_unitary(dim, rng)[:, 0])
         try:
-            rs = RaySet.from_vectors(vecs)
+            rs = RaySet(vecs)
         except ValueError:
             return  # nearly coincident draws
         assert _local_strategies(rs) == brute_force_strategies(rs)
@@ -459,7 +542,7 @@ class TestCorrelationTable:
             for k, th in enumerate(angs):
                 plus, minus = measurement_rays(th)
                 for offset, ref in ((0, plus), (1, minus)):
-                    got = rs.rays[2 * k + offset].amplitudes
+                    got = rs.rays[2 * k + offset]
                     assert abs(abs(np.vdot(got, ref.amplitudes)) - 1.0) < 1e-12
 
 
@@ -499,7 +582,7 @@ class TestLocalMapSearch:
     def test_more_than_four_settings_rejected(self):
         # five orthonormal pairs in dim 2: five contexts on side a
         thetas = np.linspace(0.0, np.pi / 2, 5, endpoint=False)
-        rs_a = RaySet.from_vectors(dim2_rays(np.concatenate((thetas, thetas + np.pi / 2))))
+        rs_a = RaySet(dim2_rays(np.concatenate((thetas, thetas + np.pi / 2))))
         rs_b = setting_ray_sets(ChshSetting.optimal())[1]
         assert len(rs_a.contexts) == 5
         with pytest.raises(ValueError, match="4 settings"):
@@ -538,8 +621,8 @@ def largest_chsh_sum(a1, a2, b1, b2) -> float:
 
 def random_bases(settings: int, dim: int, rng) -> RaySet:
     """A ray set whose contexts are ``settings`` random real orthonormal bases."""
-    return RaySet.from_vectors([v for _ in range(settings)
-                                for v in np.linalg.qr(rng.normal(size=(dim, dim)))[0].T])
+    return RaySet([v for _ in range(settings)
+                   for v in np.linalg.qr(rng.normal(size=(dim, dim)))[0].T])
 
 
 class TestOneLocalityProgram:

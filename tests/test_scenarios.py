@@ -223,7 +223,7 @@ class TestKs:
             assert verdicts == {
                 "one_per_context": all(sum(vals[i] for i in ctx) == 1 for ctx in rs.contexts),
                 "orthogonal_exclusivity": not any(
-                    vals[i] and vals[j] and rs.orthogonal(i, j)
+                    vals[i] and vals[j] and rs.orth[i, j]
                     for i, j in itertools.combinations(range(m), 2)),
             }, vals
 
