@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "determinate": (
         "BornProbabilities", "DeterminateSublattice", "ExtensionReport",
-        "ObservableSpec", "ProjectedRay", "PropertyState", "born_check",
-        "build_determinate", "complement_probe_rays", "contains",
-        "extend_and_check", "property_states", "truth_value",
+        "ObservableSpec", "PropertyState", "born_check", "build_determinate",
+        "complement_probe_rays", "contains", "extend_and_check",
+        "property_states", "truth_value",
     ),
     "dynamics": (
         "EvolutionSpec", "MarginalSample", "PossibilityTrajectory",

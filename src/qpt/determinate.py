@@ -74,34 +74,23 @@ class ObservableSpec:
         return cls(tuple(labels), tuple(rays))
 
 
-@dataclass(frozen=True)
-class ProjectedRay:
-    """One nonzero normalized projection of the state onto an eigenspace."""
-
-    label: str
-    vector: ComplexVector
-    weight: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterminateSublattice:
     """The sublattice generated by the state's nonzero eigenspace projections
     together with all rays of their orthocomplement K. Members are exactly
-    span(subset of projected rays) + (subspace of K)."""
+    span(subset of projected rays) + (subspace of K). Projected ray i is the
+    column ``rays[:, i]`` of a read-only (n, m) array, of label ``labels[i]``
+    and weight ``weights[i]`` (a read-only (m,) array)."""
 
     psi: ComplexVector
-    observable: ObservableSpec
-    projected_rays: tuple[ProjectedRay, ...]
+    labels: tuple[str, ...]
+    rays: np.ndarray
+    weights: np.ndarray
     complement: Subspace
 
     @property
     def ambient_dim(self) -> int:
         return self.psi.dim
-
-    @functools.cached_property
-    def _rays(self) -> np.ndarray:
-        """The projected rays as the columns of one (n, m) array."""
-        return np.stack([r.vector.amplitudes for r in self.projected_rays], axis=1)
 
     @functools.cached_property
     def _complement_psi(self) -> np.ndarray:
@@ -110,7 +99,7 @@ class DeterminateSublattice:
 
     def generators(self) -> list[Subspace]:
         """Lattice generators: one ray per projection plus the K block."""
-        gens = [Subspace.ray(r.vector) for r in self.projected_rays]
+        gens = [Subspace.ray(ComplexVector(c)) for c in self.rays.T]
         gens.append(self.complement)
         return gens
 
@@ -118,8 +107,8 @@ class DeterminateSublattice:
         """Structured summary consumed by the CLI."""
         return {
             "ambient_dim": self.ambient_dim,
-            "ray_labels": [r.label for r in self.projected_rays],
-            "weights": [r.weight for r in self.projected_rays],
+            "ray_labels": list(self.labels),
+            "weights": self.weights.tolist(),
             "complement_dim": self.complement.rank,
             "small_complement": self.complement.rank <= 2,
         }
@@ -135,22 +124,21 @@ def build_determinate(
     if psi.dim != observable.ambient_dim:
         raise DimMismatch(f"state dim {psi.dim} vs observable dim {observable.ambient_dim}")
     unit = psi.normalized(tol)
-    rays = []
+    kept = []
     for label, space in zip(observable.labels, observable.eigenprojectors):
         x = space.projector() @ unit.amplitudes
         w = float(np.real(np.vdot(x, x)))
         if w >= tol.eps:
-            vec = ComplexVector(canonical_phase(x / np.sqrt(w)))
-            rays.append(ProjectedRay(label=label, vector=vec, weight=w))
-    if not rays:
+            kept.append((label, canonical_phase(x / np.sqrt(w)), w))
+    if not kept:
         raise ZeroVector("all eigenspace projections fell below eps")
-    span = Subspace.from_vectors([r.vector for r in rays], ambient_dim=psi.dim, tol=tol)
-    return DeterminateSublattice(
-        psi=unit,
-        observable=observable,
-        projected_rays=tuple(rays),
-        complement=orthocomplement(span),
-    )
+    labels, cols, weights = zip(*kept)
+    span = Subspace.from_vectors(cols, ambient_dim=psi.dim, tol=tol)
+    # stacked after the span, so that the stack and from_vectors' copies never coexist
+    rays, weights = np.stack(cols, axis=1), np.array(weights)
+    for a in (rays, weights):
+        a.setflags(write=False)
+    return DeterminateSublattice(unit, labels, rays, weights, orthocomplement(span))
 
 
 def _ray_masks(d: DeterminateSublattice, v: Subspace,
@@ -167,13 +155,13 @@ def _ray_masks(d: DeterminateSublattice, v: Subspace,
     subtract numbers of order 1 to find one of order eps², lost to rounding."""
     if v.ambient_dim != d.ambient_dim:
         raise DimMismatch(f"subspace dim {v.ambient_dim} vs ambient {d.ambient_dim}")
-    o = v.basis.conj().T @ d._rays
+    o = v.basis.conj().T @ d.rays
     eps = tol.eps * d.ambient_dim
     near = np.flatnonzero(np.linalg.norm(o, axis=0) > eps)
-    inside = np.zeros(len(d.projected_rays), dtype=bool)
+    inside = np.zeros(len(d.labels), dtype=bool)
     if len(near) > v.rank:
         return inside, False
-    inside[near] = np.linalg.norm(v.basis @ o[:, near] - d._rays[:, near], axis=0) <= eps
+    inside[near] = np.linalg.norm(v.basis @ o[:, near] - d.rays[:, near], axis=0) <= eps
     return inside, bool(inside[near].all())
 
 
@@ -191,14 +179,15 @@ class PropertyState:
     probability: float
 
     def __post_init__(self) -> None:
+        if self.selected < 0:
+            raise ValueError(f"selected ray {self.selected} is negative")
         if not (0.0 < self.probability <= 1.0 + 1e-12):
             raise ValueError(f"probability {self.probability} outside (0, 1]")
 
 
 def property_states(d: DeterminateSublattice) -> tuple[PropertyState, ...]:
     return tuple(
-        PropertyState(selected=i, probability=r.weight)
-        for i, r in enumerate(d.projected_rays)
+        PropertyState(selected=i, probability=w) for i, w in enumerate(d.weights.tolist())
     )
 
 
@@ -210,6 +199,8 @@ def truth_value(
 ) -> bool:
     """Truth of the member v under the property state: true iff the selected
     ray lies inside v."""
+    if state.selected >= len(d.labels):
+        raise ValueError(f"no ray {state.selected}: the sublattice has {len(d.labels)} rays")
     inside, member = _ray_masks(d, v, tol)
     if not member:
         raise NotInSublattice("subspace is not a member of the sublattice")
@@ -233,7 +224,7 @@ def born_check(
     inside, member = _ray_masks(d, v, tol)
     if not member:
         raise NotInSublattice("subspace is not a member of the sublattice")
-    measure = sum((r.weight for r, i in zip(d.projected_rays, inside.tolist()) if i), 0.0)
+    measure = sum(d.weights[inside].tolist(), 0.0)
     amps, pv = d.psi.amplitudes, v.projector()
     born = float(np.real(np.vdot(amps, pv @ amps)))
     born -= float(np.real(np.vdot(amps, pv @ d._complement_psi)))

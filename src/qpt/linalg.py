@@ -43,6 +43,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _scaled_norm(amps: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(amps / scale, scale, norm of amps / scale)``. The scale is 1 unless
+    the plain norm overflows; then it is the largest ``|re|`` or ``|im|``."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(amps))
+    if np.isfinite(n):
+        return amps, 1.0, n
+    scale = float(np.maximum(abs(amps.real), abs(amps.imag)).max())
+    return amps / scale, scale, float(np.linalg.norm(amps / scale))
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexVector:
     """Immutable complex column vector."""
@@ -60,7 +71,8 @@ class ComplexVector:
         return self.amplitudes.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        _, scale, n = _scaled_norm(self.amplitudes)
+        return scale * n
 
     def inner(self, other: "ComplexVector") -> complex:
         """Hermitian inner product <self|other> (conjugate-linear in self)."""
@@ -69,12 +81,7 @@ class ComplexVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "ComplexVector":
-        amps = self.amplitudes
-        with np.errstate(over="ignore"):
-            n = self.norm()
-        if not np.isfinite(n):  # overflowed: shrink by the largest |re| or |im|
-            amps = amps / np.maximum(abs(amps.real), abs(amps.imag)).max()
-            n = float(np.linalg.norm(amps))
+        amps, _, n = _scaled_norm(self.amplitudes)
         if n <= tol.eps:
             raise ZeroVector(f"norm {n} below eps {tol.eps}")
         return ComplexVector(amps / n)

@@ -130,9 +130,9 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     born = born_check(d_after, v_up2, tol)
 
     checks = (
-        exact_check("rays_before", 1, len(d_before.projected_rays),
+        exact_check("rays_before", 1, len(d_before.labels),
                     note="initial state occupies a single position pair"),
-        exact_check("rays_after", 2, len(d_after.projected_rays),
+        exact_check("rays_after", 2, len(d_after.labels),
                     note="premeasurement splits the state over two pointer readings"),
         close_check(
             "weights_after_half",
@@ -168,11 +168,11 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     )
     quantities = (
         Quantity("ambient_dim", layout.dim),
-        Quantity("ray_labels_before", [r.label for r in d_before.projected_rays]),
-        Quantity("ray_labels_after", [r.label for r in d_after.projected_rays]),
+        Quantity("ray_labels_before", list(d_before.labels)),
+        Quantity("ray_labels_after", list(d_after.labels)),
         Quantity(
             "ray_weights_after",
-            [round(r.weight, 12) for r in d_after.projected_rays],
+            [round(w, 12) for w in d_after.weights.tolist()],
             tolerance=1e-12,
         ),
         Quantity("complement_dim_before", d_before.complement.rank),
@@ -271,13 +271,13 @@ def teleportation_scenario(
     fidelities: dict[str, float] = {}
     locality_shift = 0.0
     for s in states:
-        ray = d.projected_rays[s.selected]
-        outcome = int(ray.label[1:])  # label "r<i>"
+        label = d.labels[s.selected]
+        outcome = int(label[1:])  # label "r<i>"
         u_b = embed(Operator(_CORRECTIONS[outcome - 1] + 0j), layout, ("spin_b",))
-        branch = ray.vector
+        branch = ComplexVector(d.rays[:, s.selected])
         corrected = ComplexVector(u_b.entries @ branch.amplitudes)
         rho_b = reduced_state(corrected, layout, ("spin_b",))
-        fidelities[ray.label] = float(
+        fidelities[label] = float(
             np.real(psi_c.amplitudes.conj() @ rho_b.entries @ psi_c.amplitudes)
         )
         rho_rest_pre = reduced_state(branch, layout, ("spin_c", "spin_a", "pos_a"))
@@ -288,7 +288,7 @@ def teleportation_scenario(
         )
 
     hist = {
-        d.projected_rays[states[i].selected].label: int((picks == i).sum())
+        d.labels[states[i].selected]: int((picks == i).sum())
         for i in range(len(states))
     }
     sigma = float(np.sqrt(0.25 * 0.75 / samples))
@@ -354,7 +354,7 @@ def teleportation_scenario(
             },
             note="pointer-branch spin content on B before correction",
         ),
-        Quantity("selected_outcome", d.projected_rays[selected.selected].label),
+        Quantity("selected_outcome", d.labels[selected.selected]),
         Quantity(
             "selected_probability", round(float(selected.probability), 12), tolerance=1e-12
         ),
@@ -850,10 +850,11 @@ def determinate_scenario(
     states = property_states(d)
     total = float(sum(s.probability for s in states))
 
-    member_ok = all(contains(d, Subspace.ray(r.vector), tol) for r in d.projected_rays)
-    born_err = 0.0
-    for r in d.projected_rays:
-        bp = born_check(d, Subspace.ray(r.vector), tol)
+    member_ok, born_err = True, 0.0
+    for c in d.rays.T:
+        ray = Subspace.ray(ComplexVector(c))
+        member_ok = member_ok and contains(d, ray, tol)
+        bp = born_check(d, ray, tol)
         born_err = max(born_err, abs(bp.measure_prob - bp.born_prob))
     leak = float(np.linalg.norm(d._complement_psi))
 

@@ -67,6 +67,8 @@ INVOCATIONS = [
     "determinate --seed 0 --format json",
     "determinate --dim 4 --seed 5 --format json",
     "determinate --dim 6 --format json",
+    # README's example of the one-label (identity) observable
+    "determinate --dim 5 --observable identity --seed 3 --format json",
     # a 64- and a 200-label observable; from dim 100 on, the QR that draws
     # the observable's eigenbasis rounds differently on two BLAS threads, so
     # the dim-200 key holds in every environment only through the entry's

@@ -23,6 +23,7 @@ import pytest
 from qpt import (
     BudgetExceeded,
     ChshSetting,
+    ComplexVector,
     NoAssignment,
     ObservableSpec,
     RaySet,
@@ -106,11 +107,10 @@ def test_criterion_04_born_measure_equivalence():
         dim = dims[case % len(dims)]
         psi = random_vector(dim, rng)
         d = build_determinate(psi, maximal_observable(dim, rng))
-        picks = rng.random(len(d.projected_rays)) < 0.5
+        picks = rng.random(len(d.labels)) < 0.5
         v = Subspace.zero(dim)
-        for r, p in zip(d.projected_rays, picks):
-            if p:
-                v = join(v, Subspace.ray(r.vector))
+        for i in np.flatnonzero(picks):
+            v = join(v, Subspace.ray(ComplexVector(d.rays[:, i])))
         out = born_check(d, v)
         direct = float(np.real(np.vdot(psi.amplitudes, v.projector() @ psi.amplitudes)))
         assert abs(out.measure_prob - out.born_prob) <= 1e-10, case

@@ -17,10 +17,12 @@ from qpt import (
     NotInSublattice,
     NotResolutionOfIdentity,
     ObservableSpec,
+    PropertyState,
     Subspace,
     ZeroVector,
     basis_vector,
     born_check,
+    canonical_phase,
     build_determinate,
     complement_probe_rays,
     contains,
@@ -94,16 +96,16 @@ class TestBuildDeterminate:
 
     def test_weights_sum_to_one(self, rng):
         d = build_determinate(random_vector(5, rng), maximal_observable(5, rng))
-        assert sum(r.weight for r in d.projected_rays) == pytest.approx(1.0, abs=1e-12)
+        assert sum(d.weights.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_rays_are_normalized(self, rng):
         d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
-        for r in d.projected_rays:
-            assert np.linalg.norm(r.vector.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        for i in range(len(d.labels)):
+            assert np.linalg.norm(d.rays[:, i]) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximal_observable_generic_state_has_trivial_complement(self, rng):
         d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
-        assert len(d.projected_rays) == 4
+        assert len(d.labels) == 4
         assert d.complement.rank == 0
 
     def test_vanishing_weight_drops_label_and_grows_complement(self, rng):
@@ -112,7 +114,7 @@ class TestBuildDeterminate:
         )
         psi = ComplexVector(np.array([0.6, 0.8, 0.0], dtype=complex))
         d = build_determinate(psi, obs)
-        assert [r.label for r in d.projected_rays] == ["x", "y"]
+        assert d.labels == ("x", "y")
         assert d.complement.rank == 1
         # K is the z axis
         assert abs(d.complement.basis[2, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -120,24 +122,86 @@ class TestBuildDeterminate:
     def test_identity_observable_keeps_only_the_state_ray(self, rng):
         psi = random_vector(4, rng)
         d = build_determinate(psi, ObservableSpec.identity(4))
-        assert len(d.projected_rays) == 1
+        assert len(d.labels) == 1
         assert d.complement.rank == 3
-        assert abs(abs(psi.inner(d.projected_rays[0].vector)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(psi.amplitudes, d.rays[:, 0])) - 1.0) < 1e-12
 
     def test_degenerate_observable_projects_into_eigenspace(self, rng):
         obs = split_observable(4, rng)
         psi = random_vector(4, rng)
         d = build_determinate(psi, obs)
-        assert len(d.projected_rays) == 3
+        assert len(d.labels) == 3
         p = obs.eigenprojectors[0].projector()
         x = p @ psi.amplitudes
         x = x / np.linalg.norm(x)
-        got = d.projected_rays[0].vector.amplitudes
+        got = d.rays[:, 0]
         assert abs(abs(np.vdot(x, got)) - 1.0) < 1e-10
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimMismatch):
             build_determinate(random_vector(3, rng), maximal_observable(4, rng))
+
+
+def per_label_route(psi: ComplexVector, observable: ObservableSpec):
+    """The sublattice as one (label, ray, weight) triple per kept label, plus
+    its complement K: the per-label arithmetic of ``build_determinate``, each
+    ray kept as its own ``ComplexVector``."""
+    unit = psi.normalized()
+    kept = []
+    for label, space in zip(observable.labels, observable.eigenprojectors):
+        x = space.projector() @ unit.amplitudes
+        w = float(np.real(np.vdot(x, x)))
+        if w >= DEFAULT_TOL.eps:
+            kept.append((label, ComplexVector(canonical_phase(x / np.sqrt(w))), w))
+    span = Subspace.from_vectors([v for _, v, _ in kept], ambient_dim=psi.dim)
+    return kept, orthocomplement(span)
+
+
+class TestArrays:
+    """The rays and weights are held as one array each."""
+
+    @given(seeds, st.integers(2, 7), st.booleans(),
+           st.sampled_from(["maximal", "degenerate", "identity"]))
+    @settings(max_examples=80, deadline=None)
+    def test_arrays_match_the_per_label_route(self, seed, dim, standard, kind):
+        # over the standard basis, the zeroed coordinates give labels of weight
+        # exactly 0; over a random one, weights near 0 that fall below eps
+        rng = np.random.default_rng(seed)
+        q = np.eye(dim, dtype=complex) if standard else random_unitary(dim, rng)
+        blocks = {"maximal": [[i] for i in range(dim)],
+                  "degenerate": [[0, 1], *([i] for i in range(2, dim))],
+                  "identity": [list(range(dim))]}[kind]
+        obs = ObservableSpec(tuple(f"b{i}" for i in range(len(blocks))),
+                             tuple(Subspace(dim, q[:, b]) for b in blocks))
+        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        z[rng.random(dim) < 0.4] = 0.0
+        z[int(rng.integers(dim))] += 1.0
+        psi = ComplexVector(q @ z)
+
+        d = build_determinate(psi, obs)
+        kept, complement = per_label_route(psi, obs)
+        labels = tuple(label for label, _, _ in kept)
+        rays = np.stack([v.amplitudes for _, v, _ in kept], axis=1)
+        weights = [w for _, _, w in kept]
+        assert d.labels == labels
+        assert np.array_equal(d.rays, rays) and d.rays.tolist() == rays.tolist()
+        assert np.array_equal(d.weights, weights) and d.weights.tolist() == weights
+        assert np.array_equal(d.complement.basis, complement.basis)
+        assert d.to_report() == {
+            "ambient_dim": dim,
+            "ray_labels": list(labels),
+            "weights": weights,
+            "complement_dim": complement.rank,
+            "small_complement": complement.rank <= 2,
+        }
+
+    def test_rays_and_weights_are_read_only(self, rng):
+        d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
+        assert d.rays.shape == (4, 4) and d.weights.shape == (4,)
+        with pytest.raises(ValueError, match="read-only"):
+            d.rays[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            d.weights[0] = 0.0
 
 
 class TestMembership:
@@ -147,8 +211,8 @@ class TestMembership:
         for g in d.generators():
             assert contains(d, g)
             assert contains(d, orthocomplement(g))
-        r01 = join(Subspace.ray(d.projected_rays[0].vector),
-                   Subspace.ray(d.projected_rays[1].vector))
+        r01 = join(Subspace.ray(ComplexVector(d.rays[:, 0])),
+                   Subspace.ray(ComplexVector(d.rays[:, 1])))
         assert contains(d, r01)
         assert contains(d, join(r01, d.complement))
 
@@ -169,13 +233,13 @@ class TestMembership:
         k_ray = Subspace.from_vectors([d.complement.basis[:, 0]], ambient_dim=4)
         assert contains(d, k_ray)
         # superposition of a kept ray and a K direction is NOT a member ray
-        mix = d.projected_rays[0].vector.amplitudes + d.complement.basis[:, 0]
+        mix = d.rays[:, 0] + d.complement.basis[:, 0]
         assert not contains(d, Subspace.from_vectors([mix], ambient_dim=4))
 
     def test_membership_closed_under_complement(self, rng):
         d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
-        v = join(Subspace.ray(d.projected_rays[1].vector),
-                 Subspace.ray(d.projected_rays[3].vector))
+        v = join(Subspace.ray(ComplexVector(d.rays[:, 1])),
+                 Subspace.ray(ComplexVector(d.rays[:, 3])))
         assert contains(d, v) and contains(d, orthocomplement(v))
 
 
@@ -209,8 +273,8 @@ class TestMembersWithComplement:
         d = build_determinate(psi, obs)
         k = d.complement.basis
         assert k.shape[1] > 0
-        chosen = rng.random(len(d.projected_rays)) < 0.5
-        rays = np.stack([r.vector.amplitudes for r in d.projected_rays], axis=1)[:, chosen]
+        chosen = rng.random(len(d.labels)) < 0.5
+        rays = d.rays[:, chosen]
         w = k @ random_unitary(k.shape[1], rng)[:, :int(rng.integers(0, k.shape[1] + 1))]
         cols = np.concatenate((rays, w), axis=1)
         # a basis that mixes the rays with W, so no column is a projected ray
@@ -222,10 +286,10 @@ class TestMembersWithComplement:
         out = born_check(d, v)
         assert out.measure_prob == pytest.approx(out.born_prob, abs=1e-10)
         assert out.measure_prob == pytest.approx(
-            sum(r.weight for r, c in zip(d.projected_rays, chosen) if c), abs=1e-12)
+            sum(d.weights[chosen].tolist()), abs=1e-12)
         # a kept ray r tilted toward K: r is neither inside that ray nor orthogonal to it
         t = rng.uniform(0.01, np.pi / 2 - 0.01)
-        r = d.projected_rays[int(rng.integers(len(d.projected_rays)))].vector.amplitudes
+        r = d.rays[:, int(rng.integers(len(d.labels)))]
         tilted = Subspace.ray(ComplexVector(np.cos(t) * r + np.sin(t) * k[:, 0]))
         assert not contains(d, tilted)
 
@@ -237,8 +301,8 @@ class TestMembersWithComplement:
         obs = ObservableSpec.from_eigenbasis([basis_vector(3, i) for i in range(3)],
                                              labels=["x", "y", "z"])
         d = build_determinate(psi, obs, tol)
-        assert [r.label for r in d.projected_rays] == ["x", "y"]
-        v = join(Subspace.ray(d.projected_rays[0].vector), d.complement)
+        assert d.labels == ("x", "y")
+        v = join(Subspace.ray(ComplexVector(d.rays[:, 0])), d.complement)
         assert contains(d, v, tol)
         out = born_check(d, v, tol)
         direct = float(np.real(np.vdot(d.psi.amplitudes, v.projector() @ d.psi.amplitudes)))
@@ -253,18 +317,16 @@ class TestPropertyStates:
         rng = np.random.default_rng(seed)
         d = build_determinate(random_vector(dim, rng), maximal_observable(dim, rng))
         states = property_states(d)
-        assert len(states) == len(d.projected_rays)
+        assert len(states) == len(d.labels)
         assert sum(s.probability for s in states) == pytest.approx(1.0, abs=1e-10)
         for s in states:
-            assert s.probability == pytest.approx(
-                d.projected_rays[s.selected].weight, abs=1e-12
-            )
+            assert s.probability == pytest.approx(d.weights[s.selected], abs=1e-12)
 
     def test_truth_values_follow_selected_ray(self, rng):
         d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
         states = property_states(d)
-        v = join(Subspace.ray(d.projected_rays[0].vector),
-                 Subspace.ray(d.projected_rays[2].vector))
+        v = join(Subspace.ray(ComplexVector(d.rays[:, 0])),
+                 Subspace.ray(ComplexVector(d.rays[:, 2])))
         for s in states:
             assert truth_value(s, d, v) == (s.selected in (0, 2))
 
@@ -273,6 +335,17 @@ class TestPropertyStates:
         s = property_states(d)[0]
         with pytest.raises(NotInSublattice):
             truth_value(s, d, Subspace.ray(random_vector(4, rng)))
+
+    def test_negative_selection_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            PropertyState(-1, 0.5)
+
+    def test_truth_value_rejects_a_selection_past_the_last_ray(self):
+        psi = ComplexVector(np.array([0.6, 0.8, 0.0], dtype=complex))
+        d = build_determinate(psi, ObservableSpec.from_eigenbasis(np.eye(3)))
+        assert len(d.labels) == 2
+        with pytest.raises(ValueError, match="2 rays"):
+            truth_value(PropertyState(2, 0.5), d, d.complement)
 
     def test_complement_block_is_false_in_every_state(self, rng):
         psi = ComplexVector(np.array([0.6, 0.0, 0.8, 0.0], dtype=complex))
@@ -290,8 +363,8 @@ class TestBornCheck:
         rng = np.random.default_rng(seed)
         psi = random_vector(dim, rng)
         d = build_determinate(psi, maximal_observable(dim, rng))
-        picks = rng.random(len(d.projected_rays)) < 0.5
-        rays = [Subspace.ray(r.vector) for r, p in zip(d.projected_rays, picks) if p]
+        picks = rng.random(len(d.labels)) < 0.5
+        rays = [Subspace.ray(ComplexVector(d.rays[:, i])) for i in np.flatnonzero(picks)]
         if not rays:
             v = Subspace.zero(dim)
         else:
@@ -321,7 +394,7 @@ class TestExtendAndCheck:
     def test_member_raises_already_member(self, rng):
         d = build_determinate(random_vector(3, rng), maximal_observable(3, rng))
         with pytest.raises(AlreadyMember):
-            extend_and_check(d, Subspace.ray(d.projected_rays[0].vector))
+            extend_and_check(d, Subspace.ray(ComplexVector(d.rays[:, 0])))
 
     def test_dim_two_rejected(self, rng):
         d = build_determinate(random_vector(2, rng), maximal_observable(2, rng))
@@ -445,5 +518,5 @@ class TestBoundedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(d.projected_rays) == n
+        assert len(d.labels) == n
         assert peak < n * n * n * 16 / 4

@@ -110,7 +110,7 @@ class TestEvolvePossibility:
         assert np.abs(traj.weights - traj.weights[0]).max() < 1e-12
         for psi in traj.psis:
             d = build_determinate(ComplexVector(psi), traj.observable, tol=spec.tol)
-            assert [r.label for r in d.projected_rays] == ["up", "down"]
+            assert d.labels == ("up", "down")
 
     def test_dim_mismatch(self):
         spec = EvolutionSpec(hamiltonian=Operator(SX), dt=0.1, steps=2)

@@ -67,6 +67,18 @@ class TestComplexVector:
         w = ComplexVector(np.array([1.5e308 * (1 + 1j), 0.0])).normalized()
         assert np.allclose(w.amplitudes, [(1 + 1j) / np.sqrt(2), 0.0], rtol=0, atol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_survives_an_overflowing_sum_of_squares(self):
+        assert ComplexVector(np.array([1e200, 0.0])).norm() == 1e200
+        assert ComplexVector(np.array([3e300, 4e300j])).norm() == pytest.approx(5e300, rel=1e-15)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_norm_of_a_finite_sum_of_squares_is_the_plain_norm(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        amps = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.integers(-150, 150)
+        assert ComplexVector(amps).norm() == float(np.linalg.norm(amps))
+
     def test_amplitudes_are_immutable(self):
         v = basis_vector(3, 0)
         with pytest.raises((ValueError, RuntimeError)):
