@@ -21,41 +21,48 @@ from .lattice import Subspace, _ClosureRun, _two_valued, orthocomplement
 from .linalg import DEFAULT_TOL, ComplexVector, Tolerance, canonical_phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSpec:
-    """A labeled resolution of the identity (eigenspace projectors)."""
+    """A labeled resolution of the identity: eigenspace i is spanned by the orthonormal
+    columns of ``blocks[i]``, a read-only column view of one array ``[B_1 | ... | B_k]``."""
 
     labels: tuple[str, ...]
-    eigenprojectors: tuple[Subspace, ...]
+    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         labels = tuple(str(x) for x in self.labels)
-        projs = tuple(self.eigenprojectors)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "eigenprojectors", projs)
-        if len(labels) != len(projs) or not projs:
-            raise ValueError("labels and eigenprojectors must align and be nonempty")
+        blocks = [np.asarray(b, dtype=np.complex128) for b in self.blocks]
+        if len(labels) != len(blocks) or not blocks:
+            raise ValueError("labels and blocks must align and be nonempty")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate eigenvalue labels")
-        n = projs[0].ambient_dim
-        for s in projs:
-            if s.ambient_dim != n:
-                raise DimMismatch(f"ambient dims {n} vs {s.ambient_dim}")
-        # B = [B_1 | ... | B_k]: P_a P_b = B_a (B_aᴴ B_b) B_bᴴ, and the sum is B Bᴴ
-        b, eps = np.hstack([s.basis for s in projs]), DEFAULT_TOL.eps * n
-        block = np.repeat(np.arange(len(projs)), [s.rank for s in projs])
-        if np.abs(b.conj().T @ b)[block[:, None] != block].max(initial=0.0) > eps:
+        for b in blocks:
+            if b.ndim != 2:
+                raise ValueError(f"basis block of shape {b.shape} is not 2-D")
+            if b.shape[0] != blocks[0].shape[0]:
+                raise DimMismatch(f"ambient dims {blocks[0].shape[0]} vs {b.shape[0]}")
+        # B = [B_1 | ... | B_k]: each B_aᴴB_a is I, P_a P_b = B_a (B_aᴴ B_b) B_bᴴ, and ΣP_a = B Bᴴ
+        b, eps = np.concatenate(blocks, axis=1), DEFAULT_TOL.eps * blocks[0].shape[0]
+        ranks = [x.shape[1] for x in blocks]
+        block = np.repeat(np.arange(len(blocks)), ranks)
+        gram = np.abs(b.conj().T @ b - np.eye(len(block)))
+        if gram[block[:, None] == block].max(initial=0.0) > 1e-7:
+            raise ValueError("basis columns are not orthonormal")
+        if gram[block[:, None] != block].max(initial=0.0) > eps:
             raise NotResolutionOfIdentity("eigenprojectors are not mutually orthogonal")
-        if float(np.abs(b @ b.conj().T - np.eye(n)).max()) > eps:
+        if float(np.abs(b @ b.conj().T - np.eye(len(b))).max()) > eps:
             raise NotResolutionOfIdentity("eigenprojectors do not sum to the identity")
+        b.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "blocks", tuple(np.split(b, np.cumsum(ranks)[:-1], axis=1)))
 
     @property
     def ambient_dim(self) -> int:
-        return self.eigenprojectors[0].ambient_dim
+        return self.blocks[0].shape[0]
 
     @classmethod
     def identity(cls, dim: int) -> "ObservableSpec":
-        return cls(("any",), (Subspace.full(dim),))
+        return cls(("any",), (np.eye(dim, dtype=np.complex128),))
 
     @classmethod
     def from_eigenbasis(cls, vectors, labels=None, tol: Tolerance = DEFAULT_TOL) -> "ObservableSpec":
@@ -68,10 +75,10 @@ class ObservableSpec:
             else ComplexVector(np.asarray(v, dtype=np.complex128))
             for v in vectors
         ]
-        rays = [Subspace.ray(v, tol) for v in coerced]
+        cols = [canonical_phase(v.normalized(tol).amplitudes.reshape(-1, 1)) for v in coerced]
         if labels is None:
-            labels = tuple(f"e{i}" for i in range(len(rays)))
-        return cls(tuple(labels), tuple(rays))
+            labels = tuple(f"e{i}" for i in range(len(cols)))
+        return cls(tuple(labels), tuple(cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +132,8 @@ def build_determinate(
         raise DimMismatch(f"state dim {psi.dim} vs observable dim {observable.ambient_dim}")
     unit = psi.normalized(tol)
     kept = []
-    for label, space in zip(observable.labels, observable.eigenprojectors):
-        x = space.projector() @ unit.amplitudes
+    for label, b in zip(observable.labels, observable.blocks):
+        x = (b @ b.conj().T) @ unit.amplitudes
         w = float(np.real(np.vdot(x, x)))
         if w >= tol.eps:
             kept.append((label, canonical_phase(x / np.sqrt(w)), w))

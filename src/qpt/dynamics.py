@@ -96,7 +96,7 @@ class PossibilityTrajectory:
         anew on each read: nothing keeps this array, the largest of the chain's
         inputs.  Each label takes one full-length product; a product split by
         rows can round differently."""
-        projs = [s.projector() for s in self.observable.eigenprojectors]
+        projs = [b @ b.conj().T for b in self.observable.blocks]
         x = np.empty((len(self.psis), len(projs), self.psis.shape[1]), dtype=np.complex128)
         for i, p in enumerate(projs):
             x[:, i] = self.psis @ p.T
@@ -132,7 +132,7 @@ def evolve_possibility(
     when it is exactly Hermitian.  Each entry of ``psis`` is a sum over the
     eigen-index in index order, so filling ``_BLOCK`` times at a time moves
     no byte."""
-    dim = observable.eigenprojectors[0].ambient_dim
+    dim = observable.ambient_dim
     h = spec.hamiltonian.entries
     if psi0.dim != dim or h.shape[0] != dim:
         raise DimMismatch(

@@ -73,16 +73,13 @@ def _position_observable(
     with that reading in flat-index order."""
     dims = [layout.dims[layout.axis(n)] for n in factor_names]
     readings = np.indices(layout.dims).reshape(len(layout.dims), -1)
-    readings = readings[[layout.axis(n) for n in factor_names]]
+    reading = np.ravel_multi_index(readings[[layout.axis(n) for n in factor_names]], dims)
     eye = np.eye(layout.dim, dtype=np.complex128)
     labels: list[str] = []
-    spaces: list[Subspace] = []
     for combo in np.ndindex(*dims):
-        mask = (readings == np.array(combo)[:, None]).all(axis=0)
-        spaces.append(Subspace(layout.dim, eye[:, mask]))
         names = [symbols[k][c] for k, c in enumerate(combo)]
         labels.append(names[0] if len(dims) == 1 else "(" + ",".join(names) + ")")
-    return ObservableSpec(tuple(labels), tuple(spaces))
+    return ObservableSpec(tuple(labels), [eye[:, reading == r] for r in range(len(labels))])
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +109,8 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     d_before = build_determinate(psi0, observable, tol=tol)
     d_after = build_determinate(psi1, observable, tol=tol)
 
-    v_up2, v_down2 = _position_observable(layout, ("spin2",), [["up", "down"]]).eigenprojectors
+    v_up2, v_down2 = (Subspace(layout.dim, b) for b in
+                      _position_observable(layout, ("spin2",), [["up", "down"]]).blocks)
 
     member_before = contains(d_before, v_up2, tol=tol) and contains(
         d_before, v_down2, tol=tol
@@ -478,13 +476,16 @@ def decoherence_scenario(
 #: memory does not grow with n_max
 _N_BLOCK = 1 << 16
 
+#: the largest n_max accepted: the largest n with n^2 < 2^53, so ``_ratio`` is exact
+N_MAX_EXACT = 94_906_265
+
 
 def _ratio(n, m: int):
     """(E_n - E_{n-m}) / (m * orbital frequency at n), E_n = -1/n^2.
 
     ``n`` is an int or a float64 array of level numbers.  On an array each
     operation rounds as it does on Python ints while n^2 < 2^53 (n up to
-    94,906,265): n - m, (n - m)^2 and n^2 are exact doubles, and
+    ``N_MAX_EXACT``): n - m, (n - m)^2 and n^2 are exact doubles, and
     ``n * n * n`` rounds the exact n^3 once, as ``float(n**3)`` does."""
     nu = 1.0 / (n - m) ** 2 - 1.0 / n**2
     return nu / (m * 2.0 / (n * n * n))
@@ -515,8 +516,8 @@ def correspondence_scenario(n_max: int = 100) -> ScenarioReport:
     orbital frequency: they disagree grossly at small level number and
     approach equality as the level number grows.
     """
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
+    if not 3 <= n_max <= N_MAX_EXACT:
+        raise ValueError(f"n_max must lie in [3, {N_MAX_EXACT}], got {n_max}")
 
     table = [
         [n, m, round(_ratio(n, m), 12)]
@@ -839,13 +840,9 @@ def determinate_scenario(
     if observable == "identity":
         spec = ObservableSpec.identity(dim)
     else:
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, _ = np.linalg.qr(m)
-        spec = ObservableSpec.from_eigenbasis(
-            [ComplexVector(q[:, i]) for i in range(dim)],
-            labels=tuple(f"e{i}" for i in range(dim)),
-            tol=tol,
-        )
+        # the rows of Q.T are Q's columns; no local keeps the Gaussian, Q or R
+        spec = ObservableSpec.from_eigenbasis(np.linalg.qr(
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0].T, tol=tol)
     d = build_determinate(psi, spec, tol=tol)
     states = property_states(d)
     total = float(sum(s.probability for s in states))

@@ -93,6 +93,8 @@ class TestExitCodes:
             ("teleport", "--c-plus", "1e200", "--c-minus", "1"),
             ("decohere", "--budget", "0"),
             ("decohere", "--budget", "1"),
+            # past the level numbers whose squares are exact doubles
+            ("correspond", "--n-max", "94906266"),
             # an --eps below the floor 1e-13 on a well-formed file: the
             # tolerance is at fault, not the file
             ("ks", "--rays", "src/qpt/fixtures/ks18-d4.rays", "--eps", "1e-300"),

@@ -4,6 +4,7 @@ and the extension contradiction machinery."""
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,27 +46,26 @@ def split_observable(dim: int, rng) -> ObservableSpec:
     spaces = [Subspace.from_vectors([q[:, 0], q[:, 1]], ambient_dim=dim)]
     spaces += [Subspace.from_vectors([q[:, i]], ambient_dim=dim) for i in range(2, dim)]
     labels = [f"s{i}" for i in range(len(spaces))]
-    return ObservableSpec(tuple(labels), tuple(spaces))
+    return ObservableSpec(tuple(labels), [s.basis for s in spaces])
 
 
 class TestObservableSpecChecks:
     def test_labels_must_align_with_eigenprojectors(self):
         with pytest.raises(ValueError):
-            ObservableSpec(("a",), (Subspace.full(2), Subspace.zero(2)))
+            ObservableSpec(("a",), (np.eye(2), np.zeros((2, 0))))
 
     def test_duplicate_labels_rejected(self):
-        rays = tuple(Subspace.ray(basis_vector(2, i)) for i in range(2))
         with pytest.raises(ValueError):
-            ObservableSpec(("a", "a"), rays)
+            ObservableSpec(("a", "a"), (np.eye(2)[:, :1], np.eye(2)[:, 1:]))
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimMismatch):
-            ObservableSpec(("a", "b"), (Subspace.full(2), Subspace.full(3)))
+            ObservableSpec(("a", "b"), (np.eye(2), np.eye(3)))
 
     def test_overlapping_eigenprojectors_rejected(self):
-        tilted = ComplexVector(np.array([1.0, 1.0]) / np.sqrt(2))
+        tilted = np.array([[1.0], [1.0]]) / np.sqrt(2)
         with pytest.raises(NotResolutionOfIdentity, match="orthogonal"):
-            ObservableSpec(("a", "b"), (Subspace.ray(basis_vector(2, 0)), Subspace.ray(tilted)))
+            ObservableSpec(("a", "b"), (np.eye(2)[:, :1], tilted))
 
     @pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
     def test_orthogonality_is_read_from_the_overlaps(self, factor, accepted):
@@ -74,8 +74,8 @@ class TestObservableSpecChecks:
         q = np.fft.fft(np.eye(3)) / np.sqrt(3)
         delta = factor * DEFAULT_TOL.eps * 3
         tilted = np.sqrt(1 - delta**2) * q[:, 1] + delta * q[:, 0]
-        rays = tuple(Subspace.ray(ComplexVector(v)) for v in (q[:, 0], tilted, q[:, 2]))
-        assert abs(np.vdot(rays[0].basis, rays[1].basis)) == pytest.approx(delta, rel=1e-6)
+        rays = tuple(Subspace.ray(ComplexVector(v)).basis for v in (q[:, 0], tilted, q[:, 2]))
+        assert abs(np.vdot(rays[0], rays[1])) == pytest.approx(delta, rel=1e-6)
         if accepted:
             ObservableSpec(("a", "b", "c"), rays)
         else:
@@ -84,8 +84,111 @@ class TestObservableSpecChecks:
 
     def test_eigenprojectors_must_sum_to_identity(self):
         with pytest.raises(NotResolutionOfIdentity, match="identity"):
-            ObservableSpec(("a",), (Subspace.ray(basis_vector(2, 0)),))
+            ObservableSpec(("a",), (np.eye(2)[:, :1],))
 
+
+    def test_non_orthonormal_columns_in_a_block_rejected(self):
+        # a plane whose two columns overlap, and a ray of norm 2; the blocks
+        # span orthogonal subspaces, so only each block's own Gram matrix fails
+        skew = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]) / np.array([1.0, np.sqrt(2)])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ObservableSpec(("plane", "axis"), (skew, np.eye(3)[:, 2:]))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ObservableSpec(("a", "b"), (2 * np.eye(2)[:, :1], np.eye(2)[:, 1:]))
+
+    def test_block_of_one_dimension_rejected(self):
+        with pytest.raises(ValueError, match="not 2-D"):
+            ObservableSpec(("a", "b"), (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+
+
+def per_ray_route(vectors, labels=None, tol: Tolerance = DEFAULT_TOL) -> ObservableSpec:
+    """``from_eigenbasis`` through one ``Subspace.ray`` per vector, the
+    construction it replaced."""
+    coerced = [v if isinstance(v, ComplexVector) else ComplexVector(np.asarray(v, dtype=complex))
+               for v in vectors]
+    rays = [Subspace.ray(v, tol) for v in coerced]
+    if labels is None:
+        labels = tuple(f"e{i}" for i in range(len(rays)))
+    return ObservableSpec(tuple(labels), [r.basis for r in rays])
+
+
+def outcome(build, *args):
+    """The observable's labels and block bytes, or the error's type and text."""
+    try:
+        obs = build(*args)
+    except Exception as exc:  # the routes must fail alike, whatever the error
+        return type(exc), str(exc)
+    return obs.labels, [(b.shape, b.tobytes()) for b in obs.blocks]
+
+
+class TestObservableArrays:
+    """An observable is one basis array, read as per-label column blocks."""
+
+    @given(seeds, st.integers(1, 5), st.floats(-3, 200),
+           st.sampled_from(["valid", "empty", "zero", "nonfinite", "mixed"]))
+    @settings(max_examples=150, deadline=None)
+    def test_from_eigenbasis_matches_the_per_ray_route(self, seed, dim, log_scale, fault):
+        rng = np.random.default_rng(seed)
+        q = random_unitary(dim, rng) * 10.0**log_scale
+        cols = [q[:, i] if rng.random() < 0.5 else ComplexVector(q[:, i]) for i in range(dim)]
+        at = int(rng.integers(dim))
+        if fault == "empty":
+            cols = []
+        elif fault == "zero":
+            cols[at] = np.zeros(dim)
+        elif fault == "nonfinite":
+            cols[at] = np.where(np.arange(dim) == 0, np.nan, q[:, at])
+        elif fault == "mixed":
+            cols[at] = np.ones(dim + 1)
+        ours = outcome(ObservableSpec.from_eigenbasis, cols)
+        assert ours == outcome(per_ray_route, cols)
+        assert isinstance(ours[0], tuple) == (fault == "valid")
+
+    def test_blocks_are_read_only_views_of_one_array(self, rng):
+        q = random_unitary(5, rng)
+        obs = ObservableSpec(("a", "b", "c", "d"), (q[:, :2], q[:, 2:2], q[:, 2:3], q[:, 3:]))
+        assert [b.shape for b in obs.blocks] == [(5, 2), (5, 0), (5, 1), (5, 2)]
+
+        def root(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        whole = root(obs.blocks[0])
+        assert whole.shape == (5, 5) and not whole.flags.writeable
+        assert all(root(b) is whole for b in obs.blocks)
+        assert np.array_equal(whole, q)
+        assert not np.shares_memory(whole, q)
+        for b in obs.blocks:
+            assert not b.flags.owndata
+            if b.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    b[0, 0] = 0.0
+
+
+def quick_start_block() -> str:
+    """The first fenced python block under README's ``## Quick start (API)``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (API)", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs_and_gives_its_comments_values():
+    namespace: dict = {}
+    exec(compile(quick_start_block(), "README.md quick start", "exec"), namespace)
+    d, v = namespace["d"], namespace["v"]
+    assert d.labels == ("e0", "e1")
+    assert d.weights.tolist() == pytest.approx([0.36, 0.64], abs=1e-12)
+    assert d.rays.shape == (3, 2)
+    assert [(s.selected, s.probability) for s in property_states(d)] == list(
+        enumerate(d.weights.tolist()))
+    assert contains(d, v) is True
+    bc = born_check(d, v)
+    assert bc.measure_prob == pytest.approx(0.36, abs=1e-12)
+    assert bc.born_prob == pytest.approx(0.36, abs=1e-12)
+    plane = namespace["plane"]
+    assert plane.labels == ("plane",) and plane.weights.tolist() == pytest.approx([1.0])
+    assert plane.complement.rank == 2
 
 class TestBuildDeterminate:
     def test_every_projection_below_eps_rejected(self):
@@ -131,7 +234,7 @@ class TestBuildDeterminate:
         psi = random_vector(4, rng)
         d = build_determinate(psi, obs)
         assert len(d.labels) == 3
-        p = obs.eigenprojectors[0].projector()
+        p = obs.blocks[0] @ obs.blocks[0].conj().T
         x = p @ psi.amplitudes
         x = x / np.linalg.norm(x)
         got = d.rays[:, 0]
@@ -144,12 +247,14 @@ class TestBuildDeterminate:
 
 def per_label_route(psi: ComplexVector, observable: ObservableSpec):
     """The sublattice as one (label, ray, weight) triple per kept label, plus
-    its complement K: the per-label arithmetic of ``build_determinate``, each
-    ray kept as its own ``ComplexVector``."""
+    its complement K: the per-label arithmetic of ``build_determinate``, with
+    each block's projector formed by ``Subspace.projector()`` from a
+    contiguous copy of its columns, and each ray kept as its own
+    ``ComplexVector``."""
     unit = psi.normalized()
     kept = []
-    for label, space in zip(observable.labels, observable.eigenprojectors):
-        x = space.projector() @ unit.amplitudes
+    for label, b in zip(observable.labels, observable.blocks):
+        x = Subspace(psi.dim, b).projector() @ unit.amplitudes
         w = float(np.real(np.vdot(x, x)))
         if w >= DEFAULT_TOL.eps:
             kept.append((label, ComplexVector(canonical_phase(x / np.sqrt(w))), w))
@@ -157,22 +262,32 @@ def per_label_route(psi: ComplexVector, observable: ObservableSpec):
     return kept, orthocomplement(span)
 
 
+def random_blocks(dim: int, rng) -> list[np.ndarray]:
+    """A random partition of range(dim) into blocks of random sizes, empty
+    blocks among them, over a random order of the columns."""
+    cuts = np.sort(rng.integers(0, dim + 1, size=int(rng.integers(0, dim + 1))))
+    return np.split(rng.permutation(dim), cuts)
+
+
 class TestArrays:
     """The rays and weights are held as one array each."""
 
     @given(seeds, st.integers(2, 7), st.booleans(),
-           st.sampled_from(["maximal", "degenerate", "identity"]))
-    @settings(max_examples=80, deadline=None)
+           st.sampled_from(["maximal", "degenerate", "identity", "random"]))
+    @settings(max_examples=120, deadline=None)
     def test_arrays_match_the_per_label_route(self, seed, dim, standard, kind):
         # over the standard basis, the zeroed coordinates give labels of weight
-        # exactly 0; over a random one, weights near 0 that fall below eps
+        # exactly 0; over a random one, weights near 0 that fall below eps.
+        # The observable's blocks are column slices of one array, the route's
+        # projectors products of contiguous copies: the rays must agree bit for bit
         rng = np.random.default_rng(seed)
         q = np.eye(dim, dtype=complex) if standard else random_unitary(dim, rng)
-        blocks = {"maximal": [[i] for i in range(dim)],
-                  "degenerate": [[0, 1], *([i] for i in range(2, dim))],
-                  "identity": [list(range(dim))]}[kind]
+        blocks = random_blocks(dim, rng) if kind == "random" else {
+            "maximal": [[i] for i in range(dim)],
+            "degenerate": [[0, 1], *([i] for i in range(2, dim))],
+            "identity": [list(range(dim))]}[kind]
         obs = ObservableSpec(tuple(f"b{i}" for i in range(len(blocks))),
-                             tuple(Subspace(dim, q[:, b]) for b in blocks))
+                             [q[:, b] for b in blocks])
         z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         z[rng.random(dim) < 0.4] = 0.0
         z[int(rng.integers(dim))] += 1.0
@@ -250,7 +365,7 @@ def blocked_state(dim: int, rng) -> tuple[ComplexVector, ObservableSpec]:
     cuts = rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)), replace=False)
     blocks = np.split(np.arange(dim), np.sort(cuts))
     obs = ObservableSpec(tuple(f"b{i}" for i in range(len(blocks))),
-                         tuple(Subspace(dim, q[:, b]) for b in blocks))
+                         [q[:, b] for b in blocks])
     # drop one block of two or more; a lone block (rank dim >= 3) leaves K
     # of rank dim - 1
     dropped = rng.random(len(blocks)) < 0.4

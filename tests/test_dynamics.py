@@ -154,8 +154,8 @@ class TestJumpProcess:
             (
                 Subspace.from_vectors(
                     [basis_vector(3, 0), basis_vector(3, 1)], ambient_dim=3
-                ),
-                Subspace.ray(basis_vector(3, 2)),
+                ).basis,
+                Subspace.ray(basis_vector(3, 2)).basis,
             ),
         )
         h3 = np.zeros((3, 3), dtype=complex)
@@ -239,7 +239,7 @@ class TestLabelDiscontinuity:
             "p": Subspace.from_vectors([basis_vector(3, 0), basis_vector(3, 1)], ambient_dim=3),
             "r": Subspace.ray(basis_vector(3, 2)),
         }
-        return ObservableSpec(order, tuple(spaces[label] for label in order))
+        return ObservableSpec(order, [spaces[label].basis for label in order])
 
     @pytest.mark.parametrize(
         "rows, order, message",

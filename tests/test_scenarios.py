@@ -19,19 +19,58 @@ import qpt.scenarios
 from qpt import (
     ExtensionReport,
     NotNormalized,
+    ObservableSpec,
     RayFileError,
+    RegisterLayout,
+    Subspace,
     correspondence_scenario,
     decoherence_scenario,
     epr_scenario,
     teleportation_scenario,
 )
-from qpt.scenarios import chsh_scenario, determinate_scenario, dynamics_scenario, ks_scenario
+from qpt.scenarios import (
+    _position_observable,
+    chsh_scenario,
+    determinate_scenario,
+    dynamics_scenario,
+    ks_scenario,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "qpt" / "fixtures"
 
 
 def check_names(rep) -> list[str]:
     return [c.name for c in rep.checks]
+
+
+def mask_route(layout, factor_names, symbols) -> ObservableSpec:
+    """``_position_observable`` through one reading mask and one ``Subspace``
+    per combination of indices, the construction it replaced."""
+    dims = [layout.dims[layout.axis(n)] for n in factor_names]
+    readings = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    readings = readings[[layout.axis(n) for n in factor_names]]
+    eye = np.eye(layout.dim, dtype=np.complex128)
+    labels, spaces = [], []
+    for combo in np.ndindex(*dims):
+        mask = (readings == np.array(combo)[:, None]).all(axis=0)
+        spaces.append(Subspace(layout.dim, eye[:, mask]))
+        names = [symbols[k][c] for k, c in enumerate(combo)]
+        labels.append(names[0] if len(dims) == 1 else "(" + ",".join(names) + ")")
+    return ObservableSpec(tuple(labels), [s.basis for s in spaces])
+
+
+class TestPositionObservable:
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_mask_route(self, dims, rnd):
+        layout = RegisterLayout(tuple((f"r{i}", d) for i, d in enumerate(dims)))
+        names = rnd.sample(layout.names, rnd.randint(1, len(dims)))
+        symbols = [[f"{n}:{c}" for c in range(layout.dims[layout.axis(n)])] for n in names]
+        ours = _position_observable(layout, tuple(names), symbols)
+        ref = mask_route(layout, tuple(names), symbols)
+        assert ours.labels == ref.labels
+        assert [(b.shape, b.tobytes()) for b in ours.blocks] == [
+            (b.shape, b.tobytes()) for b in ref.blocks]
 
 
 class TestEpr:
@@ -160,6 +199,12 @@ class TestCorrespondence:
     def test_too_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             correspondence_scenario(n_max=2)
+
+    def test_n_max_past_the_exact_range_rejected(self):
+        limit = qpt.scenarios.N_MAX_EXACT
+        assert limit**2 < 2**53 <= (limit + 1) ** 2
+        with pytest.raises(ValueError, match="94906265"):
+            correspondence_scenario(n_max=limit + 1)
 
     @staticmethod
     def scalar_maxima(n_max: int) -> "tuple[float, float, float]":
