@@ -46,7 +46,8 @@ class ObservableSpec:
         ranks = [x.shape[1] for x in blocks]
         block = np.repeat(np.arange(len(blocks)), ranks)
         gram = np.abs(b.conj().T @ b - np.eye(len(block)))
-        if gram[block[:, None] == block].max(initial=0.0) > 1e-7:
+        # not (max <= tol): a NaN diagonal, which any non-finite entry gives, fails here
+        if not gram[block[:, None] == block].max(initial=0.0) <= 1e-7:
             raise ValueError("basis columns are not orthonormal")
         if gram[block[:, None] != block].max(initial=0.0) > eps:
             raise NotResolutionOfIdentity("eigenprojectors are not mutually orthogonal")

@@ -33,7 +33,7 @@ class Subspace:
             raise ValueError(f"basis shape {b.shape} invalid for ambient dim {self.ambient_dim}")
         if b.shape[1]:
             gram = b.conj().T @ b
-            if np.abs(gram - np.eye(b.shape[1])).max() > 1e-7:
+            if not np.abs(gram - np.eye(b.shape[1])).max() <= 1e-7:  # NaN fails too
                 raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)

@@ -96,6 +96,11 @@ class TestObservableSpecChecks:
         with pytest.raises(ValueError, match="not orthonormal"):
             ObservableSpec(("a", "b"), (2 * np.eye(2)[:, :1], np.eye(2)[:, 1:]))
 
+    def test_nan_block_rejected(self):
+        # a NaN maximum compares False with any bound: each check must read it as failed
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ObservableSpec(("a", "b"), (np.array([[np.nan], [0.0]]), np.eye(2)[:, 1:]))
+
     def test_block_of_one_dimension_rejected(self):
         with pytest.raises(ValueError, match="not 2-D"):
             ObservableSpec(("a", "b"), (np.array([1.0, 0.0]), np.array([0.0, 1.0])))

@@ -4,10 +4,12 @@ determinism, and validation."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -529,7 +531,7 @@ class TestValidation:
             sample_paths(cum, p0, 0, seed=0, sample_idx=full_grid(5))
 
 
-def run_script(*args: str) -> subprocess.CompletedProcess:
+def run_script(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
@@ -540,57 +542,95 @@ def run_script(*args: str) -> subprocess.CompletedProcess:
         text=True,
         cwd=REPO,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
-class TestBenchmarkScript:
-    def test_bench_jump_runs(self):
-        out = run_script("benchmarks/bench_jump.py",
-                         "--steps", "50", "--walkers", "100", "--repeat", "1")
-        assert out.returncode == 0, out.stderr
-        assert "walker-steps/s" in out.stdout
-        assert "_transition_cumulatives" in out.stdout and "tracemalloc peak" in out.stdout
-        assert out.stdout.count("jump_process walk") == 2  # one line per chain
-        assert out.stdout.count("ensemble walk 100 walkers, tracemalloc peak") == 2
-        # each chain times its walker count twice: as one part, and with one
-        # part per CPU this process may use (the script inherits its affinity)
-        timed = [line.split() for line in out.stdout.splitlines()
-                 if len(line.split()) == 6 and line.split()[2] == "100"]
-        cpus = str(_kernels._usable_cpus())
-        assert [(row[0], row[3]) for row in timed] == [
-            ("rabi", "1"), ("rabi", cpus), ("dim6", "1"), ("dim6", cpus)], out.stdout
-        assert all(float(row[5]) > 0 for row in timed)
+def load_bench_scale():
+    path = REPO / "benchmarks" / "bench_scale.py"
+    spec = importlib.util.spec_from_file_location("bench_scale", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def test_bench_closure_runs(self):
-        out = run_script("benchmarks/bench_closure.py", "--repeat", "1")
-        assert out.returncode == 0, out.stderr
-        assert "closure rounds, (4, 1) extension probe, budget 512" in out.stdout
-        assert "_emit (s)" in out.stdout and "_angles (s)" in out.stdout
-        assert "cpu (s)" in out.stdout
+
+@pytest.fixture(scope="class")
+def bench_scale_toy():
+    # the script's main at a tiny budget, with toy layer sizes (one repeat,
+    # 20 pairs, 50-step chains, 100 walkers) and one cold-start run; the
+    # sweep's rows keep their sizes, so each row stops after its first run.
+    # Each child may run 5 s before the sweep kills and reaps it: at most
+    # 21 children (the cold start, and a run and its byte check per row)
+    # stay under the timeout, so no child outlives this run. One run serves
+    # every test of the class.
+    toy = ("import sys; sys.path.insert(0, 'benchmarks'); import bench_scale as b; "
+           "b.REPEAT, b.PAIRS, b.STEPS, b.WALKERS, b.COLD_RUNS = 1, 20, 50, 100, 1; "
+           "b.BUDGET, b.KILL_FACTOR = 0.05, 100; b.main()")
+    out = run_script("-c", toy, timeout=180)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def table_rows(text: str) -> dict[str, list[str]]:
+    return {line.split()[0]: line.split() for line in text.splitlines() if line.strip()}
+
+
+class TestBenchmarkScript:
+    def test_bench_scale_runs(self, bench_scale_toy):
+        text = bench_scale_toy
+        names = [row[0] for row in load_bench_scale().ROWS]
+        lines = [(line[:24].strip(), line[24:].split()) for line in text.splitlines()]
+        runs = [(name, f) for name, f in lines if name in names and f[0] != "exponent"]
+        summaries = {name: " ".join(f) for name, f in lines if name in names and f[0] == "exponent"}
+        # one row per swept command; every run exits 0 in a positive wall,
+        # and the rerun under two BLAS threads gives the same bytes
+        assert list(summaries) == names, text
+        assert {name for name, _ in runs} == set(names)
+        assert all(f[1] == "0" and float(f[2]) > 0 for _, f in runs), text
+        assert all("two BLAS threads agree" in s for s in summaries.values()), summaries
+        assert "path.tsv" in summaries["dynamics --steps, TSV"]
+
+    def test_bench_closure_runs(self, bench_scale_toy):
+        text = bench_scale_toy
         # each round line ends in the bytes its run holds per relation; by the
         # last round the 16-byte rows outweigh the per-element bookkeeping
-        rounds = out.stdout.split("held/rel (B)\n")[1].split("\n  all")[0].splitlines()
+        rounds = text.split("held/rel (B)\n")[1].split("\n  all")[0].splitlines()
         held = [float(line.split()[-1]) for line in rounds]
         assert held and min(held) > 0 and held[-1] < 32, held
-        assert "public meet/join, 200 random pairs per dim" in out.stdout
+        assert all(float(line.split()[5]) > 0 for line in rounds)
+        rows = table_rows(text)
+        assert float(text.split("_distinct_rays: ")[1].split(" s,")[0].split()[-1]) > 0
+        assert all(float(x) > 0 for dim in "3456" for x in rows[dim][1:])
 
-    def test_bench_nogo_runs(self):
-        out = run_script("benchmarks/bench_nogo.py", "--repeat", "1")
-        assert out.returncode == 0, out.stderr
-        assert "find_assignment, bundled fixtures and standard bases" in out.stdout
-        rows = {line.split()[0]: line.split() for line in out.stdout.splitlines()
-                if line.split()[:1] in (["ks18-d4"], ["ks33-d3"], ["e100"], ["e300"])}
-        # one context of d rays: a chain of d - 1 meet and d - 1 join rows
-        assert rows["e100"][1:5] == ["100", "1", "198", "Assignment"]
-        assert rows["e300"][1:5] == ["300", "1", "598", "Assignment"]
+    def test_bench_nogo_runs(self, bench_scale_toy):
+        rows = table_rows(bench_scale_toy)
         assert rows["ks18-d4"][4] == rows["ks33-d3"][4] == "NoAssignment"
-        assert all(float(row[5]) > 0 for row in rows.values())
-        assert "two-valued search, last relation table of the (4, 1) extension probe" in out.stdout
-        assert "local_map_search, singlet tables" in out.stdout
-        assert "RaySet.from_file, standard bases" in out.stdout
-        files = {line.split()[0]: line.split()[1:] for line in out.stdout.splitlines()
-                 if line.split()[:1] in (["e300.rays"], ["e1000.rays"])}
-        assert files["e300.rays"][:2] == ["300", "1"]
-        assert files["e1000.rays"][:2] == ["1000", "1"]
-        assert all(float(row[2]) > 0 for row in files.values())
+        assert float(rows["ks18-d4"][5]) > 0 and float(rows["ks33-d3"][5]) > 0
+        assert rows["512"][2] == "none" and float(rows["512"][3]) > 0
+        assert rows["default"][1] == "Unsatisfiable" and float(rows["default"][2]) > 0
+        assert rows["0,pi/2,0,pi/2"][1] == "Satisfiable"
+
+    def test_bench_jump_runs(self, bench_scale_toy):
+        text = bench_scale_toy
+        for label in ("_transition_cumulatives", "jump_process walk"):
+            secs = [float(line.split(label)[1].split()[0]) for line in text.splitlines()
+                    if label in line]
+            assert len(secs) == 2 and min(secs) > 0, label  # one line per chain
+        assert text.count("ensemble walk 100 walkers, tracemalloc peak") == 2
+        # each chain is walked as one part, and with one part per CPU this
+        # process may use (the script inherits its affinity)
+        timed = [line.split() for line in text.splitlines()
+                 if line.split()[:1] in (["rabi"], ["dim6"]) and len(line.split()) == 6]
+        cpus = str(_kernels._usable_cpus())
+        assert [(row[0], row[3]) for row in timed] == [
+            ("rabi", "1"), ("rabi", cpus), ("dim6", "1"), ("dim6", cpus)], text
+        assert all(float(row[5]) > 0 for row in timed)
+
+    def test_child_runner_kills_and_reaps_at_the_limit(self, tmp_path):
+        bench = load_bench_scale()
+        t0 = time.perf_counter()
+        run = bench.run_child([sys.executable, "-c", "import time; time.sleep(30)"], 0.2,
+                              tmp_path, dict(os.environ))
+        assert run.status == "timeout" and time.perf_counter() - t0 < 1.0
+        with pytest.raises(ChildProcessError):  # reaped: no longer a child of this process
+            os.waitpid(run.pid, os.WNOHANG)

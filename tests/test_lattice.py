@@ -64,6 +64,11 @@ class TestSubspaceBasics:
         assert np.abs(z.projector()).max() == 0.0
         assert np.abs(f.projector() - np.eye(3)).max() == 0.0
 
+    def test_nan_basis_rejected(self):
+        # a NaN Gram entry compares False with any bound, so the check must not read it as small
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(2, [[np.nan], [0.0]])
+
     def test_from_vectors_rejects_a_mismatched_ambient_dim(self):
         with pytest.raises(ValueError):
             Subspace.from_vectors([np.ones(3)], ambient_dim=4)
