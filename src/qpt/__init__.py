@@ -1,7 +1,7 @@
 """Finite-dimensional quantum-logic toolkit.
 
 Builds the maximal sublattice of subspaces on which a state's probabilities
-form a measure over 2-valued homomorphisms, enumerates those property states,
+form a measure over 2-valued homomorphisms, evaluates those property states,
 checks Kochen-Specker colorability and local-hidden-variable feasibility, and
 runs dual dynamics: unitary evolution of the possibility structure plus a
 meshing stochastic jump process.
@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "determinate": (
         "BornProbabilities", "DeterminateSublattice", "ExtensionReport",
-        "ObservableSpec", "PropertyState", "born_check", "build_determinate",
-        "complement_probe_rays", "contains", "extend_and_check",
-        "property_states", "truth_value",
+        "ObservableSpec", "born_check", "build_determinate",
+        "complement_probe_rays", "contains", "extend_and_check", "truth_value",
     ),
     "dynamics": (
         "EvolutionSpec", "MarginalSample", "PossibilityTrajectory",

@@ -1,10 +1,12 @@
 """Determinate sublattice of a state relative to a preferred observable:
-construction, analytic membership, property states (2-valued homomorphisms),
-Born-measure verification, and the extension/contradiction check."""
+construction, analytic membership, property states (2-valued homomorphisms,
+each the index of the projected ray it selects), Born-measure verification,
+and the extension/contradiction check."""
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -179,40 +181,22 @@ def contains(d: DeterminateSublattice, v: Subspace, tol: Tolerance = DEFAULT_TOL
     return _ray_masks(d, v, tol)[1]
 
 
-@dataclass(frozen=True)
-class PropertyState:
-    """One 2-valued homomorphism on the sublattice: selects a projected ray."""
-
-    selected: int
-    probability: float
-
-    def __post_init__(self) -> None:
-        if self.selected < 0:
-            raise ValueError(f"selected ray {self.selected} is negative")
-        if not (0.0 < self.probability <= 1.0 + 1e-12):
-            raise ValueError(f"probability {self.probability} outside (0, 1]")
-
-
-def property_states(d: DeterminateSublattice) -> tuple[PropertyState, ...]:
-    return tuple(
-        PropertyState(selected=i, probability=w) for i, w in enumerate(d.weights.tolist())
-    )
-
-
 def truth_value(
-    state: PropertyState,
+    selected: int,
     d: DeterminateSublattice,
     v: Subspace,
     tol: Tolerance = DEFAULT_TOL,
 ) -> bool:
-    """Truth of the member v under the property state: true iff the selected
-    ray lies inside v."""
-    if state.selected >= len(d.labels):
-        raise ValueError(f"no ray {state.selected}: the sublattice has {len(d.labels)} rays")
+    """Truth of the member v under property state ``selected``, which selects
+    projected ray ``selected`` with probability ``d.weights[selected]``: true
+    iff that ray lies inside v."""
+    i = operator.index(selected)
+    if not 0 <= i < len(d.labels):
+        raise ValueError(f"no ray {i}: the sublattice has {len(d.labels)} rays")
     inside, member = _ray_masks(d, v, tol)
     if not member:
         raise NotInSublattice("subspace is not a member of the sublattice")
-    return bool(inside[state.selected])
+    return bool(inside[i])
 
 
 class BornProbabilities(NamedTuple):

@@ -247,10 +247,13 @@ def _forward_marginals(cum: np.ndarray, p0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PropertyTrajectory:
-    """One realization of the selected-label jump process."""
+    """One realization of the selected-label jump process: at ``times[t]``
+    the selected label is ``labels[selected[t]]``, ``selected`` being a
+    read-only int64 array."""
 
     times: np.ndarray
-    selected_labels: tuple[str, ...]
+    labels: tuple[str, ...]
+    selected: np.ndarray
     seed: int
 
 
@@ -279,8 +282,8 @@ def jump_process(traj: PossibilityTrajectory, seed: int) -> PropertyTrajectory:
     cum, p0 = traj._chain
     idx = np.arange(traj.spec.steps + 1, dtype=np.int64)
     path = sample_paths(cum, p0, 1, seed, idx)[:, 0]
-    labels = tuple(traj.labels[int(i)] for i in path)
-    return PropertyTrajectory(traj.times.copy(), labels, seed)
+    path.setflags(write=False)
+    return PropertyTrajectory(traj.times.copy(), traj.labels, path, seed)
 
 
 def sample_marginals(
@@ -316,11 +319,11 @@ def trajectory_rows(
     """Tab-separated rows (time, selected label, comma-joined weight vector),
     yielded one at a time, so that a writer holds one row, not all of them.
 
-    Times and weights are read ``_BLOCK`` rows at a time as Python floats, and
-    each row is one ``%`` format with ``%.10g`` for every number."""
-    fmt = "%.10g\t%s\t" + ",".join(["%.10g"] * traj.weights.shape[1])
+    Times, selections and weights are read ``_BLOCK`` rows at a time as Python
+    numbers, and each row is one ``%`` format with ``%.10g`` for every number."""
+    fmt, labels = "%.10g\t%s\t" + ",".join(["%.10g"] * traj.weights.shape[1]), ptraj.labels
     for lo in range(0, len(ptraj.times), _BLOCK):
         hi = lo + _BLOCK
-        for t, label, w in zip(ptraj.times[lo:hi].tolist(), ptraj.selected_labels[lo:hi],
-                               traj.weights[lo:hi].tolist()):
-            yield fmt % (t, label, *w)
+        for t, i, w in zip(ptraj.times[lo:hi].tolist(), ptraj.selected[lo:hi].tolist(),
+                           traj.weights[lo:hi].tolist()):
+            yield fmt % (t, labels[i], *w)

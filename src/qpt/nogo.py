@@ -46,7 +46,9 @@ class RaySet:
         tol, dim = self.tol, amps.shape[1]
         if (norms <= tol.eps).any():
             raise ZeroVector(f"norm {norms[norms <= tol.eps][0]} below eps {tol.eps}")
-        rays = canonical_phase((amps / norms).T).T
+        amps /= norms
+        rays = canonical_phase(amps.T).T
+        del amps  # freed before the overlap product, the constructor's largest step
         rays.setflags(write=False)
         ov = np.abs(rays.conj() @ rays.T)
         coincide = np.argwhere(np.triu(ov >= 1.0 - tol.eps * dim, 1))

@@ -16,7 +16,6 @@ from .determinate import (
     build_determinate,
     contains,
     extend_and_check,
-    property_states,
 )
 from .dynamics import (
     EvolutionSpec,
@@ -123,8 +122,7 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
     rho_b_after = reduced_state(psi1, layout, ("spin2", "pos2"))
     signalling = float(np.linalg.norm(rho_b_before.entries - rho_b_after.entries, ord=2))
 
-    states_after = property_states(d_after)
-    weights_after = sorted(round(s.probability, 12) for s in states_after)
+    weights_after = sorted(round(w, 12) for w in d_after.weights.tolist())
     born = born_check(d_after, v_up2, tol)
 
     checks = (
@@ -160,7 +158,7 @@ def epr_scenario(*, tol: Tolerance = DEFAULT_TOL) -> ScenarioReport:
         close_check(
             "property_state_total",
             expected=1.0,
-            actual=float(sum(s.probability for s in states_after)),
+            actual=float(sum(d_after.weights.tolist())),
             tolerance=1e-12,
         ),
     )
@@ -215,8 +213,9 @@ def teleportation_scenario(
     through a shared entangled pair and a Bell-basis premeasurement whose
     pointer outcome selects one of four local corrections.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    # the histogram's memory is fixed, so only time bounds samples: 2**40 take hours
+    if not 1 <= samples <= 2**40:
+        raise ValueError(f"samples must lie in [1, 2**40], got {samples}")
     # products, not ** 2: a float power raises OverflowError where this gives inf
     amp = abs(c_plus) * abs(c_plus) + abs(c_minus) * abs(c_minus)
     if abs(amp - 1.0) > 1e-9:
@@ -255,24 +254,26 @@ def teleportation_scenario(
         layout, ("pos_a",), [["r0", "r1", "r2", "r3", "r4"]]
     )
     d = build_determinate(phi1, observable, tol=tol)
-    states = property_states(d)
 
-    # one inverse-CDF draw selects the outcome, `samples` more fill the histogram
-    probs = np.array([s.probability for s in states])
+    # one inverse-CDF draw selects the outcome, `samples` more fill the histogram,
+    # drawn _N_BLOCK at a time: PCG64's random(a) then random(b) is random(a + b)
+    probs = d.weights
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    picks = (np.random.default_rng(seed).random(samples + 1)[:, None] >= cum[:-1]).sum(axis=1)
-    selected = states[picks[0]]
-    picks = picks[1:]
+    rng = np.random.default_rng(seed)
+    selected = int((rng.random(1) >= cum[:-1]).sum())
+    counts = np.zeros(len(d.labels), dtype=np.int64)
+    for lo in range(0, samples, _N_BLOCK):
+        u = rng.random(min(_N_BLOCK, samples - lo))
+        counts += np.bincount((u[:, None] >= cum[:-1]).sum(axis=1), minlength=len(d.labels))
 
     # fidelity of Bob's corrected state, for every outcome
     fidelities: dict[str, float] = {}
     locality_shift = 0.0
-    for s in states:
-        label = d.labels[s.selected]
+    for i, label in enumerate(d.labels):
         outcome = int(label[1:])  # label "r<i>"
         u_b = embed(Operator(_CORRECTIONS[outcome - 1] + 0j), layout, ("spin_b",))
-        branch = ComplexVector(d.rays[:, s.selected])
+        branch = ComplexVector(d.rays[:, i])
         corrected = ComplexVector(u_b.entries @ branch.amplitudes)
         rho_b = reduced_state(corrected, layout, ("spin_b",))
         fidelities[label] = float(
@@ -285,10 +286,7 @@ def teleportation_scenario(
             float(np.linalg.norm(rho_rest_pre.entries - rho_rest_post.entries, ord=2)),
         )
 
-    hist = {
-        d.labels[states[i].selected]: int((picks == i).sum())
-        for i in range(len(states))
-    }
+    hist = dict(zip(d.labels, counts.tolist()))
     sigma = float(np.sqrt(0.25 * 0.75 / samples))
     worst_freq_err = max(abs(v / samples - 0.25) for v in hist.values())
 
@@ -300,7 +298,7 @@ def teleportation_scenario(
             tolerance=tol.eps * layout.dim,
             note="four Bell branches reassemble the pre-measurement state",
         ),
-        exact_check("four_property_states", 4, len(states)),
+        exact_check("four_property_states", 4, len(d.labels)),
         close_check(
             "outcome_probabilities_quarter",
             expected=0.25,
@@ -352,10 +350,8 @@ def teleportation_scenario(
             },
             note="pointer-branch spin content on B before correction",
         ),
-        Quantity("selected_outcome", d.labels[selected.selected]),
-        Quantity(
-            "selected_probability", round(float(selected.probability), 12), tolerance=1e-12
-        ),
+        Quantity("selected_outcome", d.labels[selected]),
+        Quantity("selected_probability", round(float(probs[selected]), 12), tolerance=1e-12),
         Quantity("outcome_counts", {k: hist[k] for k in sorted(hist)}),
     )
     params = {
@@ -472,8 +468,8 @@ def decoherence_scenario(
 # ---------------------------------------------------------------------------
 
 
-#: ``correspond`` sweeps the level numbers this many at a time, so its
-#: memory does not grow with n_max
+#: ``correspond`` sweeps its level numbers and ``teleport`` draws its samples
+#: this many at a time, so neither one's memory grows with n_max or samples
 _N_BLOCK = 1 << 16
 
 #: the largest n_max accepted: the largest n with n^2 < 2^53, so ``_ratio`` is exact
@@ -844,8 +840,7 @@ def determinate_scenario(
         spec = ObservableSpec.from_eigenbasis(np.linalg.qr(
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0].T, tol=tol)
     d = build_determinate(psi, spec, tol=tol)
-    states = property_states(d)
-    total = float(sum(s.probability for s in states))
+    total = float(sum(d.weights.tolist()))
 
     member_ok, born_err = True, 0.0
     for c in d.rays.T:

@@ -40,7 +40,6 @@ from qpt import (
     find_assignment,
     join,
     local_map_search,
-    property_states,
     setting_ray_sets,
     singlet,
 )

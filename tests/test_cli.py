@@ -189,8 +189,9 @@ class TestExitCodes:
         ["decohere", "--n-env", str(10**15)],
     ])
     def test_unallocatable_size_exits_two(self, argv):
-        # 8 PB is beyond the address space, so numpy fails at once whatever
-        # the overcommit mode; the size is bad input, not a crash
+        # teleport refuses more than 2**40 samples at once; decohere's arrays
+        # are beyond the address space, so numpy fails at once whatever the
+        # overcommit mode; the size is bad input, not a crash
         out = run(*argv)
         assert out.returncode == 2 and out.stdout == ""
         lines = out.stderr.splitlines()

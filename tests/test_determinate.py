@@ -18,7 +18,6 @@ from qpt import (
     NotInSublattice,
     NotResolutionOfIdentity,
     ObservableSpec,
-    PropertyState,
     Subspace,
     ZeroVector,
     basis_vector,
@@ -30,7 +29,6 @@ from qpt import (
     extend_and_check,
     join,
     orthocomplement,
-    property_states,
     truth_value,
 )
 from qpt.determinate import _RAY_BLOCK, _distinct_rays
@@ -185,8 +183,7 @@ def test_readme_quick_start_runs_and_gives_its_comments_values():
     assert d.labels == ("e0", "e1")
     assert d.weights.tolist() == pytest.approx([0.36, 0.64], abs=1e-12)
     assert d.rays.shape == (3, 2)
-    assert [(s.selected, s.probability) for s in property_states(d)] == list(
-        enumerate(d.weights.tolist()))
+    assert [truth_value(i, d, v) for i in range(len(d.labels))] == [True, False]
     assert contains(d, v) is True
     bc = born_check(d, v)
     assert bc.measure_prob == pytest.approx(0.36, abs=1e-12)
@@ -401,8 +398,8 @@ class TestMembersWithComplement:
         v = Subspace(dim, np.linalg.qr(cols @ random_unitary(cols.shape[1], rng))[0]
                      if cols.shape[1] else cols)
         assert contains(d, v)
-        for s in property_states(d):
-            assert truth_value(s, d, v) == bool(chosen[s.selected])
+        for i in range(len(d.labels)):
+            assert truth_value(i, d, v) == bool(chosen[i])
         out = born_check(d, v)
         assert out.measure_prob == pytest.approx(out.born_prob, abs=1e-10)
         assert out.measure_prob == pytest.approx(
@@ -434,46 +431,66 @@ class TestPropertyStates:
     @given(seeds, st.integers(3, 8))
     @settings(max_examples=25, deadline=None)
     def test_one_state_per_ray_probabilities_are_weights(self, seed, dim):
+        # property state i selects ray i with probability d.weights[i]
         rng = np.random.default_rng(seed)
         d = build_determinate(random_vector(dim, rng), maximal_observable(dim, rng))
-        states = property_states(d)
-        assert len(states) == len(d.labels)
-        assert sum(s.probability for s in states) == pytest.approx(1.0, abs=1e-10)
-        for s in states:
-            assert s.probability == pytest.approx(d.weights[s.selected], abs=1e-12)
+        assert d.weights.shape == (len(d.labels),)
+        assert sum(d.weights.tolist()) == pytest.approx(1.0, abs=1e-10)
+        assert (d.weights > 0).all() and (d.weights <= 1.0 + 1e-12).all()
 
     def test_truth_values_follow_selected_ray(self, rng):
         d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
-        states = property_states(d)
         v = join(Subspace.ray(ComplexVector(d.rays[:, 0])),
                  Subspace.ray(ComplexVector(d.rays[:, 2])))
-        for s in states:
-            assert truth_value(s, d, v) == (s.selected in (0, 2))
+        for i in range(len(d.labels)):
+            assert truth_value(i, d, v) == (i in (0, 2))
 
     def test_truth_value_rejects_non_member(self, rng):
         d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
-        s = property_states(d)[0]
         with pytest.raises(NotInSublattice):
-            truth_value(s, d, Subspace.ray(random_vector(4, rng)))
+            truth_value(0, d, Subspace.ray(random_vector(4, rng)))
 
-    def test_negative_selection_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            PropertyState(-1, 0.5)
+    def test_negative_selection_rejected(self, rng):
+        # plain indexing would select the last ray
+        d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
+        with pytest.raises(ValueError, match="no ray -1: the sublattice has 4 rays"):
+            truth_value(-1, d, d.complement)
 
     def test_truth_value_rejects_a_selection_past_the_last_ray(self):
         psi = ComplexVector(np.array([0.6, 0.8, 0.0], dtype=complex))
         d = build_determinate(psi, ObservableSpec.from_eigenbasis(np.eye(3)))
         assert len(d.labels) == 2
         with pytest.raises(ValueError, match="2 rays"):
-            truth_value(PropertyState(2, 0.5), d, d.complement)
+            truth_value(2, d, d.complement)
+
+    def test_truth_value_takes_an_integer_index(self, rng):
+        d = build_determinate(random_vector(4, rng), maximal_observable(4, rng))
+        v = Subspace.ray(ComplexVector(d.rays[:, 1]))
+        assert truth_value(np.int64(1), d, v) and not truth_value(np.intp(0), d, v)
+        with pytest.raises(TypeError):
+            truth_value(1.0, d, v)
+
+    @given(seeds, st.integers(3, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_born_measure_sums_the_weights_of_the_states_that_make_a_member_true(
+            self, seed, dim):
+        rng = np.random.default_rng(seed)
+        psi, obs = blocked_state(dim, rng)
+        d = build_determinate(psi, obs)
+        chosen = np.flatnonzero(rng.random(len(d.labels)) < 0.5)
+        v = join(Subspace.from_vectors(list(d.rays[:, chosen].T), ambient_dim=dim)
+                 if len(chosen) else Subspace.zero(dim), d.complement)
+        true = [i for i in range(len(d.labels)) if truth_value(i, d, v)]
+        assert true == chosen.tolist()
+        assert born_check(d, v).measure_prob == sum(d.weights[true].tolist(), 0.0)
 
     def test_complement_block_is_false_in_every_state(self, rng):
         psi = ComplexVector(np.array([0.6, 0.0, 0.8, 0.0], dtype=complex))
         obs = ObservableSpec.from_eigenbasis([basis_vector(4, i) for i in range(4)])
         d = build_determinate(psi, obs)
         assert d.complement.rank == 2
-        for s in property_states(d):
-            assert not truth_value(s, d, d.complement)
+        for i in range(len(d.labels)):
+            assert not truth_value(i, d, d.complement)
 
 
 class TestBornCheck:

@@ -133,19 +133,19 @@ class TestJumpProcess:
         psi0 = ComplexVector(np.array([0.6, 0.8], dtype=complex))
         traj = evolve_possibility(psi0, z_observable(), spec)
         pt = jump_process(traj, seed=12)
-        assert len(set(pt.selected_labels)) == 1
+        assert len(set(pt.selected.tolist())) == 1
 
     def test_path_labels_are_observable_labels(self):
         traj = rabi_trajectory(80)
         pt = jump_process(traj, seed=3)
-        assert len(pt.selected_labels) == 81
-        assert set(pt.selected_labels) <= {"up", "down"}
+        assert len(pt.selected) == 81 and pt.labels == ("up", "down")
+        assert set(pt.selected.tolist()) <= {0, 1}
 
     def test_same_seed_reproduces_path(self):
         traj = rabi_trajectory(60)
         a = jump_process(traj, seed=7)
         b = jump_process(traj, seed=7)
-        assert a.selected_labels == b.selected_labels
+        assert np.array_equal(a.selected, b.selected)
 
     def test_swinging_ray_inside_degenerate_eigenspace_raises(self):
         # rank-2 eigenspace; a large step swings the projected ray by ~1 rad
@@ -185,8 +185,29 @@ class TestJumpProcess:
         traj = rabi_trajectory(_BLOCK + extra - 1)
         pt = jump_process(traj, seed=3)
         want = [f"{t:.10g}\t{label}\t" + ",".join(f"{p:.10g}" for p in w)
-                for t, label, w in zip(pt.times, pt.selected_labels, traj.weights)]
+                for t, label, w in zip(pt.times, [pt.labels[i] for i in pt.selected],
+                                       traj.weights)]
         assert len(want) == _BLOCK + extra and any("e-" in row for row in want)
+        assert list(trajectory_rows(pt, traj)) == want
+
+    @pytest.mark.parametrize("make", [lambda: rabi_trajectory(600),
+                                      lambda: multilevel_trajectory(0, steps=700),
+                                      lambda: multilevel_trajectory(5, steps=700)],
+                             ids=["rabi", "multilevel0", "multilevel5"])
+    def test_selection_is_a_read_only_index_array_and_rows_keep_their_bytes(self, make):
+        traj = make()
+        pt = jump_process(traj, seed=4)
+        assert pt.selected.dtype == np.int64 and pt.selected.shape == (traj.spec.steps + 1,)
+        assert not pt.selected.flags.writeable and pt.labels == traj.labels
+        with pytest.raises(ValueError):
+            pt.selected[0] = 0
+        # the rows of one label string per step, the walked column looked up at once
+        cum, p0 = traj._chain
+        path = sample_paths(cum, p0, 1, 4, np.arange(traj.spec.steps + 1))[:, 0]
+        labels = tuple(traj.labels[int(i)] for i in path)
+        fmt = "%.10g\t%s\t" + ",".join(["%.10g"] * traj.weights.shape[1])
+        want = [fmt % (t, label, *w) for t, label, w in
+                zip(traj.times.tolist(), labels, traj.weights.tolist())]
         assert list(trajectory_rows(pt, traj)) == want
 
 
@@ -397,7 +418,7 @@ class TestMeshing:
             fresh = sample_marginals(rabi_trajectory(100), seed=s, n_trajectories=300,
                                      sample_indices=idx)
             assert np.array_equal(marg.counts, fresh.counts)
-        assert path.selected_labels == jump_process(rabi_trajectory(100), seed=2).selected_labels
+        assert np.array_equal(path.selected, jump_process(rabi_trajectory(100), seed=2).selected)
 
     def test_empty_indices_give_no_counts(self):
         marg = sample_marginals(rabi_trajectory(100), seed=0, n_trajectories=100,

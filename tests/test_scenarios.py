@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,39 @@ class TestTeleportation:
         by = {c.name: c for c in rep.checks}
         assert by["four_property_states"].passed
         assert by["outcome_probabilities_quarter"].passed
+
+    @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_block_draws_match_one_array_of_draws(self, monkeypatch, offset):
+        # samples = block - 1, block, block + 1 and 2 block + 3, against one
+        # random(samples + 1) array compared as a whole
+        samples = offset[0] * qpt.scenarios._N_BLOCK + offset[1]
+        built = []
+        build = qpt.scenarios.build_determinate
+        monkeypatch.setattr(qpt.scenarios, "build_determinate",
+                            lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+        rep = teleportation_scenario(0.6, 0.8, seed=5, samples=samples)
+        d = built[0]
+        cum = np.cumsum(d.weights)
+        cum[-1] = 1.0
+        picks = (np.random.default_rng(5).random(samples + 1)[:, None] >= cum[:-1]).sum(axis=1)
+        q = {x.name: x.value for x in rep.quantities}
+        assert q["selected_outcome"] == d.labels[picks[0]]
+        assert q["outcome_counts"] == {
+            label: int((picks[1:] == i).sum()) for i, label in enumerate(d.labels)}
+
+    def test_draw_memory_does_not_grow_with_samples(self):
+        teleportation_scenario(0.6, 0.8, seed=0, samples=100)  # imports and caches
+        tracemalloc.start()
+        try:
+            teleportation_scenario(0.6, 0.8, seed=0, samples=2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_samples_past_two_to_the_forty_rejected_at_once(self):
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*40\]"):
+            teleportation_scenario(0.6, 0.8, seed=0, samples=2**40 + 1)
 
 
 class TestDecoherence:
